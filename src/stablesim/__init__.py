@@ -15,8 +15,8 @@ from .core import (
 )
 from .kernels import (
     Admissibility,
+    FAMILIES,
     Chentsov,
-    FamilySpec,
     FourierSeries,
     InvalidSpecError,
     Kernel,

@@ -18,7 +18,7 @@ import numpy as np
 from . import io as sio
 from .core import simulate
 from .flows import hopf_classify, rotation_flow, translation_flow
-from .kernels import InvalidSpecError, RotatingAverage, build, region_map, validate
+from .kernels import InvalidSpecError, RotatingAverage, region_map, validate
 from .transforms import (
     PathFunction,
     lamperti_from_stationary,
@@ -39,7 +39,7 @@ def _default_seed() -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid)."""
+    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid); exit 2 if malformed."""
     try:
         lo_s, hi_s, n_s = text.split(":")
         geometric = n_s.endswith("g")
@@ -48,22 +48,20 @@ def _parse_grid(text: str) -> np.ndarray:
         if geometric:
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: want lo:hi:n") from exc
+    except ValueError:
+        print(f"bad grid spec {text!r}: want lo:hi:n", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
 
 
 def _load_spec_or_exit(path: str):
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        spec = sio.load_spec(path)
     except OSError as exc:
         print(f"cannot read spec file: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     except json.JSONDecodeError as exc:
         print(f"spec file is not valid JSON: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    try:
-        spec = sio.spec_from_dict(doc)
     except InvalidSpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
@@ -86,10 +84,13 @@ def _write_json(path: str, doc: dict) -> None:
 
 def cmd_simulate(args) -> int:
     spec = _load_spec_or_exit(args.spec)
-    kernel = build(spec)
     times = _parse_grid(args.t)
-    ens = simulate(kernel, times, args.n_paths, args.seed,
-                   level=args.level, threads=args.threads)
+    try:
+        ens = simulate(spec, times, args.n_paths, args.seed,
+                       level=args.level, threads=args.threads)
+    except ValueError as exc:
+        print(f"invalid simulation request: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         with open(args.out, "w") as fh:
             sio.write_ensemble_csv(fh, ens.times, ens.values)

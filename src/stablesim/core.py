@@ -134,8 +134,8 @@ def cf_exponent(kernel: Kernel, combo: LinearCombo, policy: QuadraturePolicy | N
                 level: int | None = None) -> CfExponent:
     """sigma^alpha(combo) = integral of |sum_j theta_j K(t_j, .)|^alpha dmu.
 
-    With ``level`` given, evaluates that single refinement level (no
-    certificate iteration); otherwise runs the policy schedule.
+    With ``level`` given, evaluates that one refinement level only (status
+    "single_level"); otherwise runs the policy schedule.
     """
     policy = policy or QuadraturePolicy()
     times = combo.times
@@ -147,7 +147,7 @@ def cf_exponent(kernel: Kernel, combo: LinearCombo, policy: QuadraturePolicy | N
 
     if level is not None:
         v = eval_level(level)
-        return CfExponent(v, Certificate((level,), (v,), "converged", policy.rtol))
+        return CfExponent(v, Certificate((level,), (v,), "single_level", policy.rtol))
     value, cert = run_levels(eval_level, policy)
     return CfExponent(value, cert)
 
@@ -224,6 +224,10 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be nonnegative, got {n_paths}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     grid = RandomMeasureGrid(*kernel.sim_grid(float(t[0]), float(t[-1]), level))
     weights = grid.masses ** (1.0 / kernel.alpha)
     kmat = np.empty((t.size, weights.size))
@@ -251,7 +255,7 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
         for ch in chunks:
             fill(ch)
 
-    return PathEnsemble(t, values, int(seed), spec_digest(kernel.descriptor))
+    return PathEnsemble(t, values, int(seed), spec_digest(kernel.to_doc()))
 
 
 def empirical_cf(ensemble: PathEnsemble, combo: LinearCombo) -> complex:

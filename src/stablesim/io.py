@@ -13,57 +13,17 @@ from . import kernels as K
 SCHEMA_VERSION = 1
 
 
-def spec_to_dict(spec: K.FamilySpec) -> dict:
-    if isinstance(spec, K.Lfsm):
-        return {"family": "lfsm", "alpha": spec.alpha, "hurst": spec.hurst,
-                "c_plus": spec.c_plus, "c_minus": spec.c_minus}
-    if isinstance(spec, K.LinearMotion):
-        return {"family": "linear_motion", "alpha": spec.alpha,
-                "c_plus": spec.c_plus, "c_minus": spec.c_minus}
-    if isinstance(spec, K.LogFractional):
-        return {"family": "log_fractional", "alpha": spec.alpha, "scale": spec.scale}
-    if isinstance(spec, K.MixedLfsm):
-        return {"family": "mixed_lfsm", "alpha": spec.alpha, "hurst": spec.hurst,
-                "atoms": [{"b": [b1, b2], "weight": w} for (b1, b2), w in spec.atoms]}
-    if isinstance(spec, K.TruncatedFractional):
-        return {"family": "truncated_fractional", "alpha": spec.alpha, "a": spec.a, "b": spec.b}
-    if isinstance(spec, K.Chentsov):
-        return {"family": "chentsov", "alpha": spec.alpha, "beta": spec.beta}
-    if isinstance(spec, K.RotatingAverage):
-        return {"family": "rotating_average", "alpha": spec.alpha, "beta": spec.beta,
-                "harmonics": [{"k": k, "cos": a, "sin": b} for k, a, b in spec.series.terms],
-                "constant": spec.series.constant}
-    raise TypeError(f"unknown family spec {type(spec).__name__}")
+def spec_to_dict(spec: K.Kernel) -> dict:
+    """JSON document of a family spec."""
+    return spec.to_doc()
 
 
-def spec_from_dict(doc: dict) -> K.FamilySpec:
-    try:
-        fam = doc["family"]
-        if fam == "lfsm":
-            return K.Lfsm(doc["alpha"], doc["hurst"], doc.get("c_plus", 1.0), doc.get("c_minus", 0.0))
-        if fam == "linear_motion":
-            return K.LinearMotion(doc["alpha"], doc.get("c_plus", 1.0), doc.get("c_minus", 0.0))
-        if fam == "log_fractional":
-            return K.LogFractional(doc["alpha"], doc.get("scale", 1.0))
-        if fam == "mixed_lfsm":
-            atoms = tuple(((float(a["b"][0]), float(a["b"][1])), float(a["weight"]))
-                          for a in doc["atoms"])
-            return K.MixedLfsm(doc["alpha"], doc["hurst"], atoms)
-        if fam == "truncated_fractional":
-            return K.TruncatedFractional(doc["alpha"], doc["a"], doc["b"])
-        if fam == "chentsov":
-            return K.Chentsov(doc["alpha"], doc["beta"])
-        if fam == "rotating_average":
-            terms = tuple((int(h["k"]), float(h.get("cos", 0.0)), float(h.get("sin", 0.0)))
-                          for h in doc["harmonics"])
-            return K.RotatingAverage(doc["alpha"], doc["beta"],
-                                     K.FourierSeries(terms, float(doc.get("constant", 0.0))))
-    except KeyError as exc:
-        raise K.InvalidSpecError(f"spec document missing field {exc}") from exc
-    raise K.InvalidSpecError(f"unknown family {doc.get('family')!r}")
+def spec_from_dict(doc) -> K.Kernel:
+    """Family spec of a JSON document, looked up by its "family" in the registry."""
+    return K.Kernel.from_doc(doc)
 
 
-def load_spec(path: str) -> K.FamilySpec:
+def load_spec(path: str) -> K.Kernel:
     with open(path) as fh:
         return spec_from_dict(json.load(fh))
 

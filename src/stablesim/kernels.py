@@ -1,17 +1,25 @@
-"""Process families, their spectral kernels, parameter validation and the
-well-posedness region of the truncated-fractional family.
+"""Process families, each its own spectral kernel, and the well-posedness
+region of the truncated-fractional family.
 
-Every family is exposed as an increment kernel K(t, u) on its state space,
-so that X_t = integral of K(t, .) against an independently scattered SaS
-random measure with X_0 = 0, together with a control-measure discretization
-used both for quadrature and for path simulation.
+Every family writes X_t as the integral of an increment kernel K(t, .)
+against an independently scattered SaS random measure on its state space,
+with X_0 = 0 (Samorodnitsky & Taqqu, 1994).  A family is one frozen
+dataclass deriving from ``Kernel``: its fields are the parameters, and it
+carries the admissibility inequalities (``violations``), the Hurst exponent,
+the kernel (``eval``), the control-measure discretizations used for
+quadrature (``cf_grid``) and path simulation (``sim_grid``), its JSON
+document (``to_doc`` / ``from_doc``) and, where the family declares them,
+the scaling maps of its lag kernel.  ``FAMILIES`` registers every family by
+name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+import numbers
+from abc import ABC, abstractmethod
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -28,10 +36,6 @@ from .quadrature import (
 class InvalidSpecError(ValueError):
     """Raised when a family spec violates its parameter domain."""
 
-
-# ---------------------------------------------------------------------------
-# family specs
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FourierSeries:
@@ -60,72 +64,6 @@ class FourierSeries:
 
 
 @dataclass(frozen=True)
-class Lfsm:
-    """Linear fractional stable motion with kernel weights on the two power tails."""
-
-    alpha: float
-    hurst: float
-    c_plus: float = 1.0
-    c_minus: float = 0.0
-
-
-@dataclass(frozen=True)
-class LinearMotion:
-    """Moving-average form of the linear SaS motion (H = 1/alpha)."""
-
-    alpha: float
-    c_plus: float = 1.0
-    c_minus: float = 0.0
-
-
-@dataclass(frozen=True)
-class LogFractional:
-    """Logarithmic-kernel motion, the second H = 1/alpha family."""
-
-    alpha: float
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class MixedLfsm:
-    """Mixture of LFSM kernels over a finite atomic mixing measure on R^2."""
-
-    alpha: float
-    hurst: float
-    atoms: tuple[tuple[tuple[float, float], float], ...]  # ((b1, b2), weight)
-
-
-@dataclass(frozen=True)
-class TruncatedFractional:
-    """Truncated left power kernel with radial density p**(-1-b); H = (alpha*a - b + 1)/alpha."""
-
-    alpha: float
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
-class Chentsov:
-    """Indicator-difference kernel over expanding intervals, radial density x**(beta-2)."""
-
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class RotatingAverage:
-    """Circle-rotation family driven by a finite Fourier profile; H = beta/alpha."""
-
-    alpha: float
-    beta: float
-    series: FourierSeries
-
-
-FamilySpec = Union[Lfsm, LinearMotion, LogFractional, MixedLfsm,
-                   TruncatedFractional, Chentsov, RotatingAverage]
-
-
-@dataclass(frozen=True)
 class Admissibility:
     ok: bool
     hurst: float | None
@@ -133,13 +71,479 @@ class Admissibility:
 
 
 # ---------------------------------------------------------------------------
-# validation and Hurst exponents
+# the family base class
 # ---------------------------------------------------------------------------
 
-def _check_alpha(alpha: float, out: list[str]) -> None:
-    if not (0.0 < alpha < 2.0):
-        out.append(f"requires 0 < alpha < 2, got alpha={alpha}")
+class Kernel(ABC):
+    """Increment kernel K(t, u) of a family paired with control-measure
+    discretizations.  Points u are scalar shifts, or rows (radial, shift) on
+    two-coordinate state spaces."""
 
+    label: ClassVar[str]  # family name: the "family" of its JSON document
+    alpha: float
+
+    def violations(self) -> Iterator[str]:
+        """Yield every violated admissibility inequality, by name."""
+        if not (0.0 < self.alpha < 2.0):
+            yield f"requires 0 < alpha < 2, got alpha={self.alpha}"
+
+    def hurst_exponent(self) -> float | None:
+        """Self-similarity exponent of an admissible spec; None if it has none."""
+        return None
+
+    @abstractmethod
+    def eval(self, t: float, points: np.ndarray) -> np.ndarray:
+        """K(t, point) for every point."""
+
+    @abstractmethod
+    def cf_grid(self, times: Sequence[float], level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature cells (points, masses) adapted to the probe times: kinks
+        and singular shifts land on cell edges."""
+
+    @abstractmethod
+    def sim_grid(self, t_lo: float, t_hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Absolute cells (points, masses) covering a time window, reused across
+        path simulations so that ensembles on nested time grids share one
+        random measure realization."""
+
+    def scaling_maps(self) -> tuple | None:
+        """Declared scaling maps (xs, radial_exponent, beta1, beta2) of the lag
+        kernel f_T(x, s) = K(T, (x, -s)), or None; ``verify.check_scaling_maps``
+        states them.  radial_exponent None marks an unscaled radial coordinate."""
+        return None
+
+    def to_doc(self) -> dict:
+        """JSON document: the family name and every parameter."""
+        return {"family": self.label, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_doc(cls, doc) -> Kernel:
+        """Spec of a JSON document; ``Kernel.from_doc`` reads any registered family.
+
+        Outside input is checked here, once: besides "family", every value must
+        be a finite number (JSON integers are kept as given, so digests do not
+        change).  Anything else raises InvalidSpecError naming the field."""
+        if not isinstance(doc, dict):
+            raise InvalidSpecError(f"spec document must be a JSON object, got {type(doc).__name__}")
+        name = doc.get("family")
+        family = FAMILIES.get(name) if isinstance(name, str) else None
+        if family is None or not issubclass(family, cls):
+            raise InvalidSpecError(f"unknown family {name!r}")
+        for key, value in doc.items():
+            if key != "family":
+                _check_numbers(value, key)
+        try:
+            return family(**family._fields_from_doc(doc))
+        except KeyError as exc:
+            raise InvalidSpecError(f"spec document missing field {exc}") from exc
+        except (TypeError, IndexError) as exc:
+            raise InvalidSpecError(f"malformed {name} spec document: {exc}") from exc
+
+    @classmethod
+    def _fields_from_doc(cls, doc: dict) -> dict:
+        return {f.name: doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
+                for f in fields(cls)}
+
+
+def _check_numbers(value, path: str) -> None:
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _check_numbers(v, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _check_numbers(v, f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidSpecError(f"spec field {path!r} must be a finite number, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# kernel evaluation primitives and shared grids
+# ---------------------------------------------------------------------------
+
+def _power_plus(u: np.ndarray, g: float) -> np.ndarray:
+    # u_+^g with the convention 0^g := 0 also for g < 0
+    out = np.zeros_like(u)
+    pos = u > 0.0
+    out[pos] = u[pos] ** g
+    return out
+
+
+def _trunc_f(u: np.ndarray, p: np.ndarray, a: float) -> np.ndarray:
+    # u_+^a ^ p^a with 0^a := 0: min(u, p)^a for a > 0, max(u, p)^a for a < 0
+    pos = u > 0.0
+    safe = np.where(pos, u, 1.0)
+    if a > 0.0:
+        vals = np.minimum(safe, p) ** a
+    else:
+        vals = np.maximum(safe, p) ** a
+    return np.where(pos, vals, 0.0)
+
+
+def _power_hurst_violations(alpha: float, hurst: float) -> Iterator[str]:
+    if not (0.0 < hurst < 1.0):
+        yield f"requires 0 < H < 1, got H={hurst}"
+    elif alpha > 0.0 and abs(hurst - 1.0 / alpha) < 1e-12:
+        yield ("H = 1/alpha degenerates the power kernel; "
+               "use LinearMotion or LogFractional for that exponent")
+
+
+def _shift_cf_edges(times: Sequence[float], level: int) -> np.ndarray:
+    """Shift partition of the moving-average families, graded at every probe time."""
+    return shift_partition(sorted(set(times) | {0.0}), level, tail_reach=1e3, tail_growth=10.0)
+
+
+def _shift_sim_edges(t_lo: float, t_hi: float, level: int) -> np.ndarray:
+    """Uniform core over the padded window and geometric tails out to 1e3 * 4**level."""
+    lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
+    pad = max(hi - lo, 1.0)
+    n_core = 256 * 2 ** level
+    core = np.linspace(lo - 0.25 * pad, hi + 0.25 * pad, n_core + 1)
+    reach = 1e3 * 4.0 ** level
+    ndec = max(2, int(np.ceil(np.log10(reach / (0.25 * pad)) * 8)))
+    left = core[0] - np.geomspace(reach, 0.25 * pad, ndec + 1) + 0.25 * pad
+    right = core[-1] + np.geomspace(0.25 * pad, reach, ndec + 1) - 0.25 * pad
+    return np.unique(np.concatenate([left, core, right]))
+
+
+def _product_grid(radial: tuple[np.ndarray, np.ndarray], shift_edges: np.ndarray):
+    r_nodes, r_mass = radial
+    s_nodes, s_w = cells_from_edges(shift_edges)
+    P = np.repeat(r_nodes, s_nodes.size)
+    S = np.tile(s_nodes, r_nodes.size)
+    M = np.multiply.outer(r_mass, s_w).ravel()
+    return np.column_stack([P, S]), M
+
+
+# -- moving-average families (state space R, Lebesgue control measure) -----
+
+class _ShiftFamily(Kernel):
+    """K(t, s) = f(t - s) - f(-s) for the moving-average profile f = ``self.profile``."""
+
+    def eval(self, t, s):
+        return self.profile(t - s) - self.profile(-s)
+
+    def cf_grid(self, times, level):
+        return cells_from_edges(_shift_cf_edges(times, level))
+
+    def sim_grid(self, t_lo, t_hi, level):
+        return cells_from_edges(_shift_sim_edges(t_lo, t_hi, level))
+
+
+@dataclass(frozen=True)
+class Lfsm(_ShiftFamily):
+    """Linear fractional stable motion with kernel weights on the two power tails."""
+
+    label = "lfsm"
+    alpha: float
+    hurst: float
+    c_plus: float = 1.0
+    c_minus: float = 0.0
+
+    def violations(self):
+        yield from super().violations()
+        yield from _power_hurst_violations(self.alpha, self.hurst)
+        if self.c_plus == 0.0 and self.c_minus == 0.0:
+            yield "requires (c_plus, c_minus) != (0, 0)"
+
+    def hurst_exponent(self):
+        return self.hurst
+
+    def profile(self, u):
+        g = self.hurst - 1.0 / self.alpha
+        out = np.zeros_like(u)
+        if self.c_plus != 0.0:
+            out += self.c_plus * _power_plus(u, g)
+        if self.c_minus != 0.0:
+            out += self.c_minus * _power_plus(-u, g)
+        return out
+
+
+@dataclass(frozen=True)
+class LinearMotion(_ShiftFamily):
+    """Moving-average form of the linear SaS motion (H = 1/alpha)."""
+
+    label = "linear_motion"
+    alpha: float
+    c_plus: float = 1.0
+    c_minus: float = 0.0
+
+    def violations(self):
+        yield from super().violations()
+        if self.c_plus == self.c_minus:
+            yield ("requires c_plus != c_minus (the increment kernel is "
+                   "(c_plus - c_minus) times an indicator)")
+
+    def hurst_exponent(self):
+        return 1.0 / self.alpha
+
+    def profile(self, u):
+        out = np.zeros_like(u)
+        if self.c_plus != 0.0:
+            out += self.c_plus * (u > 0.0)
+        if self.c_minus != 0.0:
+            out += self.c_minus * (u < 0.0)
+        return out
+
+
+@dataclass(frozen=True)
+class LogFractional(_ShiftFamily):
+    """Logarithmic-kernel motion, the second H = 1/alpha family."""
+
+    label = "log_fractional"
+    alpha: float
+    scale: float = 1.0
+
+    def violations(self):
+        yield from super().violations()
+        if self.alpha <= 1.0:
+            yield (f"log kernel is alpha-integrable at infinity only for alpha > 1, "
+                   f"got alpha={self.alpha}")
+        if self.scale == 0.0:
+            yield "requires scale != 0"
+
+    def hurst_exponent(self):
+        return 1.0 / self.alpha
+
+    def profile(self, u):
+        out = np.zeros_like(u)
+        nz = u != 0.0
+        out[nz] = self.scale * np.log(np.abs(u[nz]))
+        return out
+
+
+# -- two-coordinate families: points are rows (radial or atom index, shift) -
+
+@dataclass(frozen=True)
+class MixedLfsm(Kernel):
+    """Mixture of LFSM kernels over a finite atomic mixing measure on R^2."""
+
+    label = "mixed_lfsm"
+    alpha: float
+    hurst: float
+    atoms: tuple[tuple[tuple[float, float], float], ...]  # ((b1, b2), weight)
+
+    def violations(self):
+        yield from super().violations()
+        yield from _power_hurst_violations(self.alpha, self.hurst)
+        if len(self.atoms) == 0:
+            yield "requires at least one mixing atom"
+        else:
+            if all(b1 == 0.0 and b2 == 0.0 for (b1, b2), _ in self.atoms):
+                yield "requires at least one atom with b != 0"
+            if any(w <= 0.0 for _, w in self.atoms):
+                yield "requires all atom weights > 0"
+
+    def hurst_exponent(self):
+        return self.hurst
+
+    def eval(self, t, pts):
+        g = self.hurst - 1.0 / self.alpha
+        b1 = np.array([b[0] for b, _ in self.atoms])
+        b2 = np.array([b[1] for b, _ in self.atoms])
+        idx = pts[:, 0].astype(int)
+        s = pts[:, 1]
+        u1, u0 = t - s, -s
+        f1 = b1[idx] * _power_plus(u1, g) + b2[idx] * _power_plus(-u1, g)
+        f0 = b1[idx] * _power_plus(u0, g) + b2[idx] * _power_plus(-u0, g)
+        return f1 - f0
+
+    def _atom_cells(self, shift_edges: np.ndarray):
+        weights = np.array([w for _, w in self.atoms])
+        return _product_grid((np.arange(len(self.atoms)), weights), shift_edges)
+
+    def cf_grid(self, times, level):
+        return self._atom_cells(_shift_cf_edges(times, level))
+
+    def sim_grid(self, t_lo, t_hi, level):
+        return self._atom_cells(_shift_sim_edges(t_lo, t_hi, level))
+
+    def scaling_maps(self):
+        return tuple(range(len(self.atoms))), None, self.hurst - 1.0 / self.alpha, 0.0
+
+    def to_doc(self):
+        return {**super().to_doc(),
+                "atoms": [{"b": [b1, b2], "weight": w} for (b1, b2), w in self.atoms]}
+
+    @classmethod
+    def _fields_from_doc(cls, doc):
+        atoms = tuple(((float(a["b"][0]), float(a["b"][1])), float(a["weight"]))
+                      for a in doc["atoms"])
+        return {"alpha": doc["alpha"], "hurst": doc["hurst"], "atoms": atoms}
+
+
+@dataclass(frozen=True)
+class TruncatedFractional(Kernel):
+    """Truncated left power kernel with radial density p**(-1-b); H = (alpha*a - b + 1)/alpha."""
+
+    label = "truncated_fractional"
+    alpha: float
+    a: float
+    b: float
+
+    def violations(self):
+        yield from super().violations()
+        if self.a == 0.0:
+            yield "a = 0 is ill posed for every b (radial integral diverges)"
+        elif self.a > 0.0 and self.alpha <= 1.0:
+            yield (f"a > 0 requires alpha > 1 (region max(0, alpha*a-alpha+1) < b < alpha*a "
+                   f"is empty), got alpha={self.alpha}")
+        elif not truncated_region(self.alpha, self.a, self.b):
+            aa = self.alpha * self.a
+            if self.a > 0:
+                yield (f"requires max(0, alpha*a-alpha+1) < b < alpha*a, i.e. "
+                       f"{max(0.0, aa - self.alpha + 1.0):.6g} < b < {aa:.6g}; got b={self.b}")
+            else:
+                yield (f"requires max(alpha*a, alpha*a-alpha+1) < b < min(0, alpha*a+1), i.e. "
+                       f"{max(aa, aa - self.alpha + 1.0):.6g} < b < {min(0.0, aa + 1.0):.6g}; "
+                       f"got b={self.b}")
+
+    def hurst_exponent(self):
+        return (self.alpha * self.a - self.b + 1.0) / self.alpha
+
+    def eval(self, t, pts):
+        p, s = pts[:, 0], pts[:, 1]
+        return _trunc_f(t - s, p, self.a) - _trunc_f(-s, p, self.a)
+
+    def cf_grid(self, times, level):
+        # slow power tails: both radial cutoffs move three decades per level.
+        # Radial sub-sampling averages out the shift-grid aliasing of the
+        # p-dependent kink at s = t - p.
+        p_lo = 1e-6 * 1e-3 ** level
+        p_hi = 1e6 * 1e3 ** level
+        radial = subdivided_power_cells(p_lo, p_hi, 8 + 4 * level, -1.0 - self.b, subs=4)
+        bp = sorted(set(times) | {0.0})
+        edges = shift_partition(bp, level, tail_reach=4.0 * p_hi, tail_growth=1.0,
+                                nodes_per_decade=10)
+        return _product_grid(radial, edges)
+
+    def sim_grid(self, t_lo, t_hi, level):
+        p_hi = 1e4 * 10.0 ** level
+        radial = power_law_cells(1e-4 * 0.1 ** level, p_hi, 8 + 2 * level, -1.0 - self.b)[:2]
+        lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
+        edges = shift_partition([lo, hi], level, base_nodes=64,
+                                tail_reach=4.0 * p_hi, tail_growth=1.0, nodes_per_decade=6)
+        return _product_grid(radial, edges)
+
+    def scaling_maps(self):
+        return tuple(np.geomspace(0.05, 20.0, 8)), -1.0 - self.b, self.a, -self.b
+
+
+def _chentsov_grid(times: Sequence[float], x_nodes: np.ndarray, x_mass: np.ndarray):
+    # per-row shift partition with edges exactly at the indicator jumps
+    taus = np.array(sorted(set(times) | {0.0}))
+    jumps = np.concatenate([taus[None, :] - x_nodes[:, None],
+                            taus[None, :] + x_nodes[:, None]], axis=1)
+    jumps.sort(axis=1)
+    mids = 0.5 * (jumps[:, 1:] + jumps[:, :-1])
+    widths = np.diff(jumps, axis=1)
+    n_x, n_s = mids.shape
+    P = np.repeat(x_nodes, n_s)
+    S = mids.ravel()
+    M = (x_mass[:, None] * widths).ravel()
+    return np.column_stack([P, S]), M
+
+
+@dataclass(frozen=True)
+class Chentsov(Kernel):
+    """Indicator-difference kernel over expanding intervals, radial density x**(beta-2)."""
+
+    label = "chentsov"
+    alpha: float
+    beta: float
+
+    def violations(self):
+        yield from super().violations()
+        if not (0.0 < self.beta < 1.0):
+            yield f"well-defined if and only if 0 < beta < 1, got beta={self.beta}"
+
+    def hurst_exponent(self):
+        return self.beta / self.alpha
+
+    def eval(self, t, pts):
+        x, s = pts[:, 0], pts[:, 1]
+        return (np.abs(t - s) < x).astype(float) - (np.abs(s) < x).astype(float)
+
+    def cf_grid(self, times, level):
+        scale = max(max(abs(t) for t in times), 1.0)
+        x_lo = 1e-5 * scale * 0.01 ** level
+        x_hi = 1e5 * scale * 100.0 ** level
+        x_nodes, x_mass, _ = power_law_cells(x_lo, x_hi, 24, self.beta - 2.0)
+        return _chentsov_grid(times, x_nodes, x_mass)
+
+    def sim_grid(self, t_lo, t_hi, level):
+        scale = max(abs(t_lo), abs(t_hi), 1.0)
+        x_nodes, x_mass, _ = power_law_cells(1e-6 * scale, 1e6 * scale, 12 + 4 * level,
+                                             self.beta - 2.0)
+        lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
+        edges = shift_partition([lo, hi], level, base_nodes=48,
+                                tail_reach=4e6 * scale, tail_growth=1.0, nodes_per_decade=8)
+        return _product_grid((x_nodes, x_mass), edges)
+
+    def scaling_maps(self):
+        return tuple(np.geomspace(0.05, 20.0, 8)), self.beta - 2.0, 0.0, self.beta - 1.0
+
+
+@dataclass(frozen=True)
+class RotatingAverage(Kernel):
+    """Circle-rotation family driven by a finite Fourier profile; H = beta/alpha."""
+
+    label = "rotating_average"
+    alpha: float
+    beta: float
+    series: FourierSeries
+
+    def violations(self):
+        yield from super().violations()
+        if not self.series.active_harmonics():
+            yield "requires a nonzero Fourier profile"
+        if not (0.0 < self.beta < self.alpha):
+            yield (f"requires 0 < beta < alpha (Lipschitz profile gives smoothness "
+                   f"exponent r = alpha), got beta={self.beta}, alpha={self.alpha}")
+
+    def hurst_exponent(self):
+        return self.beta / self.alpha
+
+    def eval(self, t, pts):
+        s, x = pts[:, 1], pts[:, 0]
+        return self.series(s + t * x) - self.series(s)
+
+    def cf_grid(self, times, level):
+        # radial sub-sampling beats plain refinement here: the shift-averaged
+        # integrand oscillates in x with frequency growing linearly in x
+        x_lo = 1e-3 * 0.125 ** level
+        x_hi = 1e3 * 8.0 ** level
+        x_nodes, x_mass = subdivided_power_cells(x_lo, x_hi, 10 + 4 * level, -1.0 - self.beta,
+                                                 subs=8)
+        n_s = 128 * 2 ** level
+        s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
+        return _product_grid((x_nodes, x_mass), s_edges)
+
+    def sim_grid(self, t_lo, t_hi, level):
+        x_nodes, x_mass, _ = power_law_cells(1e-4 * 0.1 ** level, 1e4 * 10.0 ** level,
+                                             12 + 4 * level, -1.0 - self.beta)
+        n_s = 64 * 2 ** level
+        s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
+        return _product_grid((x_nodes, x_mass), s_edges)
+
+    def to_doc(self):
+        return {"family": self.label, "alpha": self.alpha, "beta": self.beta,
+                "harmonics": [{"k": k, "cos": a, "sin": b} for k, a, b in self.series.terms],
+                "constant": self.series.constant}
+
+    @classmethod
+    def _fields_from_doc(cls, doc):
+        terms = tuple((int(h["k"]), float(h.get("cos", 0.0)), float(h.get("sin", 0.0)))
+                      for h in doc["harmonics"])
+        return {"alpha": doc["alpha"], "beta": doc["beta"],
+                "series": FourierSeries(terms, float(doc.get("constant", 0.0)))}
+
+
+FAMILIES: dict[str, type[Kernel]] = {f.label: f for f in (
+    Lfsm, LinearMotion, LogFractional, MixedLfsm, TruncatedFractional, Chentsov, RotatingAverage)}
+
+# ---------------------------------------------------------------------------
+# validation and construction
+# ---------------------------------------------------------------------------
 
 def truncated_region(alpha: float, a: float, b: float) -> bool:
     """Closed-form well-posedness region of the truncated-fractional family.
@@ -155,384 +559,33 @@ def truncated_region(alpha: float, a: float, b: float) -> bool:
     return max(alpha * a, alpha * a - alpha + 1.0) < b < min(0.0, alpha * a + 1.0)
 
 
-def validate(spec: FamilySpec) -> Admissibility:
+def build_unchecked(spec: Kernel) -> Kernel:
+    """The spec itself, without the admissibility gate (diagnostics only)."""
+    return spec
+
+
+def validate(spec: Kernel) -> Admissibility:
     """Deterministic admissibility report; names every violated inequality."""
-    v: list[str] = []
-    if isinstance(spec, Lfsm):
-        _check_alpha(spec.alpha, v)
-        if not (0.0 < spec.hurst < 1.0):
-            v.append(f"requires 0 < H < 1, got H={spec.hurst}")
-        elif abs(spec.hurst - 1.0 / spec.alpha) < 1e-12:
-            v.append("H = 1/alpha degenerates the power kernel; "
-                     "use LinearMotion or LogFractional for that exponent")
-        if spec.c_plus == 0.0 and spec.c_minus == 0.0:
-            v.append("requires (c_plus, c_minus) != (0, 0)")
-    elif isinstance(spec, LinearMotion):
-        _check_alpha(spec.alpha, v)
-        if spec.c_plus == spec.c_minus:
-            v.append("requires c_plus != c_minus (the increment kernel is "
-                     "(c_plus - c_minus) times an indicator)")
-    elif isinstance(spec, LogFractional):
-        _check_alpha(spec.alpha, v)
-        if spec.alpha <= 1.0:
-            v.append(f"log kernel is alpha-integrable at infinity only for alpha > 1, got alpha={spec.alpha}")
-        if spec.scale == 0.0:
-            v.append("requires scale != 0")
-    elif isinstance(spec, MixedLfsm):
-        _check_alpha(spec.alpha, v)
-        if not (0.0 < spec.hurst < 1.0):
-            v.append(f"requires 0 < H < 1, got H={spec.hurst}")
-        elif abs(spec.hurst - 1.0 / spec.alpha) < 1e-12:
-            v.append("H = 1/alpha degenerates the power kernel; "
-                     "use LinearMotion or LogFractional for that exponent")
-        if len(spec.atoms) == 0:
-            v.append("requires at least one mixing atom")
-        else:
-            if all(b1 == 0.0 and b2 == 0.0 for (b1, b2), _ in spec.atoms):
-                v.append("requires at least one atom with b != 0")
-            if any(w <= 0.0 for _, w in spec.atoms):
-                v.append("requires all atom weights > 0")
-    elif isinstance(spec, TruncatedFractional):
-        _check_alpha(spec.alpha, v)
-        if spec.a == 0.0:
-            v.append("a = 0 is ill posed for every b (radial integral diverges)")
-        elif spec.a > 0.0 and spec.alpha <= 1.0:
-            v.append(f"a > 0 requires alpha > 1 (region max(0, alpha*a-alpha+1) < b < alpha*a "
-                     f"is empty), got alpha={spec.alpha}")
-        elif not truncated_region(spec.alpha, spec.a, spec.b):
-            aa = spec.alpha * spec.a
-            if spec.a > 0:
-                v.append(f"requires max(0, alpha*a-alpha+1) < b < alpha*a, i.e. "
-                         f"{max(0.0, aa - spec.alpha + 1.0):.6g} < b < {aa:.6g}; got b={spec.b}")
-            else:
-                v.append(f"requires max(alpha*a, alpha*a-alpha+1) < b < min(0, alpha*a+1), i.e. "
-                         f"{max(aa, aa - spec.alpha + 1.0):.6g} < b < {min(0.0, aa + 1.0):.6g}; got b={spec.b}")
-    elif isinstance(spec, Chentsov):
-        _check_alpha(spec.alpha, v)
-        if not (0.0 < spec.beta < 1.0):
-            v.append(f"well-defined if and only if 0 < beta < 1, got beta={spec.beta}")
-    elif isinstance(spec, RotatingAverage):
-        _check_alpha(spec.alpha, v)
-        if not spec.series.active_harmonics():
-            v.append("requires a nonzero Fourier profile")
-        if not (0.0 < spec.beta < spec.alpha):
-            v.append(f"requires 0 < beta < alpha (Lipschitz profile gives smoothness "
-                     f"exponent r = alpha), got beta={spec.beta}, alpha={spec.alpha}")
-    else:
-        raise TypeError(f"unknown family spec {type(spec).__name__}")
+    v = tuple(spec.violations())
     if v:
-        return Admissibility(False, None, tuple(v))
+        return Admissibility(False, None, v)
     return Admissibility(True, hurst_of(spec), ())
 
 
-def hurst_of(spec: FamilySpec) -> float:
+def hurst_of(spec: Kernel) -> float | None:
     """Self-similarity exponent of an admissible spec."""
-    if isinstance(spec, (Lfsm, MixedLfsm)):
-        return spec.hurst
-    if isinstance(spec, (LinearMotion, LogFractional)):
-        return 1.0 / spec.alpha
-    if isinstance(spec, TruncatedFractional):
-        return (spec.alpha * spec.a - spec.b + 1.0) / spec.alpha
-    if isinstance(spec, (Chentsov, RotatingAverage)):
-        return spec.beta / spec.alpha
-    raise TypeError(f"unknown family spec {type(spec).__name__}")
+    return spec.hurst_exponent()
 
 
-# ---------------------------------------------------------------------------
-# kernel evaluation primitives
-# ---------------------------------------------------------------------------
-
-def _power_plus(u: np.ndarray, g: float) -> np.ndarray:
-    # u_+^g with the convention 0^g := 0 also for g < 0
-    out = np.zeros_like(u)
-    pos = u > 0.0
-    out[pos] = u[pos] ** g
-    return out
-
-
-def _lfsm_f(u: np.ndarray, g: float, c_plus: float, c_minus: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    if c_plus != 0.0:
-        out += c_plus * _power_plus(u, g)
-    if c_minus != 0.0:
-        out += c_minus * _power_plus(-u, g)
-    return out
-
-
-def _trunc_f(u: np.ndarray, p: np.ndarray, a: float) -> np.ndarray:
-    # u_+^a ^ p^a with 0^a := 0: min(u, p)^a for a > 0, max(u, p)^a for a < 0
-    pos = u > 0.0
-    safe = np.where(pos, u, 1.0)
-    if a > 0.0:
-        vals = np.minimum(safe, p) ** a
-    else:
-        vals = np.maximum(safe, p) ** a
-    return np.where(pos, vals, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Kernel: evaluable increment kernel + control-measure discretizations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Kernel:
-    """Increment kernel K(t, u) paired with control-measure discretizations.
-
-    ``cf_grid(times, level)`` returns (points, masses) adapted to the probe
-    times (kinks and singular shifts land on cell edges); ``sim_grid`` returns
-    an absolute discretization covering a time window, reused across path
-    simulations so that ensembles on nested time grids share one random
-    measure realization.
-    """
-
-    alpha: float
-    family: FamilySpec | None
-    hurst: float | None
-    label: str
-    descriptor: dict
-    eval_fn: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
-    cf_grid_fn: Callable[[tuple[float, ...], int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    sim_grid_fn: Callable[[float, float, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-
-    def eval(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.eval_fn(float(t), points)
-
-    def cf_grid(self, times: Sequence[float], level: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.cf_grid_fn(tuple(float(t) for t in times), int(level))
-
-    def sim_grid(self, t_lo: float, t_hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.sim_grid_fn(float(t_lo), float(t_hi), int(level))
-
-
-def _spec_descriptor(spec: FamilySpec) -> dict:
-    from .io import spec_to_dict  # local import to avoid a cycle
-    return spec_to_dict(spec)
-
-
-# -- scalar-shift families (state space R, Lebesgue control measure) --------
-
-def _scalar_kernel(spec, f_of_u: Callable[[np.ndarray], np.ndarray], label: str,
-                   hurst: float | None) -> Kernel:
-    def ev(t: float, s: np.ndarray) -> np.ndarray:
-        return f_of_u(t - s) - f_of_u(-s)
-
-    def cf_grid(times: tuple[float, ...], level: int):
-        bp = set(times) | {0.0}
-        edges = shift_partition(sorted(bp), level, tail_reach=1e3, tail_growth=10.0)
-        nodes, widths = cells_from_edges(edges)
-        return nodes, widths
-
-    def sim_grid(t_lo: float, t_hi: float, level: int):
-        lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
-        pad = max(hi - lo, 1.0)
-        n_core = 256 * 2 ** level
-        core = np.linspace(lo - 0.25 * pad, hi + 0.25 * pad, n_core + 1)
-        reach = 1e3 * 4.0 ** level
-        ndec = max(2, int(np.ceil(np.log10(reach / (0.25 * pad)) * 8)))
-        left = core[0] - np.geomspace(reach, 0.25 * pad, ndec + 1) + 0.25 * pad
-        right = core[-1] + np.geomspace(0.25 * pad, reach, ndec + 1) - 0.25 * pad
-        edges = np.unique(np.concatenate([left, core, right]))
-        nodes, widths = cells_from_edges(edges)
-        return nodes, widths
-
-    return Kernel(spec.alpha, spec, hurst, label, _spec_descriptor(spec), ev, cf_grid, sim_grid)
-
-
-# -- two-coordinate families -------------------------------------------------
-
-def _product_grid(radial: tuple[np.ndarray, np.ndarray], shift_edges: np.ndarray):
-    r_nodes, r_mass = radial
-    s_nodes, s_w = cells_from_edges(shift_edges)
-    P = np.repeat(r_nodes, s_nodes.size)
-    S = np.tile(s_nodes, r_nodes.size)
-    M = np.multiply.outer(r_mass, s_w).ravel()
-    return np.column_stack([P, S]), M
-
-
-def _mixed_kernel(spec: MixedLfsm) -> Kernel:
-    g = spec.hurst - 1.0 / spec.alpha
-    b1 = np.array([a[0][0] for a in spec.atoms])
-    b2 = np.array([a[0][1] for a in spec.atoms])
-    w = np.array([a[1] for a in spec.atoms])
-
-    def ev(t: float, pts: np.ndarray) -> np.ndarray:
-        idx = pts[:, 0].astype(int)
-        s = pts[:, 1]
-        u1, u0 = t - s, -s
-        f1 = b1[idx] * _power_plus(u1, g) + b2[idx] * _power_plus(-u1, g)
-        f0 = b1[idx] * _power_plus(u0, g) + b2[idx] * _power_plus(-u0, g)
-        return f1 - f0
-
-    def cf_grid(times: tuple[float, ...], level: int):
-        bp = sorted(set(times) | {0.0})
-        edges = shift_partition(bp, level, tail_reach=1e3, tail_growth=10.0)
-        s_nodes, s_w = cells_from_edges(edges)
-        idx = np.repeat(np.arange(len(spec.atoms), dtype=float), s_nodes.size)
-        S = np.tile(s_nodes, len(spec.atoms))
-        M = np.multiply.outer(w, s_w).ravel()
-        return np.column_stack([idx, S]), M
-
-    def sim_grid(t_lo: float, t_hi: float, level: int):
-        base = _scalar_kernel(Lfsm(spec.alpha, spec.hurst), lambda u: u, "", None)
-        s_nodes, s_w = base.sim_grid(t_lo, t_hi, level)
-        idx = np.repeat(np.arange(len(spec.atoms), dtype=float), s_nodes.size)
-        S = np.tile(s_nodes, len(spec.atoms))
-        M = np.multiply.outer(w, s_w).ravel()
-        return np.column_stack([idx, S]), M
-
-    return Kernel(spec.alpha, spec, spec.hurst, "mixed_lfsm", _spec_descriptor(spec), ev, cf_grid, sim_grid)
-
-
-def _truncated_kernel(spec: TruncatedFractional) -> Kernel:
-    a, b = spec.a, spec.b
-
-    def ev(t: float, pts: np.ndarray) -> np.ndarray:
-        p, s = pts[:, 0], pts[:, 1]
-        return _trunc_f(t - s, p, a) - _trunc_f(-s, p, a)
-
-    def cf_grid(times: tuple[float, ...], level: int):
-        # slow power tails: both radial cutoffs move three decades per level.
-        # Radial sub-sampling averages out the shift-grid aliasing of the
-        # p-dependent kink at s = t - p.
-        p_lo = 1e-6 * 1e-3 ** level
-        p_hi = 1e6 * 1e3 ** level
-        radial = subdivided_power_cells(p_lo, p_hi, 8 + 4 * level, -1.0 - b, subs=4)
-        bp = sorted(set(times) | {0.0})
-        edges = shift_partition(bp, level, tail_reach=4.0 * p_hi, tail_growth=1.0,
-                                nodes_per_decade=10)
-        return _product_grid(radial, edges)
-
-    def sim_grid(t_lo: float, t_hi: float, level: int):
-        p_hi = 1e4 * 10.0 ** level
-        radial = power_law_cells(1e-4 * 0.1 ** level, p_hi, 8 + 2 * level, -1.0 - b)[:2]
-        lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
-        edges = shift_partition([lo, hi], level, base_nodes=64,
-                                tail_reach=4.0 * p_hi, tail_growth=1.0, nodes_per_decade=6)
-        return _product_grid(radial, edges)
-
-    return Kernel(spec.alpha, spec, hurst_of(spec), "truncated_fractional",
-                  _spec_descriptor(spec), ev, cf_grid, sim_grid)
-
-
-def _chentsov_grid(times: tuple[float, ...], x_nodes: np.ndarray, x_mass: np.ndarray):
-    # per-row shift partition with edges exactly at the indicator jumps
-    taus = np.array(sorted(set(times) | {0.0}))
-    jumps = np.concatenate([taus[None, :] - x_nodes[:, None],
-                            taus[None, :] + x_nodes[:, None]], axis=1)
-    jumps.sort(axis=1)
-    mids = 0.5 * (jumps[:, 1:] + jumps[:, :-1])
-    widths = np.diff(jumps, axis=1)
-    n_x, n_s = mids.shape
-    P = np.repeat(x_nodes, n_s)
-    S = mids.ravel()
-    M = (x_mass[:, None] * widths).ravel()
-    return np.column_stack([P, S]), M
-
-
-def _chentsov_kernel(spec: Chentsov) -> Kernel:
-    beta = spec.beta
-
-    def ev(t: float, pts: np.ndarray) -> np.ndarray:
-        x, s = pts[:, 0], pts[:, 1]
-        return (np.abs(t - s) < x).astype(float) - (np.abs(s) < x).astype(float)
-
-    def cf_grid(times: tuple[float, ...], level: int):
-        scale = max(max(abs(t) for t in times), 1.0)
-        x_lo = 1e-5 * scale * 0.01 ** level
-        x_hi = 1e5 * scale * 100.0 ** level
-        x_nodes, x_mass, _ = power_law_cells(x_lo, x_hi, 24, beta - 2.0)
-        return _chentsov_grid(times, x_nodes, x_mass)
-
-    def sim_grid(t_lo: float, t_hi: float, level: int):
-        scale = max(abs(t_lo), abs(t_hi), 1.0)
-        x_nodes, x_mass, _ = power_law_cells(1e-6 * scale, 1e6 * scale, 12 + 4 * level, beta - 2.0)
-        lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
-        edges = shift_partition([lo, hi], level, base_nodes=48,
-                                tail_reach=4e6 * scale, tail_growth=1.0, nodes_per_decade=8)
-        return _product_grid((x_nodes, x_mass), edges)
-
-    return Kernel(spec.alpha, spec, hurst_of(spec), "chentsov", _spec_descriptor(spec),
-                  ev, cf_grid, sim_grid)
-
-
-def _rotating_kernel(spec: RotatingAverage) -> Kernel:
-    g = spec.series
-    beta = spec.beta
-
-    def ev(t: float, pts: np.ndarray) -> np.ndarray:
-        s, x = pts[:, 1], pts[:, 0]
-        return g(s + t * x) - g(s)
-
-    def cf_grid(times: tuple[float, ...], level: int):
-        # radial sub-sampling beats plain refinement here: the shift-averaged
-        # integrand oscillates in x with frequency growing linearly in x
-        x_lo = 1e-3 * 0.125 ** level
-        x_hi = 1e3 * 8.0 ** level
-        x_nodes, x_mass = subdivided_power_cells(x_lo, x_hi, 10 + 4 * level, -1.0 - beta,
-                                                 subs=8)
-        n_s = 128 * 2 ** level
-        s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
-        return _product_grid((x_nodes, x_mass), s_edges)
-
-    def sim_grid(t_lo: float, t_hi: float, level: int):
-        x_nodes, x_mass, _ = power_law_cells(1e-4 * 0.1 ** level, 1e4 * 10.0 ** level,
-                                             12 + 4 * level, -1.0 - beta)
-        n_s = 64 * 2 ** level
-        s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
-        return _product_grid((x_nodes, x_mass), s_edges)
-
-    return Kernel(spec.alpha, spec, hurst_of(spec), "rotating_average",
-                  _spec_descriptor(spec), ev, cf_grid, sim_grid)
-
-
-def build_unchecked(spec: FamilySpec) -> Kernel:
-    """Kernel construction without the admissibility gate (diagnostics only)."""
-    if isinstance(spec, Lfsm):
-        g = spec.hurst - 1.0 / spec.alpha
-        return _scalar_kernel(spec, lambda u: _lfsm_f(u, g, spec.c_plus, spec.c_minus),
-                              "lfsm", spec.hurst)
-    if isinstance(spec, LinearMotion):
-        cp, cm = spec.c_plus, spec.c_minus
-
-        def f(u):
-            out = np.zeros_like(u)
-            if cp != 0.0:
-                out += cp * (u > 0.0)
-            if cm != 0.0:
-                out += cm * (u < 0.0)
-            return out
-
-        return _scalar_kernel(spec, f, "linear_motion", 1.0 / spec.alpha)
-    if isinstance(spec, LogFractional):
-        c = spec.scale
-
-        def f(u):
-            out = np.zeros_like(u)
-            nz = u != 0.0
-            out[nz] = c * np.log(np.abs(u[nz]))
-            return out
-
-        return _scalar_kernel(spec, f, "log_fractional", 1.0 / spec.alpha)
-    if isinstance(spec, MixedLfsm):
-        return _mixed_kernel(spec)
-    if isinstance(spec, TruncatedFractional):
-        return _truncated_kernel(spec)
-    if isinstance(spec, Chentsov):
-        return _chentsov_kernel(spec)
-    if isinstance(spec, RotatingAverage):
-        return _rotating_kernel(spec)
-    raise TypeError(f"unknown family spec {type(spec).__name__}")
-
-
-def build(spec: FamilySpec) -> Kernel:
-    """Validated kernel for an admissible family spec."""
+def build(spec: Kernel) -> Kernel:
+    """The spec itself, once it is admissible: every family spec is its own kernel."""
     rep = validate(spec)
     if not rep.ok:
         raise InvalidSpecError("; ".join(rep.violations))
-    return build_unchecked(spec)
+    return spec
 
 
-def catalog_specs() -> tuple[FamilySpec, ...]:
+def catalog_specs() -> tuple[Kernel, ...]:
     """Admissible representatives of every family, used by the verification suite."""
     return (
         Lfsm(1.5, 0.7),

@@ -41,7 +41,7 @@ class QuadraturePolicy:
 class Certificate:
     levels: tuple[int, ...]
     values: tuple[float, ...]
-    status: str  # "converged" | "diverged" | "exhausted"
+    status: str  # "converged" | "diverged" | "exhausted" | "single_level" (one level, unchecked)
     rtol: float
 
     @property

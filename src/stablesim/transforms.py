@@ -120,22 +120,37 @@ def lamperti_from_stationary(path: PathFunction, hurst: float) -> PathFunction:
     return PathFunction(t, x)
 
 
+@dataclass(frozen=True)
+class IncrementProcess(Kernel):
+    """Increment-process kernel K(t + lag, u) - K(t, u) on the source's grids."""
+
+    source: Kernel
+    lag: float
+
+    @property
+    def label(self) -> str:
+        return f"increment[{self.source.label}]"
+
+    @property
+    def alpha(self) -> float:
+        return self.source.alpha
+
+    def eval(self, t, pts):
+        return self.source.eval(t + self.lag, pts) - self.source.eval(t, pts)
+
+    def cf_grid(self, times, level):
+        widened = tuple(sorted(set(times) | {t + self.lag for t in times}))
+        return self.source.cf_grid(widened, level)
+
+    def sim_grid(self, t_lo, t_hi, level):
+        return self.source.sim_grid(t_lo, t_hi + self.lag, level)
+
+    def to_doc(self):
+        return {"derived": "increment_process", "lag": self.lag, "source": self.source.to_doc()}
+
+
 def increment_process(kernel: Kernel, lag: float) -> Kernel:
     """Stationary increment-process kernel K_T(t, u) = K(t + T, u) - K(t, u)."""
     if lag < 0:
         raise ValueError("lag must be nonnegative")
-    src = kernel
-
-    def ev(t: float, pts: np.ndarray) -> np.ndarray:
-        return src.eval_fn(t + lag, pts) - src.eval_fn(t, pts)
-
-    def cf_grid(times: tuple[float, ...], level: int):
-        widened = tuple(sorted(set(times) | {t + lag for t in times}))
-        return src.cf_grid_fn(widened, level)
-
-    def sim_grid(t_lo: float, t_hi: float, level: int):
-        return src.sim_grid_fn(t_lo, t_hi + lag, level)
-
-    descriptor = {"derived": "increment_process", "lag": lag, "source": src.descriptor}
-    return Kernel(src.alpha, None, None, f"increment[{src.label}]", descriptor,
-                  ev, cf_grid, sim_grid)
+    return IncrementProcess(kernel, lag)

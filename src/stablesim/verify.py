@@ -11,21 +11,7 @@ import numpy as np
 
 from .core import LinearCombo, PathEnsemble, cf_exponent, combo, empirical_cf
 from .flows import dilation_flow, rotation_flow
-from .kernels import (
-    Chentsov,
-    FamilySpec,
-    FourierSeries,
-    Kernel,
-    Lfsm,
-    MixedLfsm,
-    RotatingAverage,
-    TruncatedFractional,
-    build,
-    hurst_of,
-    _lfsm_f,
-    _power_plus,
-    _trunc_f,
-)
+from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build, hurst_of
 from .quadrature import QuadraturePolicy
 
 _FLOOR = 1e-12  # machine-level invariance floor for refinement comparisons
@@ -124,7 +110,7 @@ def check_self_similar(kernel: Kernel, combos=None,
     relative to tol.
     """
     combos = combos or default_probes()
-    target = target_hurst if target_hurst is not None else kernel.hurst
+    target = target_hurst if target_hurst is not None else hurst_of(kernel)
     if target is None:
         raise ValueError("kernel has no Hurst exponent; pass target_hurst")
     slopes = []
@@ -151,43 +137,21 @@ class UnsupportedFamilyError(TypeError):
     pass
 
 
-def _lag_kernel_and_rescaling(spec: FamilySpec):
-    """Lag-T moving-average kernel f_T(x, s) = f(x, T+s) - f(x, s) and the
-    radial rescaling rho_c with its exact cell-mass law, per family."""
-    if isinstance(spec, MixedLfsm):
-        g = spec.hurst - 1.0 / spec.alpha
-        atoms = spec.atoms
-
-        def lag(T, x_idx, s):
-            b1, b2 = atoms[int(x_idx)][0]
-            return (b1 * _power_plus(T + s, g) + b2 * _power_plus(-(T + s), g)
-                    - b1 * _power_plus(s, g) - b2 * _power_plus(-s, g))
-
-        xs = list(range(len(atoms)))
-        return lag, xs, ("identity", None), (spec.hurst - 1.0 / spec.alpha, 0.0)
-    if isinstance(spec, TruncatedFractional):
-        def lag(T, p, s):
-            return float(_trunc_f(np.array([T + s]), np.array([p]), spec.a)[0]
-                         - _trunc_f(np.array([s]), np.array([p]), spec.a)[0])
-
-        xs = list(np.geomspace(0.05, 20.0, 8))
-        return lag, xs, ("scale", -1.0 - spec.b), (spec.a, -spec.b)
-    if isinstance(spec, Chentsov):
-        def lag(T, x, s):
-            return float(abs(T + s) < x) - float(abs(s) < x)
-
-        xs = list(np.geomspace(0.05, 20.0, 8))
-        return lag, xs, ("scale", spec.beta - 2.0), (0.0, spec.beta - 1.0)
-    raise UnsupportedFamilyError(
-        f"{type(spec).__name__} has no declared radial rescaling")
-
-
-def check_scaling_maps(spec: FamilySpec, scales=(0.5, 2.0, 4.0),
+def check_scaling_maps(spec: Kernel, scales=(0.5, 2.0, 4.0),
                        tol: float = 1e-12) -> VerificationReport:
     """Pointwise kernel homogeneity f_{cT}(rho_c x, c s) = c^{beta1} f_T(x, s)
-    and the measure rescaling law, with (beta1, beta2) inferred numerically
-    and reconciled with the Hurst exponent."""
-    lag, xs, (mode, exponent), (beta1, beta2) = _lag_kernel_and_rescaling(spec)
+    of the lag kernel f_T(x, s) = f(x, T+s) - f(x, s) and the measure
+    rescaling law mu(rho_c A) = c^{beta2} mu(A), with (beta1, beta2) inferred
+    numerically and reconciled with the Hurst exponent.  rho_c x = c x for a
+    radial density x**radial_exponent, the identity for an atomic one."""
+    maps = spec.scaling_maps()
+    if maps is None:
+        raise UnsupportedFamilyError(f"{type(spec).__name__} has no declared radial rescaling")
+    xs, exponent, beta1, beta2 = maps
+
+    def lag(T, x, s):
+        return float(spec.eval(T, np.array([[x, -s]]))[0])
+
     alpha = spec.alpha
     ss = [s for s in np.linspace(-4.0, 4.0, 17) if abs(s) > 1e-9]
     Ts = (0.5, 1.0, 2.0)
@@ -196,7 +160,7 @@ def check_scaling_maps(spec: FamilySpec, scales=(0.5, 2.0, 4.0),
     for c in scales:
         for T in Ts:
             for x in xs:
-                rx = x if mode == "identity" else c * x
+                rx = x if exponent is None else c * x
                 for s in ss:
                     lhs = lag(c * T, rx, c * s)
                     rhs = c ** beta1 * lag(T, x, s)
@@ -207,7 +171,7 @@ def check_scaling_maps(spec: FamilySpec, scales=(0.5, 2.0, 4.0),
         [math.log(abs(r)) / math.log(c) for c, r in ratios if c != 1.0 and r > 0]))
 
     measure_res = 0.0
-    if mode == "identity":
+    if exponent is None:
         beta2_hat = 0.0
     else:
         edges = np.geomspace(0.01, 100.0, 33)
@@ -268,20 +232,16 @@ def rotating_identity_fixture(series: FourierSeries, n_points: int = 512) -> Ker
 def lamperti_identity_fixture(spec: Lfsm, n_points: int = 512) -> KernelIdentityFixture:
     """Self-similar kernel as t^H rho^{1/alpha} g0 o dilation_{log t} with g0 = f_1."""
     flow = dilation_flow()
-    g = spec.hurst - 1.0 / spec.alpha
     rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
     pts = np.exp(rng.uniform(-2.0, 2.0, n_points)) * rng.choice([-1.0, 1.0], n_points)
-
-    def f_t(t, s):
-        return _lfsm_f(t - s, g, spec.c_plus, spec.c_minus) - _lfsm_f(-s, g, spec.c_plus, spec.c_minus)
 
     def rhs(t, s):
         u = math.log(t)
         moved = flow.apply(u, s)
         rho = flow.rn_derivative(u, s)
-        return t ** spec.hurst * rho ** (1.0 / spec.alpha) * f_t(1.0, moved)
+        return t ** spec.hurst * rho ** (1.0 / spec.alpha) * spec.eval(1.0, moved)
 
-    return KernelIdentityFixture("lfsm_lamperti_form", f_t, rhs,
+    return KernelIdentityFixture("lfsm_lamperti_form", spec.eval, rhs,
                                  (0.25, 0.5, 1.0, 2.0, 4.0), pts)
 
 
@@ -358,7 +318,14 @@ def empirical_scaling_exponent(ensemble: PathEnsemble, theta: float, base_time: 
 # convenience suite
 # ---------------------------------------------------------------------------
 
-def run_suite(spec: FamilySpec, checks=("si", "ss"), n_paths: int = 2000, seed: int = 0,
+# kernel-form identity of each family that has one
+_IDENTITY_FIXTURES = {
+    RotatingAverage: lambda spec: rotating_identity_fixture(spec.series),
+    Lfsm: lamperti_identity_fixture,
+}
+
+
+def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000, seed: int = 0,
               policy: QuadraturePolicy | None = None) -> list[VerificationReport]:
     """Run the named verification suites for one family spec."""
     kernel = build(spec)
@@ -375,10 +342,9 @@ def run_suite(spec: FamilySpec, checks=("si", "ss"), n_paths: int = 2000, seed: 
                 reports.append(VerificationReport("scaling_maps", True, 0.0, (),
                                                   {"skipped": str(exc)}))
         elif name == "kernel-identity":
-            if isinstance(spec, RotatingAverage):
-                reports.append(check_kernel_identity(rotating_identity_fixture(spec.series)))
-            elif isinstance(spec, Lfsm):
-                reports.append(check_kernel_identity(lamperti_identity_fixture(spec)))
+            fixture = _IDENTITY_FIXTURES.get(type(spec))
+            if fixture is not None:
+                reports.append(check_kernel_identity(fixture(spec)))
             else:
                 reports.append(VerificationReport("kernel_identity", True, 0.0, (),
                                                   {"skipped": f"no fixture for {type(spec).__name__}"}))

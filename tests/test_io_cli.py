@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,32 @@ class TestSpecJson:
     def test_missing_field(self):
         with pytest.raises(ss.InvalidSpecError):
             sio.spec_from_dict({"family": "lfsm", "alpha": 1.5})
+
+    @pytest.mark.parametrize("doc, field", [
+        ([{"family": "lfsm", "alpha": 1.5, "hurst": 0.7}], "JSON object"),
+        ({"family": "lfsm", "alpha": "1.5", "hurst": 0.7}, "'alpha'"),
+        ({"family": "chentsov", "alpha": True, "beta": 0.5}, "'alpha'"),
+        ({"family": "truncated_fractional", "alpha": 1.5, "a": math.nan, "b": 0.5}, "'a'"),
+        ({"family": "lfsm", "alpha": 1.5, "hurst": math.inf}, "'hurst'"),
+        ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
+          "atoms": [{"b": [1.0, -math.inf], "weight": 1.0}]}, "'atoms[0].b[1]'"),
+        ({"family": "rotating_average", "alpha": 1.5, "beta": 0.8,
+          "harmonics": [{"k": 1, "cos": "1"}]}, "'harmonics[0].cos'"),
+    ], ids=["list", "string", "bool", "nan", "inf", "nested-minus-inf", "nested-string"])
+    def test_outside_input_rejected(self, doc, field, tmp_path, capsys):
+        with pytest.raises(ss.InvalidSpecError, match=re.escape(field)):
+            sio.spec_from_dict(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--spec", str(path), "--t", "0:1:5",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+    def test_json_integers_kept_as_given(self):
+        spec = sio.spec_from_dict({"family": "chentsov", "alpha": 1, "beta": 0.5})
+        assert type(spec.alpha) is int
+        assert sio.spec_to_dict(spec)["alpha"] == 1
 
     def test_digest_stable(self):
         d1 = sio.spec_digest(sio.spec_to_dict(ss.Lfsm(1.5, 0.7)))
@@ -100,6 +127,20 @@ class TestCli:
                    "--t", "0:1:5", "--out", str(specdir["dir"] / "x.csv")])
         assert rc == 2
         assert "b < alpha*a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--t", "bad"], "bad grid spec"),
+        (["--t", "1:0:5"], "strictly increasing"),
+        (["--t", "0:1:5", "--n-paths", "-3"], "n_paths"),
+        (["--t", "0:1:5", "--threads", "0"], "threads"),
+    ], ids=["t-bad", "t-reversed", "n-paths-negative", "threads-zero"])
+    def test_simulate_bad_arguments_exit_2(self, specdir, capsys, args, message):
+        out = specdir["dir"] / "x.csv"
+        rc = main(["simulate", "--spec", specdir["lfsm"], *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_file_exit_3(self, specdir):
         rc = main(["simulate", "--spec", str(specdir["dir"] / "nope.json"),

@@ -6,7 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesim as ss
+from stablesim import io as sio
 from stablesim.kernels import integral_I, truncated_region
+from stablesim.verify import default_probes
+
+# Per catalog spec: the digest of its JSON document, which ensemble sidecars
+# carry, and the level-1 sigma^alpha of X_1, which fixes its kernel and grid.
+CATALOG_PINS = (
+    ("2f45226a4d7470b2", 0.9741295742899339),
+    ("18fb62a37272635a", 1.0),
+    ("4185d25f1e50be31", 8.882696916960274),
+    ("9c7f542b712e909a", 1.4611943614349001),
+    ("4358501a1db644a3", 8.26452011866657),
+    ("bf2cf9886fd89d83", 11.310571137710408),
+    ("c0460bd3d8de38b1", 10.987826671305495),
+    ("d7395aa1883b7d9d", 12.515319302602098),
+)
+CATALOG = list(zip(ss.catalog_specs(), CATALOG_PINS))
+CATALOG_IDS = [f"{i}-{type(s).__name__}" for i, s in enumerate(ss.catalog_specs())]
 
 
 class TestValidate:
@@ -49,6 +66,11 @@ class TestValidate:
     def test_alpha_domain_open_at_two(self):
         assert not ss.validate(ss.Lfsm(2.0, 0.7)).ok
         assert not ss.validate(ss.Chentsov(2.5, 0.5)).ok
+
+    def test_alpha_zero_is_a_violation_not_an_error(self):
+        for spec in (ss.Lfsm(0.0, 0.7), ss.MixedLfsm(0, 0.7, (((1.0, 0.0), 1.0),))):
+            rep = ss.validate(spec)
+            assert not rep.ok and "0 < alpha < 2" in rep.violations[0]
 
     def test_build_refuses_invalid(self):
         with pytest.raises(ss.InvalidSpecError):
@@ -119,6 +141,24 @@ class TestBuild:
             a = ss.cf_exponent(pure, c, level=2).expect()
             b = ss.cf_exponent(mixed, c, level=2).expect()
             assert b == pytest.approx(a, rel=1e-9)
+
+
+class TestCatalog:
+    @pytest.mark.parametrize("spec, pin", CATALOG, ids=CATALOG_IDS)
+    def test_spec_digest_pinned(self, spec, pin):
+        assert sio.spec_digest(sio.spec_to_dict(spec)) == pin[0]
+
+    @pytest.mark.parametrize("spec, pin", CATALOG, ids=CATALOG_IDS)
+    def test_level1_cf_exponent_pinned(self, spec, pin):
+        value = ss.cf_exponent(ss.build(spec), default_probes()[0], level=1).value
+        assert value == pytest.approx(pin[1], rel=1e-12)
+
+    def test_every_family_has_a_catalog_spec_and_round_trips(self):
+        specs = {type(s): s for s in ss.catalog_specs()}
+        for name, family in ss.FAMILIES.items():
+            spec = specs[family]
+            assert spec.label == name
+            assert family.from_doc(spec.to_doc()) == spec
 
 
 def chentsov_sigma_exact(alpha, beta, terms):

@@ -78,6 +78,12 @@ class TestCfExponent:
         mine = ss.cf_exponent(k, ss.combo((1.0, 1.0))).expect()
         assert mine == pytest.approx(0.9743778361922334, rel=2e-3)
 
+    def test_single_level_is_not_certified(self):
+        k = ss.build(ss.Lfsm(1.5, 0.7))
+        r = ss.cf_exponent(k, ss.combo((1.0, 1.0)), level=1)
+        assert r.status == "single_level"
+        assert not r.certificate.converged and r.certificate.levels == (1,)
+
     def test_divergent_kernel_reports_divergence(self):
         # H=1/alpha pure power kernel is not alpha-integrable; increments blow
         # up under domain enlargement
