@@ -2,12 +2,14 @@
 self-similar stationary-increment processes defined by spectral kernels."""
 
 from .core import (
+    CfBatch,
     CfExponent,
     LinearCombo,
     PathEnsemble,
     RandomMeasureGrid,
     StableLaw,
     cf_exponent,
+    cf_exponents,
     combo,
     empirical_cf,
     sample_standard_sas,

@@ -39,17 +39,26 @@ def _default_seed() -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid); exit 2 if malformed."""
+    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid), n >= 1; exit 2 if malformed."""
     try:
         lo_s, hi_s, n_s = text.split(":")
         geometric = n_s.endswith("g")
         n = int(n_s[:-1] if geometric else n_s)
         lo, hi = float(lo_s), float(hi_s)
+        if n < 1:
+            raise ValueError
         if geometric:
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
     except ValueError:
-        print(f"bad grid spec {text!r}: want lo:hi:n", file=sys.stderr)
+        print(f"bad grid spec {text!r}: want lo:hi:n with n >= 1", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
+
+
+def _check_alpha(alpha: float) -> None:
+    """Exit 2 unless alpha is a stable index in (0, 2)."""
+    if not 0.0 < alpha < 2.0:
+        print(f"--alpha must lie in (0, 2), got {alpha}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
 
@@ -135,6 +144,10 @@ def cmd_classify(args) -> int:
     else:
         print(f"unknown flow {args.flow!r} (choose rotation or translation)", file=sys.stderr)
         return EXIT_INVALID
+    if args.n_points < 1:
+        print(f"--n-points must be at least 1, got {args.n_points}", file=sys.stderr)
+        return EXIT_INVALID
+    _check_alpha(args.alpha)
     pts = flow.sample_points(rng, args.n_points)
     verdict = hopf_classify(flow, g0, args.alpha, pts)
     counts = verdict.counts()
@@ -152,6 +165,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_region(args) -> int:
+    _check_alpha(args.alpha)
     a_vals = _parse_grid(args.a)
     b_vals = _parse_grid(args.b)
     rm = region_map(args.alpha, a_vals, b_vals, margin=args.margin)

@@ -9,6 +9,7 @@ ensembles are reproducible bit-for-bit regardless of worker threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -118,32 +119,69 @@ class CfExponent:
         return self.value
 
 
-def _combo_field(kernel: Kernel, combo: LinearCombo, pts: np.ndarray) -> np.ndarray:
-    acc = None
-    for theta, t in combo.terms:
-        if theta == 0.0:
-            continue
-        v = kernel.eval(t, pts)
-        acc = theta * v if acc is None else acc + theta * v
-    if acc is None:
-        acc = np.zeros(pts.shape[0] if pts.ndim > 1 else pts.shape[0])
-    return acc
+@dataclass(frozen=True)
+class CfBatch:
+    """sigma^alpha of a batch of probes at one refinement level, with the work it took."""
+
+    values: tuple[float, ...]
+    grids: int          # quadrature grids built
+    kernel_evals: int   # distinct (grid, time) evaluations of K(t, .)
+
+
+def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> CfBatch:
+    """sigma^alpha(combo) = integral of |sum_j theta_j K(t_j, .)|^alpha dmu for
+    every combo, at one refinement level.
+
+    Combos with equal ``kernel.cf_grid_key`` share one grid.  On a grid,
+    K(t, .) is evaluated once per distinct time and dropped after the last
+    combo that uses it.  The combos of a grid are swept in order of their
+    latest time, so each field's uses cluster and few fields are held at
+    once.  Every value equals the one a batch of that combo alone gives.
+    """
+    combos = tuple(combos)
+    groups: dict = {}
+    for i, c in enumerate(combos):
+        groups.setdefault(kernel.cf_grid_key(c.times), []).append(i)
+    values = [0.0] * len(combos)
+    n_evals = 0
+    for members in groups.values():
+        pts, masses = kernel.cf_cells(combos[members[0]].times, level)
+        pending = Counter(t for i in members for theta, t in combos[i].terms if theta != 0.0)
+        fields: dict[float, np.ndarray] = {}
+        for i in sorted(members, key=lambda i: (max(combos[i].times), min(combos[i].times))):
+            acc = None
+            for theta, t in combos[i].terms:
+                if theta == 0.0:
+                    continue
+                if t not in fields:
+                    fields[t] = kernel.eval(t, pts)
+                    n_evals += 1
+                pending[t] -= 1
+                v = fields[t] if pending[t] else fields.pop(t)
+                if acc is None:
+                    acc = theta * v
+                else:
+                    acc += theta * v
+            if acc is None:
+                acc = np.zeros(masses.shape)
+            np.abs(acc, out=acc)
+            acc **= kernel.alpha
+            acc *= masses
+            values[i] = pairwise_sum(acc.ravel())
+    return CfBatch(tuple(values), len(groups), n_evals)
 
 
 def cf_exponent(kernel: Kernel, combo: LinearCombo, policy: QuadraturePolicy | None = None,
                 level: int | None = None) -> CfExponent:
-    """sigma^alpha(combo) = integral of |sum_j theta_j K(t_j, .)|^alpha dmu.
+    """sigma^alpha(combo), the one-combo case of ``cf_exponents``.
 
     With ``level`` given, evaluates that one refinement level only (status
     "single_level"); otherwise runs the policy schedule.
     """
     policy = policy or QuadraturePolicy()
-    times = combo.times
 
     def eval_level(lvl: int) -> float:
-        pts, masses = kernel.cf_grid(times, lvl)
-        field = _combo_field(kernel, combo, pts)
-        return pairwise_sum(np.abs(field) ** kernel.alpha * masses)
+        return cf_exponents(kernel, (combo,), lvl).values[0]
 
     if level is not None:
         v = eval_level(level)

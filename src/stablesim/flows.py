@@ -17,8 +17,10 @@ class FlowSpec:
     """One-parameter group of maps with its Radon-Nikodym derivative.
 
     ``apply(t, pts)`` maps points forward; ``rn_derivative(t, pts)`` is the
-    density of mu composed with the time-t map against mu.  ``distance``
-    compares two point arrays respecting periodic coordinates.
+    density of mu composed with the time-t map against mu.  Both broadcast an
+    array of times against the points, so one point and n times give its
+    orbit at those times.  ``distance`` compares two point arrays respecting
+    periodic coordinates.
     """
 
     tag: str
@@ -42,6 +44,11 @@ def _abs_distance(p, q):
     return np.abs(np.asarray(p) - np.asarray(q)).reshape(len(p), -1).max(axis=1)
 
 
+def _orbit_shape(t, pts) -> tuple[int, ...]:
+    """Shape of (time, point) broadcast along the points' leading axis."""
+    return np.broadcast_shapes(np.shape(t), (len(pts),))
+
+
 def _angle_gap(a, b):
     d = np.abs(a - b) % TWO_PI
     return np.minimum(d, TWO_PI - d)
@@ -52,7 +59,7 @@ def translation_flow() -> FlowSpec:
     return FlowSpec(
         tag="translation", dim=1,
         apply=lambda t, s: s + t,
-        rn_derivative=lambda t, s: np.ones(len(np.atleast_1d(s))),
+        rn_derivative=lambda t, s: np.ones(_orbit_shape(t, np.atleast_1d(s))),
         distance=_abs_distance,
         sample_points=lambda rng, n: rng.uniform(-5.0, 5.0, n),
     )
@@ -66,9 +73,8 @@ def rotation_flow() -> FlowSpec:
     """
     def apply(t, pts):
         pts = np.atleast_2d(pts)
-        out = pts.copy()
-        out[:, 0] = np.mod(pts[:, 0] + t * pts[:, 1], TWO_PI)
-        return out
+        s = np.mod(pts[:, 0] + t * pts[:, 1], TWO_PI)
+        return np.column_stack([s, np.broadcast_to(pts[:, 1], s.shape)])
 
     def distance(p, q):
         p, q = np.atleast_2d(p), np.atleast_2d(q)
@@ -79,7 +85,7 @@ def rotation_flow() -> FlowSpec:
                                 np.exp(rng.uniform(np.log(0.3), np.log(30.0), n))])
 
     return FlowSpec("rotation", 2, apply,
-                    lambda t, pts: np.ones(len(np.atleast_2d(pts))),
+                    lambda t, pts: np.ones(_orbit_shape(t, np.atleast_2d(pts))),
                     distance, sample, orbit_speed=lambda pts: np.atleast_2d(pts)[:, 1])
 
 
@@ -90,9 +96,8 @@ def circle_scaling_flow(beta: float) -> FlowSpec:
     """
     def apply(t, pts):
         pts = np.atleast_2d(pts)
-        out = pts.copy()
-        out[:, 1] = pts[:, 1] * math.exp(t)
-        return out
+        x = pts[:, 1] * np.exp(t)
+        return np.column_stack([np.broadcast_to(pts[:, 0], x.shape), x])
 
     def distance(p, q):
         p, q = np.atleast_2d(p), np.atleast_2d(q)
@@ -103,7 +108,7 @@ def circle_scaling_flow(beta: float) -> FlowSpec:
                                 np.exp(rng.uniform(-2.0, 2.0, n))])
 
     return FlowSpec("scaling", 2, apply,
-                    lambda t, pts: np.full(len(np.atleast_2d(pts)), math.exp(-beta * t)),
+                    lambda t, pts: np.exp(-beta * t) * np.ones(_orbit_shape(t, np.atleast_2d(pts))),
                     distance, sample)
 
 
@@ -111,8 +116,8 @@ def dilation_flow() -> FlowSpec:
     """Contraction s -> e^(-t) s on (R, Lebesgue): translation in log coordinates."""
     return FlowSpec(
         tag="log_translation", dim=1,
-        apply=lambda t, s: np.asarray(s) * math.exp(-t),
-        rn_derivative=lambda t, s: np.full(len(np.atleast_1d(s)), math.exp(-t)),
+        apply=lambda t, s: np.asarray(s) * np.exp(-t),
+        rn_derivative=lambda t, s: np.exp(-t) * np.ones(_orbit_shape(t, np.atleast_1d(s))),
         distance=_abs_distance,
         sample_points=lambda rng, n: np.exp(rng.uniform(-2.0, 2.0, n)) * rng.choice([-1.0, 1.0], n),
     )
@@ -226,15 +231,12 @@ def _orbit_integral_increment(flow: FlowSpec, g0, alpha: float, point: np.ndarra
     n = max(8, int(math.ceil((hi - lo) / step)))
     ts = lo + (np.arange(n) + 0.5) * (hi - lo) / n
     pts = np.atleast_2d(point) if flow.dim > 1 else np.atleast_1d(point)
+    # midpoint rule along the orbit, every step at once; summed in chunks of
+    # about 4096 steps
+    vals = np.abs(g0(flow.apply(ts, pts))) ** alpha * flow.rn_derivative(ts, pts)
     total = 0.0
-    # midpoint rule along the orbit; vectorized over time batches
-    for t_chunk in np.array_split(ts, max(1, n // 4096)):
-        vals = np.empty(t_chunk.size)
-        for i, t in enumerate(t_chunk):
-            moved = flow.apply(float(t), pts)
-            rho = flow.rn_derivative(float(t), pts)
-            vals[i] = (np.abs(g0(moved)) ** alpha * rho)[0]
-        total += float(np.sum(vals)) * (hi - lo) / n
+    for chunk in np.array_split(vals, max(1, n // 4096)):
+        total += float(np.sum(chunk)) * (hi - lo) / n
     return total
 
 

@@ -43,19 +43,28 @@ def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> No
 
 
 def read_ensemble_csv(fh: IO[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of an ensemble CSV; a row whose field count differs
+    from the header's, or with a non-numeric field, raises ValueError naming
+    its line."""
     header = fh.readline().strip().split(",")
     if not header or header[0] != "time":
         raise ValueError("not an ensemble CSV (missing 'time' header)")
-    times = []
-    cols: list[list[float]] = [[] for _ in header[1:]]
-    for line in fh:
+    # each row is kept as one float array, never as Python floats, so the
+    # reader holds at most two copies of the table
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
         parts = line.strip().split(",")
-        if not parts or parts == [""]:
+        if parts == [""]:
             continue
-        times.append(float(parts[0]))
-        for c, v in zip(cols, parts[1:]):
-            c.append(float(v))
-    return np.array(times), np.array(cols)
+        if len(parts) != len(header):
+            raise ValueError(f"line {lineno}: {len(parts)} fields, the header has {len(header)}")
+        try:
+            rows.append(np.fromiter(map(float, parts), dtype=float, count=len(parts)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
+    table = np.array(rows).reshape(len(rows), len(header))
+    del rows
+    return table[:, 0].copy(), np.ascontiguousarray(table[:, 1:].T)
 
 
 def ensemble_metadata(ensemble, spec_doc: dict | None, grid: dict, extra: dict | None = None) -> dict:

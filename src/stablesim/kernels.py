@@ -7,7 +7,7 @@ with X_0 = 0 (Samorodnitsky & Taqqu, 1994).  A family is one frozen
 dataclass deriving from ``Kernel``: its fields are the parameters, and it
 carries the admissibility inequalities (``violations``), the Hurst exponent,
 the kernel (``eval``), the control-measure discretizations used for
-quadrature (``cf_grid``) and path simulation (``sim_grid``), its JSON
+quadrature (``cf_cells``) and path simulation (``sim_grid``), its JSON
 document (``to_doc`` / ``from_doc``) and, where the family declares them,
 the scaling maps of its lag kernel.  ``FAMILIES`` registers every family by
 name.
@@ -92,13 +92,27 @@ class Kernel(ABC):
         return None
 
     @abstractmethod
-    def eval(self, t: float, points: np.ndarray) -> np.ndarray:
-        """K(t, point) for every point."""
+    def eval(self, t: float, points) -> np.ndarray:
+        """K(t, point) for every point: the points of ``cf_grid`` or
+        ``sim_grid``, or the coordinate arrays of ``cf_cells``."""
 
     @abstractmethod
-    def cf_grid(self, times: Sequence[float], level: int) -> tuple[np.ndarray, np.ndarray]:
+    def cf_cells(self, times: Sequence[float], level: int) -> tuple:
         """Quadrature cells (points, masses) adapted to the probe times: kinks
-        and singular shifts land on cell edges."""
+        and singular shifts land on cell edges.  On two-coordinate state
+        spaces the points are a pair of coordinate arrays that broadcast to
+        the shape of ``masses`` (radial nodes down, shift nodes across), so a
+        kernel evaluation never materializes one row per cell."""
+
+    def cf_grid(self, times: Sequence[float], level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of ``cf_cells`` flattened: one point (scalar shift or
+        (radial, shift) row) and one mass per cell."""
+        return _flat_cells(*self.cf_cells(times, level))
+
+    def cf_grid_key(self, times: Sequence[float]):
+        """Probes whose times give equal keys share one ``cf_cells`` grid; the
+        grids of every family depend on the set of probe times only."""
+        return frozenset(times)
 
     @abstractmethod
     def sim_grid(self, t_lo: float, t_hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,14 +183,9 @@ def _power_plus(u: np.ndarray, g: float) -> np.ndarray:
 
 
 def _trunc_f(u: np.ndarray, p: np.ndarray, a: float) -> np.ndarray:
-    # u_+^a ^ p^a with 0^a := 0: min(u, p)^a for a > 0, max(u, p)^a for a < 0
-    pos = u > 0.0
-    safe = np.where(pos, u, 1.0)
-    if a > 0.0:
-        vals = np.minimum(safe, p) ** a
-    else:
-        vals = np.maximum(safe, p) ** a
-    return np.where(pos, vals, 0.0)
+    # u_+^a ^ p^a with 0^a := 0, for either sign of a; the powers are taken on
+    # u and p separately, so broadcast (radial, shift) factors stay cheap
+    return np.minimum(p ** a, _power_plus(u, a))
 
 
 def _power_hurst_violations(alpha: float, hurst: float) -> Iterator[str]:
@@ -205,13 +214,27 @@ def _shift_sim_edges(t_lo: float, t_hi: float, level: int) -> np.ndarray:
     return np.unique(np.concatenate([left, core, right]))
 
 
-def _product_grid(radial: tuple[np.ndarray, np.ndarray], shift_edges: np.ndarray):
+def _coords(points):
+    """(radial, shift) coordinates of two-coordinate points: rows of a flat
+    grid, or the broadcastable pair of ``cf_cells``."""
+    if isinstance(points, tuple):
+        return points
+    return points[:, 0], points[:, 1]
+
+
+def _product_cells(radial: tuple[np.ndarray, np.ndarray], shift_edges: np.ndarray):
+    """Product of radial cells and shift cells in the factored layout of ``cf_cells``."""
     r_nodes, r_mass = radial
     s_nodes, s_w = cells_from_edges(shift_edges)
-    P = np.repeat(r_nodes, s_nodes.size)
-    S = np.tile(s_nodes, r_nodes.size)
-    M = np.multiply.outer(r_mass, s_w).ravel()
-    return np.column_stack([P, S]), M
+    return (r_nodes[:, None], s_nodes[None, :]), np.multiply.outer(r_mass, s_w)
+
+
+def _flat_cells(points, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Cells with one point (scalar, or a row per coordinate pair) and one mass each."""
+    if not isinstance(points, tuple):
+        return points, masses
+    return (np.column_stack([np.broadcast_to(c, masses.shape).ravel() for c in points]),
+            masses.ravel())
 
 
 # -- moving-average families (state space R, Lebesgue control measure) -----
@@ -222,7 +245,7 @@ class _ShiftFamily(Kernel):
     def eval(self, t, s):
         return self.profile(t - s) - self.profile(-s)
 
-    def cf_grid(self, times, level):
+    def cf_cells(self, times, level):
         return cells_from_edges(_shift_cf_edges(times, level))
 
     def sim_grid(self, t_lo, t_hi, level):
@@ -340,8 +363,8 @@ class MixedLfsm(Kernel):
         g = self.hurst - 1.0 / self.alpha
         b1 = np.array([b[0] for b, _ in self.atoms])
         b2 = np.array([b[1] for b, _ in self.atoms])
-        idx = pts[:, 0].astype(int)
-        s = pts[:, 1]
+        idx, s = _coords(pts)
+        idx = idx.astype(int)
         u1, u0 = t - s, -s
         f1 = b1[idx] * _power_plus(u1, g) + b2[idx] * _power_plus(-u1, g)
         f0 = b1[idx] * _power_plus(u0, g) + b2[idx] * _power_plus(-u0, g)
@@ -349,13 +372,13 @@ class MixedLfsm(Kernel):
 
     def _atom_cells(self, shift_edges: np.ndarray):
         weights = np.array([w for _, w in self.atoms])
-        return _product_grid((np.arange(len(self.atoms)), weights), shift_edges)
+        return _product_cells((np.arange(len(self.atoms)), weights), shift_edges)
 
-    def cf_grid(self, times, level):
+    def cf_cells(self, times, level):
         return self._atom_cells(_shift_cf_edges(times, level))
 
     def sim_grid(self, t_lo, t_hi, level):
-        return self._atom_cells(_shift_sim_edges(t_lo, t_hi, level))
+        return _flat_cells(*self._atom_cells(_shift_sim_edges(t_lo, t_hi, level)))
 
     def scaling_maps(self):
         return tuple(range(len(self.atoms))), None, self.hurst - 1.0 / self.alpha, 0.0
@@ -401,10 +424,10 @@ class TruncatedFractional(Kernel):
         return (self.alpha * self.a - self.b + 1.0) / self.alpha
 
     def eval(self, t, pts):
-        p, s = pts[:, 0], pts[:, 1]
+        p, s = _coords(pts)
         return _trunc_f(t - s, p, self.a) - _trunc_f(-s, p, self.a)
 
-    def cf_grid(self, times, level):
+    def cf_cells(self, times, level):
         # slow power tails: both radial cutoffs move three decades per level.
         # Radial sub-sampling averages out the shift-grid aliasing of the
         # p-dependent kink at s = t - p.
@@ -414,7 +437,7 @@ class TruncatedFractional(Kernel):
         bp = sorted(set(times) | {0.0})
         edges = shift_partition(bp, level, tail_reach=4.0 * p_hi, tail_growth=1.0,
                                 nodes_per_decade=10)
-        return _product_grid(radial, edges)
+        return _product_cells(radial, edges)
 
     def sim_grid(self, t_lo, t_hi, level):
         p_hi = 1e4 * 10.0 ** level
@@ -422,13 +445,13 @@ class TruncatedFractional(Kernel):
         lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
         edges = shift_partition([lo, hi], level, base_nodes=64,
                                 tail_reach=4.0 * p_hi, tail_growth=1.0, nodes_per_decade=6)
-        return _product_grid(radial, edges)
+        return _flat_cells(*_product_cells(radial, edges))
 
     def scaling_maps(self):
         return tuple(np.geomspace(0.05, 20.0, 8)), -1.0 - self.b, self.a, -self.b
 
 
-def _chentsov_grid(times: Sequence[float], x_nodes: np.ndarray, x_mass: np.ndarray):
+def _chentsov_cells(times: Sequence[float], x_nodes: np.ndarray, x_mass: np.ndarray):
     # per-row shift partition with edges exactly at the indicator jumps
     taus = np.array(sorted(set(times) | {0.0}))
     jumps = np.concatenate([taus[None, :] - x_nodes[:, None],
@@ -436,11 +459,7 @@ def _chentsov_grid(times: Sequence[float], x_nodes: np.ndarray, x_mass: np.ndarr
     jumps.sort(axis=1)
     mids = 0.5 * (jumps[:, 1:] + jumps[:, :-1])
     widths = np.diff(jumps, axis=1)
-    n_x, n_s = mids.shape
-    P = np.repeat(x_nodes, n_s)
-    S = mids.ravel()
-    M = (x_mass[:, None] * widths).ravel()
-    return np.column_stack([P, S]), M
+    return (x_nodes[:, None], mids), x_mass[:, None] * widths
 
 
 @dataclass(frozen=True)
@@ -460,15 +479,15 @@ class Chentsov(Kernel):
         return self.beta / self.alpha
 
     def eval(self, t, pts):
-        x, s = pts[:, 0], pts[:, 1]
+        x, s = _coords(pts)
         return (np.abs(t - s) < x).astype(float) - (np.abs(s) < x).astype(float)
 
-    def cf_grid(self, times, level):
+    def cf_cells(self, times, level):
         scale = max(max(abs(t) for t in times), 1.0)
         x_lo = 1e-5 * scale * 0.01 ** level
         x_hi = 1e5 * scale * 100.0 ** level
         x_nodes, x_mass, _ = power_law_cells(x_lo, x_hi, 24, self.beta - 2.0)
-        return _chentsov_grid(times, x_nodes, x_mass)
+        return _chentsov_cells(times, x_nodes, x_mass)
 
     def sim_grid(self, t_lo, t_hi, level):
         scale = max(abs(t_lo), abs(t_hi), 1.0)
@@ -477,7 +496,7 @@ class Chentsov(Kernel):
         lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
         edges = shift_partition([lo, hi], level, base_nodes=48,
                                 tail_reach=4e6 * scale, tail_growth=1.0, nodes_per_decade=8)
-        return _product_grid((x_nodes, x_mass), edges)
+        return _flat_cells(*_product_cells((x_nodes, x_mass), edges))
 
     def scaling_maps(self):
         return tuple(np.geomspace(0.05, 20.0, 8)), self.beta - 2.0, 0.0, self.beta - 1.0
@@ -504,10 +523,13 @@ class RotatingAverage(Kernel):
         return self.beta / self.alpha
 
     def eval(self, t, pts):
-        s, x = pts[:, 1], pts[:, 0]
+        x, s = _coords(pts)
         return self.series(s + t * x) - self.series(s)
 
-    def cf_grid(self, times, level):
+    def cf_grid_key(self, times):
+        return None  # one grid for every probe
+
+    def cf_cells(self, times, level):
         # radial sub-sampling beats plain refinement here: the shift-averaged
         # integrand oscillates in x with frequency growing linearly in x
         x_lo = 1e-3 * 0.125 ** level
@@ -516,14 +538,14 @@ class RotatingAverage(Kernel):
                                                  subs=8)
         n_s = 128 * 2 ** level
         s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
-        return _product_grid((x_nodes, x_mass), s_edges)
+        return _product_cells((x_nodes, x_mass), s_edges)
 
     def sim_grid(self, t_lo, t_hi, level):
         x_nodes, x_mass, _ = power_law_cells(1e-4 * 0.1 ** level, 1e4 * 10.0 ** level,
                                              12 + 4 * level, -1.0 - self.beta)
         n_s = 64 * 2 ** level
         s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
-        return _product_grid((x_nodes, x_mass), s_edges)
+        return _flat_cells(*_product_cells((x_nodes, x_mass), s_edges))
 
     def to_doc(self):
         return {"family": self.label, "alpha": self.alpha, "beta": self.beta,

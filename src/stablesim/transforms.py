@@ -138,9 +138,14 @@ class IncrementProcess(Kernel):
     def eval(self, t, pts):
         return self.source.eval(t + self.lag, pts) - self.source.eval(t, pts)
 
-    def cf_grid(self, times, level):
-        widened = tuple(sorted(set(times) | {t + self.lag for t in times}))
-        return self.source.cf_grid(widened, level)
+    def _widened(self, times):
+        return tuple(sorted(set(times) | {t + self.lag for t in times}))
+
+    def cf_cells(self, times, level):
+        return self.source.cf_cells(self._widened(times), level)
+
+    def cf_grid_key(self, times):
+        return self.source.cf_grid_key(self._widened(times))
 
     def sim_grid(self, t_lo, t_hi, level):
         return self.source.sim_grid(t_lo, t_hi + self.lag, level)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LinearCombo, PathEnsemble, cf_exponent, combo, empirical_cf
+from .core import CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf
 from .flows import dilation_flow, rotation_flow
 from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build, hurst_of
 from .quadrature import QuadraturePolicy
@@ -47,6 +47,13 @@ def _jsonable(obj):
     return obj
 
 
+def _work(batches: list[CfBatch]) -> dict:
+    """Quadrature work behind a report: grids built and distinct (grid, time)
+    kernel evaluations, summed over its batches."""
+    return {"grids": sum(b.grids for b in batches),
+            "kernel_evals": sum(b.kernel_evals for b in batches)}
+
+
 def default_probes() -> tuple[LinearCombo, ...]:
     """Eight probes mixing one to three time points, thetas in {+-0.5, +-1}."""
     return (
@@ -76,14 +83,17 @@ def check_stationary_increments(kernel: Kernel, combos=None,
     construction down to rounding noise).
     """
     combos = combos or default_probes()
+    hs = (0.0, *shifts)
     per_level: dict[int, list[float]] = {}
+    batches = []
     for level in levels:
+        batch = cf_exponents(kernel, [c.shifted_increments(h) for c in combos for h in hs], level)
+        batches.append(batch)
         devs = []
-        for c in combos:
-            base = cf_exponent(kernel, c.shifted_increments(0.0), level=level).expect()
+        for j in range(len(combos)):
+            base, *vals = batch.values[j * len(hs):(j + 1) * len(hs)]
             worst = 0.0
-            for h in shifts:
-                val = cf_exponent(kernel, c.shifted_increments(h), level=level).expect()
+            for val in vals:
                 worst = max(worst, abs(val - base) / max(abs(base), 1e-300))
             devs.append(worst)
         per_level[level] = devs
@@ -93,7 +103,7 @@ def check_stationary_increments(kernel: Kernel, combos=None,
     return VerificationReport(
         "stationary_increments", passed, tol, tuple(per_level[levels[1]]),
         {"shifts": list(shifts), "deviation_by_level": {str(k): v for k, v in per_level.items()},
-         "coarse_max": coarse, "fine_max": fine})
+         "coarse_max": coarse, "fine_max": fine, **_work(batches)})
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +123,10 @@ def check_self_similar(kernel: Kernel, combos=None,
     target = target_hurst if target_hurst is not None else hurst_of(kernel)
     if target is None:
         raise ValueError("kernel has no Hurst exponent; pass target_hurst")
+    batch = cf_exponents(kernel, [c.scaled_times(sc) for c in combos for sc in scales], level)
     slopes = []
-    for c in combos:
-        logs = []
-        for sc in scales:
-            val = cf_exponent(kernel, c.scaled_times(sc), level=level).expect()
-            logs.append(math.log(val))
+    for j in range(len(combos)):
+        logs = [math.log(v) for v in batch.values[j * len(scales):(j + 1) * len(scales)]]
         slope = float(np.polyfit(np.log(np.asarray(scales)), np.asarray(logs), 1)[0])
         slopes.append(slope)
     fitted = [s / kernel.alpha for s in slopes]
@@ -126,7 +134,7 @@ def check_self_similar(kernel: Kernel, combos=None,
     passed = max(residuals) < tol
     return VerificationReport("self_similarity", passed, tol, residuals,
                               {"fitted_hurst": fitted, "target_hurst": target,
-                               "scales": list(scales)})
+                               "scales": list(scales), **_work([batch])})
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +278,14 @@ def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
     """
     combos = combos or default_probes()
     tol = tol if tol is not None else 3.0 / math.sqrt(ensemble.n_paths) + 0.02
+    batch = cf_exponents(kernel, combos, level)
     residuals = []
-    for c in combos:
-        target = math.exp(-cf_exponent(kernel, c, level=level).expect())
+    for c, sigma in zip(combos, batch.values):
+        target = math.exp(-sigma)
         est = empirical_cf(ensemble, c)
         residuals.append(abs(est - target))
     return VerificationReport("mc_distribution", max(residuals) < tol, tol,
-                              tuple(residuals), {"n_paths": ensemble.n_paths})
+                              tuple(residuals), {"n_paths": ensemble.n_paths, **_work([batch])})
 
 
 def mc_stationary_increments(ensemble: PathEnsemble, combos=None,

@@ -89,7 +89,67 @@ class TestCocycles:
         assert rep.failures > 0
 
 
+# an orbit integrand for each catalog flow, by tag
+HOPF_G0 = {
+    "translation": lambda s: ((np.asarray(s) >= 0.0) & (np.asarray(s) <= 1.0)).astype(float),
+    "rotation": lambda pts: np.cos(np.atleast_2d(pts)[:, 0]),
+    "scaling": lambda pts: np.cos(np.atleast_2d(pts)[:, 0]) * np.exp(-np.atleast_2d(pts)[:, 1]),
+    "log_translation": lambda s: np.exp(-np.asarray(s) ** 2),
+}
+
+
+def step_loop_traces(flow, g0, alpha, points, schedule=(4.0, 8.0, 16.0, 32.0, 64.0)):
+    """hopf_classify's truncated orbit integrals with one flow call per time step."""
+    traces = []
+    for point in points:
+        pts = np.atleast_2d(point) if flow.dim > 1 else np.atleast_1d(point)
+        step = 0.05
+        if flow.orbit_speed is not None:
+            step = min(0.05, 0.05 / max(float(flow.orbit_speed(np.atleast_2d(point))[0]), 1e-9))
+
+        def increment(lo, hi):
+            n = max(8, int(math.ceil((hi - lo) / step)))
+            ts = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+            total = 0.0
+            for chunk in np.array_split(ts, max(1, n // 4096)):
+                vals = np.empty(chunk.size)
+                for i, t in enumerate(chunk):
+                    moved = flow.apply(float(t), pts)
+                    vals[i] = (np.abs(g0(moved)) ** alpha * flow.rn_derivative(float(t), pts))[0]
+                total += float(np.sum(vals)) * (hi - lo) / n
+            return total
+
+        total, prev, trace = 0.0, 0.0, []
+        for L in schedule:
+            total += increment(prev, L)
+            total += increment(-L, -prev)
+            prev = L
+            trace.append((L, total))
+        traces.append(tuple(trace))
+    return tuple(traces)
+
+
 class TestHopf:
+    @pytest.mark.parametrize("flow", catalog_flows(), ids=lambda f: f.tag)
+    def test_traces_equal_step_loop(self, flow):
+        # the orbit integral evaluates every time step in one call; its sums
+        # must match the per-step loop to the last bit
+        g0 = HOPF_G0[flow.tag]
+        pts = flow.sample_points(rng(), 2)
+        verdict = hopf_classify(flow, g0, 1.5, pts)
+        assert verdict.traces == step_loop_traces(flow, g0, 1.5, pts)
+
+    @pytest.mark.parametrize("flow", catalog_flows(), ids=lambda f: f.tag)
+    def test_flow_broadcasts_over_times(self, flow):
+        point = flow.sample_points(rng(), 1)
+        ts = np.linspace(-2.0, 2.0, 9)
+        moved = flow.apply(ts, point)
+        rho = flow.rn_derivative(ts, point)
+        assert len(moved) == len(rho) == ts.size
+        for i, t in enumerate(ts):
+            assert np.array_equal(moved[i], flow.apply(float(t), point)[0])
+            assert rho[i] == flow.rn_derivative(float(t), point)[0]
+
     def test_translation_indicator_dissipative(self):
         # orbit integral of an indicator window is its length, for every point
         flow = translation_flow()

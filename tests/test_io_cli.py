@@ -75,6 +75,24 @@ class TestEnsembleCsv:
         with pytest.raises(ValueError):
             sio.read_ensemble_csv(io.StringIO("a,b\n1,2\n"))
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,1.0,2.0", "line 3: 3 fields, the header has 2"),
+        ("0.5", "line 3: 1 fields, the header has 2"),
+        ("0.5,abc", "line 3: non-numeric field"),
+    ], ids=["long-row", "short-row", "non-numeric"])
+    def test_bad_row_names_its_line(self, row, message):
+        text = "time,path_0\n0.25,1.5\n" + row + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sio.read_ensemble_csv(io.StringIO(text))
+
+    def test_bad_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("time,path_0\n0.5,1.0,2.0\n")
+        rc = main(["transform", "--input", str(path), "--op", "masani-inverse",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 @pytest.fixture
 def specdir(tmp_path):
@@ -137,6 +155,22 @@ class TestCli:
     def test_simulate_bad_arguments_exit_2(self, specdir, capsys, args, message):
         out = specdir["dir"] / "x.csv"
         rc = main(["simulate", "--spec", specdir["lfsm"], *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["classify", "--flow", "rotation", "--n-points", "0"], "--n-points"),
+        (["classify", "--flow", "rotation", "--n-points", "-1"], "--n-points"),
+        (["classify", "--flow", "translation", "--alpha", "0"], "--alpha"),
+        (["region", "--alpha", "3", "--a", "0.3:0.7:3", "--b", "0.2:0.9:3"], "--alpha"),
+        (["region", "--alpha", "1.5", "--a", "0:1:0", "--b", "0.2:0.9:3"], "bad grid spec"),
+    ], ids=["classify-zero-points", "classify-negative-points", "classify-alpha-0",
+            "region-alpha-3", "region-empty-grid"])
+    def test_bad_classify_and_region_arguments_exit_2(self, specdir, capsys, args, message):
+        out = specdir["dir"] / "o.out"
+        rc = main([*args, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and len(err.strip().splitlines()) == 1

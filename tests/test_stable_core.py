@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesim as ss
+from stablesim.transforms import increment_process
+from stablesim.verify import default_probes
 
 
 def ecf(samples, theta):
@@ -91,6 +93,38 @@ class TestCfExponent:
         r = ss.cf_exponent(bad, ss.combo((1.0, 1.0)),
                            ss.QuadraturePolicy(max_level=5))
         assert r.status in ("diverged", "exhausted")
+
+
+BATCH_SPECS = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+
+
+class TestCfExponents:
+    @pytest.mark.parametrize("spec", BATCH_SPECS,
+                             ids=lambda s: f"{s.label}-{s.alpha}")
+    def test_batch_equals_per_combo_values(self, spec):
+        # one shared grid, cached and freed fields and the sweep order must
+        # not change any value
+        probes = [c.shifted_increments(h) for c in default_probes()
+                  for h in (0.0, 0.5, 1.0, 2.0, 5.0)]
+        for level, combos in ((1, probes), (2, default_probes())):
+            batch = ss.cf_exponents(spec, combos, level)
+            assert batch.values == tuple(ss.cf_exponent(spec, c, level=level).value
+                                         for c in combos)
+
+    def test_work_counts(self):
+        rot = ss.catalog_specs()[-1]
+        combos = [ss.combo((1.0, 1.0)), ss.combo((1.0, 2.0), (-1.0, 1.0)),
+                  ss.combo((0.0, 3.0))]
+        # the rotating grid ignores the probe times: one grid, K(1, .) reused
+        batch = ss.cf_exponents(rot, combos, 1)
+        assert (batch.grids, batch.kernel_evals) == (1, 2)
+        # moving-average grids are graded at the probe times: one per time set
+        batch = ss.cf_exponents(ss.Lfsm(1.5, 0.7), combos, 1)
+        assert (batch.grids, batch.kernel_evals) == (3, 3)
+
+    def test_zero_combo_is_zero(self):
+        batch = ss.cf_exponents(ss.catalog_specs()[4], [ss.combo((0.0, 1.0))], 1)
+        assert batch.values == (0.0,) and batch.kernel_evals == 0
 
 
 class TestMeasureGrid:

@@ -38,6 +38,21 @@ class TestStationaryIncrements:
         rep = check_stationary_increments(k)
         assert rep.passed
 
+    def test_rotating_builds_one_grid_per_level(self):
+        # 8 probes x 5 shifts reach 17 distinct times, each evaluated once per level
+        rep = check_stationary_increments(ss.catalog_specs()[-1])
+        assert rep.details["grids"] == 2
+        assert rep.details["kernel_evals"] == 2 * 17
+
+    def test_work_counts_reported(self):
+        k = ss.build(ss.Lfsm(1.5, 0.7))
+        si = check_stationary_increments(k, combos=[ss.combo((1.0, 1.0))])
+        # per level, the shifts h = 0, 0.5, 1, 2, 5 give five time sets {1 + h, h},
+        # each on its own grid with two kernel evaluations
+        assert (si.details["grids"], si.details["kernel_evals"]) == (10, 20)
+        ss_rep = check_self_similar(k, combos=[ss.combo((1.0, 1.0))])
+        assert (ss_rep.details["grids"], ss_rep.details["kernel_evals"]) == (5, 5)
+
     def test_report_serializes(self):
         k = ss.build(ss.LinearMotion(1.5))
         rep = check_stationary_increments(k, combos=[ss.combo((1.0, 1.0))])
