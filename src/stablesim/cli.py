@@ -39,7 +39,7 @@ def _default_seed() -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid), n >= 1; exit 2 if malformed."""
+    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid), n >= 1."""
     try:
         lo_s, hi_s, n_s = text.split(":")
         geometric = n_s.endswith("g")
@@ -51,61 +51,36 @@ def _parse_grid(text: str) -> np.ndarray:
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
     except ValueError:
-        print(f"bad grid spec {text!r}: want lo:hi:n with n >= 1", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise ValueError(f"bad grid spec {text!r}: want lo:hi:n with n >= 1") from None
 
 
 def _check_alpha(alpha: float) -> None:
-    """Exit 2 unless alpha is a stable index in (0, 2)."""
+    """Reject alpha outside the stable range (0, 2)."""
     if not 0.0 < alpha < 2.0:
-        print(f"--alpha must lie in (0, 2), got {alpha}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise ValueError(f"--alpha must lie in (0, 2), got {alpha}")
 
 
-def _load_spec_or_exit(path: str):
-    try:
-        spec = sio.load_spec(path)
-    except OSError as exc:
-        print(f"cannot read spec file: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    except json.JSONDecodeError as exc:
-        print(f"spec file is not valid JSON: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-    except InvalidSpecError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+def _load_spec(path: str):
+    spec = sio.load_spec(path)
     rep = validate(spec)
     if not rep.ok:
-        print("inadmissible spec: " + "; ".join(rep.violations), file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise InvalidSpecError("inadmissible spec: " + "; ".join(rep.violations))
     return spec
 
 
 def _write_json(path: str, doc: dict) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec_or_exit(args.spec)
+    spec = _load_spec(args.spec)
     times = _parse_grid(args.t)
-    try:
-        ens = simulate(spec, times, args.n_paths, args.seed,
-                       level=args.level, threads=args.threads)
-    except ValueError as exc:
-        print(f"invalid simulation request: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        with open(args.out, "w") as fh:
-            sio.write_ensemble_csv(fh, ens.times, ens.values)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    ens = simulate(spec, times, args.n_paths, args.seed,
+                   level=args.level, threads=args.threads)
+    with open(args.out, "w") as fh:
+        sio.write_ensemble_csv(fh, ens.times, ens.values)
     meta = sio.ensemble_metadata(
         ens, sio.spec_to_dict(spec),
         {"t_min": float(times[0]), "t_max": float(times[-1]), "n": int(times.size)},
@@ -115,13 +90,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec_or_exit(args.spec)
+    spec = _load_spec(args.spec)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    try:
-        reports = run_suite(spec, checks, n_paths=args.n_paths, seed=args.seed)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
+    reports = run_suite(spec, checks, n_paths=args.n_paths, seed=args.seed)
     doc = {"schema_version": sio.SCHEMA_VERSION, "spec": sio.spec_to_dict(spec),
            "reports": [r.to_dict() for r in reports]}
     if args.out:
@@ -138,15 +109,11 @@ def cmd_classify(args) -> int:
     if args.flow == "rotation":
         flow = rotation_flow()
         g0 = lambda pts: np.cos(np.atleast_2d(pts)[:, 0])
-    elif args.flow == "translation":
+    else:
         flow = translation_flow()
         g0 = lambda s: ((np.asarray(s) >= 0.0) & (np.asarray(s) <= 1.0)).astype(float)
-    else:
-        print(f"unknown flow {args.flow!r} (choose rotation or translation)", file=sys.stderr)
-        return EXIT_INVALID
     if args.n_points < 1:
-        print(f"--n-points must be at least 1, got {args.n_points}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--n-points must be at least 1, got {args.n_points}")
     _check_alpha(args.alpha)
     pts = flow.sample_points(rng, args.n_points)
     verdict = hopf_classify(flow, g0, args.alpha, pts)
@@ -169,24 +136,20 @@ def cmd_region(args) -> int:
     a_vals = _parse_grid(args.a)
     b_vals = _parse_grid(args.b)
     rm = region_map(args.alpha, a_vals, b_vals, margin=args.margin)
-    try:
-        with open(args.out, "w") as fh:
-            fh.write("a,b,verdict,value\n")
-            for i, a in enumerate(rm.a_values):
-                for j, b in enumerate(rm.b_values):
-                    v = rm.values[i, j]
-                    fh.write(f"{a!r},{b!r},{rm.verdicts[i, j]},{'' if not math.isfinite(v) else repr(float(v))}\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w") as fh:
+        fh.write("a,b,verdict,value\n")
+        for i, a in enumerate(rm.a_values):
+            for j, b in enumerate(rm.b_values):
+                v = rm.values[i, j]
+                fh.write(f"{a!r},{b!r},{rm.verdicts[i, j]},{'' if not math.isfinite(v) else repr(float(v))}\n")
     print(f"scored {int(rm.scored.sum())} points, agreement with closed-form "
           f"region: {rm.agreement:.4f}")
     return EXIT_OK if rm.agreement == 1.0 else EXIT_FAIL
 
 
 def cmd_identify(args) -> int:
-    s1 = _load_spec_or_exit(args.spec1)
-    s2 = _load_spec_or_exit(args.spec2)
+    s1 = _load_spec(args.spec1)
+    s2 = _load_spec(args.spec2)
     from .identify import match_rotating, mixing_measure, ray_test, same_mixed_lfsm
     from .kernels import MixedLfsm
 
@@ -211,9 +174,7 @@ def cmd_identify(args) -> int:
             doc["witness"] = {"epsilon": witness.epsilon, "shift": witness.shift,
                               "offset": witness.offset}
     else:
-        print("identify supports two mixed_lfsm specs or two rotating_average specs",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("identify supports two mixed_lfsm specs or two rotating_average specs")
     doc["schema_version"] = sio.SCHEMA_VERSION
     if args.out:
         _write_json(args.out, doc)
@@ -222,38 +183,23 @@ def cmd_identify(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    try:
-        with open(args.input) as fh:
-            times, values = sio.read_ensemble_csv(fh)
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
+    # checked before the input is read, so a missing --hurst is reported first
+    if args.op.startswith("lamperti") and args.hurst is None:
+        raise ValueError("--hurst is required for the Lamperti maps")
+    with open(args.input) as fh:
+        times, values = sio.read_ensemble_csv(fh)
     pf = PathFunction(times, values)
-    try:
-        if args.op == "masani-forward":
-            out, bound = masani_forward(pf, history=args.history)
-            print(f"history truncation bound: {bound:.3g}")
-        elif args.op == "masani-inverse":
-            out = masani_inverse(pf)
-        elif args.op == "lamperti-to-stationary":
-            out = lamperti_to_stationary(pf, args.hurst)
-        elif args.op == "lamperti-from-stationary":
-            out = lamperti_from_stationary(pf, args.hurst)
-        else:
-            print(f"unknown op {args.op!r}", file=sys.stderr)
-            return EXIT_INVALID
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        with open(args.out, "w") as fh:
-            sio.write_ensemble_csv(fh, out.times, np.atleast_2d(out.values))
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.op == "masani-forward":
+        out, bound = masani_forward(pf, history=args.history)
+        print(f"history truncation bound: {bound:.3g}")
+    elif args.op == "masani-inverse":
+        out = masani_inverse(pf)
+    elif args.op == "lamperti-to-stationary":
+        out = lamperti_to_stationary(pf, args.hurst)
+    else:
+        out = lamperti_from_stationary(pf, args.hurst)
+    with open(args.out, "w") as fh:
+        sio.write_ensemble_csv(fh, out.times, np.atleast_2d(out.values))
     return EXIT_OK
 
 
@@ -336,17 +282,21 @@ def _glue_negative_grids(argv):
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where rejected input becomes exit 2
+    and an I/O failure exit 3, each reported on one stderr line."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_glue_negative_grids(list(argv)))
-    if getattr(args, "op", "").startswith("lamperti") and args.hurst is None:
-        print("--hurst is required for the Lamperti maps", file=sys.stderr)
-        return EXIT_INVALID
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-
+    except OSError as exc:
+        print(f"stablesim {args.command}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        # InvalidSpecError, json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+        message = " ".join(str(exc).splitlines())
+        print(f"stablesim {args.command}: {message}", file=sys.stderr)
+        return EXIT_INVALID
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -266,6 +266,8 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
         raise ValueError(f"n_paths must be nonnegative, got {n_paths}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
     grid = RandomMeasureGrid(*kernel.sim_grid(float(t[0]), float(t[-1]), level))
     weights = grid.masses ** (1.0 / kernel.alpha)
     kmat = np.empty((t.size, weights.size))

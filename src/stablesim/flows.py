@@ -41,7 +41,8 @@ class CocycleSpec:
 
 
 def _abs_distance(p, q):
-    return np.abs(np.asarray(p) - np.asarray(q)).reshape(len(p), -1).max(axis=1)
+    p, q = np.atleast_1d(p, q)
+    return np.abs(p - q).reshape(len(p), -1).max(axis=1)
 
 
 def _orbit_shape(t, pts) -> tuple[int, ...]:
@@ -172,8 +173,7 @@ def check_flow_laws(flow: FlowSpec, t_pairs: Sequence[tuple[float, float]],
     for t1, t2 in t_pairs:
         lhs = flow.apply(t1 + t2, points)
         rhs = flow.apply(t1, flow.apply(t2, points))
-        g_res = max(g_res, float(flow.distance(np.atleast_2d(lhs) if flow.dim > 1 else np.atleast_1d(lhs),
-                                               np.atleast_2d(rhs) if flow.dim > 1 else np.atleast_1d(rhs)).max()))
+        g_res = max(g_res, float(flow.distance(lhs, rhs).max()))
         rho_sum = flow.rn_derivative(t1 + t2, points)
         rho_chain = flow.rn_derivative(t1, points) * flow.rn_derivative(t2, flow.apply(t1, points))
         c_res = max(c_res, float(np.max(np.abs(rho_sum - rho_chain) / np.maximum(np.abs(rho_sum), 1e-300))))

@@ -24,7 +24,7 @@ def spec_from_dict(doc) -> K.Kernel:
 
 
 def load_spec(path: str) -> K.Kernel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
 
 
@@ -36,7 +36,7 @@ def spec_digest(descriptor: dict) -> str:
 def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> None:
     """CSV with header time,path_0,... and round-trip decimal formatting."""
     n_paths = values.shape[0]
-    fh.write("time," + ",".join(f"path_{i}" for i in range(n_paths)) + "\n")
+    fh.write(",".join(["time", *(f"path_{i}" for i in range(n_paths))]) + "\n")
     for j, t in enumerate(times):
         row = [repr(float(t))] + [repr(float(values[i, j])) for i in range(n_paths)]
         fh.write(",".join(row) + "\n")

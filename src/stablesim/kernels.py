@@ -811,6 +811,8 @@ def region_map(alpha: float, a_values: Sequence[float], b_values: Sequence[float
     Points within ``margin`` of any region boundary line are reported but
     excluded from the agreement score.
     """
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be a finite number >= 0, got {margin}")
     a_values = tuple(float(x) for x in a_values)
     b_values = tuple(float(x) for x in b_values)
     verdicts = np.empty((len(a_values), len(b_values)), dtype=object)

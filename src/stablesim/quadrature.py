@@ -92,11 +92,6 @@ def graded_edges(lo: float, hi: float, n: int, power: float = 3.0,
     return lo + (hi - lo) * u
 
 
-def log_edges(lo: float, hi: float, n: int) -> np.ndarray:
-    """Geometric cell edges on [lo, hi], 0 < lo < hi."""
-    return np.geomspace(lo, hi, n + 1)
-
-
 def cells_from_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint nodes and Lebesgue widths of the partition given by ``edges``."""
     mids = 0.5 * (edges[1:] + edges[:-1])
@@ -135,10 +130,9 @@ def subdivided_power_cells(lo: float, hi: float, n_per_decade: int, exponent: fl
     return nodes, sub_masses
 
 
-def shift_partition(breakpoints, level: int, *, base_nodes: int = 8, power: float = 3.0,
+def shift_partition(breakpoints, level: int, *, base_nodes: int = 8,
                     tail_reach: float = 1e3, tail_growth: float = 10.0,
-                    nodes_per_decade: int = 8, left_tail: bool = True,
-                    right_tail: bool = True) -> np.ndarray:
+                    nodes_per_decade: int = 8) -> np.ndarray:
     """Edges of a partition of an interval of the real shift coordinate.
 
     Panels between consecutive breakpoints are power-graded toward both ends
@@ -153,20 +147,16 @@ def shift_partition(breakpoints, level: int, *, base_nodes: int = 8, power: floa
     span = max(bp[-1] - bp[0], 1.0)
     pad = span
     reach = tail_reach * tail_growth ** level
-    pieces = []
-    if left_tail:
-        lo = bp[0] - reach
-        ndec = max(2, int(np.ceil(np.log10(reach / pad) * (nodes_per_decade + 2 * level))))
-        pieces.append(bp[0] - np.geomspace(reach, pad, ndec + 1))
-    pieces.append(graded_edges(bp[0] - pad, bp[0], n, power, grade_lo=False))
+    ndec = max(2, int(np.ceil(np.log10(reach / pad) * (nodes_per_decade + 2 * level))))
+    power = 3.0
+    pieces = [bp[0] - np.geomspace(reach, pad, ndec + 1),
+              graded_edges(bp[0] - pad, bp[0], n, power, grade_lo=False)]
     for a, b in zip(bp[:-1], bp[1:]):
         if b - a < 1e-14 * span:
             continue
         pieces.append(graded_edges(a, b, n, power)[1:])
     pieces.append(graded_edges(bp[-1], bp[-1] + pad, n, power, grade_hi=False)[1:])
-    if right_tail:
-        ndec = max(2, int(np.ceil(np.log10(reach / pad) * (nodes_per_decade + 2 * level))))
-        pieces.append((bp[-1] + np.geomspace(pad, reach, ndec + 1))[1:])
+    pieces.append((bp[-1] + np.geomspace(pad, reach, ndec + 1))[1:])
     return np.concatenate(pieces)
 
 

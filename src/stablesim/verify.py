@@ -269,6 +269,12 @@ def check_kernel_identity(fixture: KernelIdentityFixture, tol: float = 1e-10) ->
 # Monte Carlo distribution check
 # ---------------------------------------------------------------------------
 
+def _require_paths(ensemble: PathEnsemble) -> None:
+    """Reject an empty ensemble, whose CLT tolerance 1/sqrt(n_paths) is undefined."""
+    if ensemble.n_paths < 1:
+        raise ValueError(f"a Monte Carlo check needs n_paths >= 1, got {ensemble.n_paths}")
+
+
 def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
                           tol: float | None = None, level: int = 2) -> VerificationReport:
     """Max over probes of |empirical CF - exp(-sigma^alpha)|.
@@ -276,6 +282,7 @@ def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
     Default tolerance is the CLT scale 3/sqrt(n_paths) plus a 2% allowance
     for cell discretization bias.
     """
+    _require_paths(ensemble)
     combos = combos or default_probes()
     tol = tol if tol is not None else 3.0 / math.sqrt(ensemble.n_paths) + 0.02
     batch = cf_exponents(kernel, combos, level)
@@ -296,6 +303,7 @@ def mc_stationary_increments(ensemble: PathEnsemble, combos=None,
     unshifted one; all probe times (shifted and base) must lie on the
     ensemble grid.  Default tolerance is twice the CLT scale.
     """
+    _require_paths(ensemble)
     combos = combos or (combo((1.0, 1.0)), combo((0.7, 0.5), (-0.7, 1.5)))
     tol = tol if tol is not None else 6.0 / math.sqrt(ensemble.n_paths) + 0.02
     residuals = []

@@ -71,6 +71,15 @@ class TestEnsembleCsv:
         assert np.array_equal(times, ens.times)
         assert np.array_equal(values, ens.values)
 
+    def test_zero_path_round_trip(self):
+        buf = io.StringIO()
+        sio.write_ensemble_csv(buf, np.array([0.5, 1.0, 2.0]), np.empty((0, 3)))
+        assert buf.getvalue().splitlines()[0] == "time"
+        buf.seek(0)
+        times, values = sio.read_ensemble_csv(buf)
+        assert np.array_equal(times, [0.5, 1.0, 2.0])
+        assert values.shape == (0, 3)
+
     def test_header_checked(self):
         with pytest.raises(ValueError):
             sio.read_ensemble_csv(io.StringIO("a,b\n1,2\n"))
@@ -115,6 +124,8 @@ def specdir(tmp_path):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{")
+    paths["not_utf8"] = str(tmp_path / "not_utf8.json")
     paths["dir"] = tmp_path
     return paths
 
@@ -151,7 +162,8 @@ class TestCli:
         (["--t", "1:0:5"], "strictly increasing"),
         (["--t", "0:1:5", "--n-paths", "-3"], "n_paths"),
         (["--t", "0:1:5", "--threads", "0"], "threads"),
-    ], ids=["t-bad", "t-reversed", "n-paths-negative", "threads-zero"])
+        (["--t", "0:1:5", "--level", "-1"], "level"),
+    ], ids=["t-bad", "t-reversed", "n-paths-negative", "threads-zero", "level-negative"])
     def test_simulate_bad_arguments_exit_2(self, specdir, capsys, args, message):
         out = specdir["dir"] / "x.csv"
         rc = main(["simulate", "--spec", specdir["lfsm"], *args, "--out", str(out)])
@@ -166,8 +178,12 @@ class TestCli:
         (["classify", "--flow", "translation", "--alpha", "0"], "--alpha"),
         (["region", "--alpha", "3", "--a", "0.3:0.7:3", "--b", "0.2:0.9:3"], "--alpha"),
         (["region", "--alpha", "1.5", "--a", "0:1:0", "--b", "0.2:0.9:3"], "bad grid spec"),
+        (["region", "--alpha", "1.5", "--a", "0.3:0.7:3", "--b", "0.2:0.9:3",
+          "--margin", "nan"], "margin"),
+        (["region", "--alpha", "1.5", "--a", "0.3:0.7:3", "--b", "0.2:0.9:3",
+          "--margin", "inf"], "margin"),
     ], ids=["classify-zero-points", "classify-negative-points", "classify-alpha-0",
-            "region-alpha-3", "region-empty-grid"])
+            "region-alpha-3", "region-empty-grid", "region-margin-nan", "region-margin-inf"])
     def test_bad_classify_and_region_arguments_exit_2(self, specdir, capsys, args, message):
         out = specdir["dir"] / "o.out"
         rc = main([*args, "--out", str(out)])
@@ -175,6 +191,32 @@ class TestCli:
         assert rc == 2
         assert message in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, spec, args, message", [
+        ("simulate", "not_utf8", ["--t", "0:1:5"], "can't decode"),
+        ("verify", "not_utf8", [], "can't decode"),
+        ("verify", "lfsm", ["--checks", "mc", "--n-paths", "0"], "n_paths"),
+    ], ids=["simulate-not-utf8", "verify-not-utf8", "verify-mc-zero-paths"])
+    def test_bad_spec_file_and_verify_arguments_exit_2(self, specdir, capsys,
+                                                       command, spec, args, message):
+        out = specdir["dir"] / "o.out"
+        rc = main([command, "--spec", specdir[spec], *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--spec", "{lfsm}", "--t", "0:1:5", "--out", "{dir}/missing/x.csv"],
+        ["region", "--alpha", "1.5", "--a", "0.3:0.7:3", "--b", "0.2:0.9:3",
+         "--out", "{dir}/missing/r.csv"],
+        ["transform", "--input", "{dir}/nope.csv", "--op", "masani-inverse",
+         "--out", "{dir}/o.csv"],
+    ], ids=["simulate-unwritable", "region-unwritable", "transform-missing-input"])
+    def test_io_failure_exit_3(self, specdir, capsys, args):
+        argv = [a.format(lfsm=specdir["lfsm"], dir=specdir["dir"]) for a in args]
+        assert main(argv) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_missing_file_exit_3(self, specdir):
         rc = main(["simulate", "--spec", str(specdir["dir"] / "nope.json"),
