@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .core import simulate
+from .core import philox, simulate
 from .flows import hopf_classify, rotation_flow, translation_flow
 from .kernels import InvalidSpecError, RotatingAverage, region_map, validate
 from .transforms import (
@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+    rng = np.random.Generator(philox(args.seed))
     if args.flow == "rotation":
         flow = rotation_flow()
         g0 = lambda pts: np.cos(np.atleast_2d(pts)[:, 0])
@@ -136,6 +136,8 @@ def cmd_region(args) -> int:
     a_vals = _parse_grid(args.a)
     b_vals = _parse_grid(args.b)
     rm = region_map(args.alpha, a_vals, b_vals, margin=args.margin)
+    if not rm.scored.any():
+        raise ValueError(f"--margin {args.margin:g} leaves no grid point to score")
     with open(args.out, "w") as fh:
         fh.write("a,b,verdict,value\n")
         for i, a in enumerate(rm.a_values):

@@ -71,10 +71,19 @@ def combo(*terms: tuple[float, float]) -> LinearCombo:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_sas_from(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
-    u = (gen.random(n) - 0.5) * np.pi     # uniform on (-pi/2, pi/2)
-    w = gen.standard_exponential(n)
-    np.maximum(w, 1e-300, out=w)
+def philox(seed: int) -> np.random.Philox:
+    """The Philox bit generator keyed by ``seed``, which must lie in [0, 2^64)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Philox(key=np.uint64(seed))
+
+
+def _cms(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+    """Chambers-Mallows-Stuck transform of uniforms u on [0, 1) and standard
+    exponentials w into standard SaS variables.  Elementwise, so a subset of
+    the inputs gives the same values as the matching subset of the output."""
+    u = (u - 0.5) * np.pi     # uniform on (-pi/2, pi/2)
+    w = np.maximum(w, 1e-300)
     if alpha == 1.0:
         return np.tan(u)
     su = np.sin(alpha * u)
@@ -93,8 +102,9 @@ def sample_standard_sas(law: StableLaw | float, n: int, seed: int) -> np.ndarray
     alpha = law.alpha if isinstance(law, StableLaw) else StableLaw(float(law)).alpha
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return _sample_sas_from(gen, alpha, int(n))
+    gen = np.random.Generator(philox(seed))
+    n = int(n)
+    return _cms(gen.random(n), gen.standard_exponential(n), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +254,6 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
-def _path_draws(base: np.random.Philox, path_index: int, alpha: float, n_cells: int) -> np.ndarray:
-    gen = np.random.Generator(base.jumped(path_index))
-    return _sample_sas_from(gen, alpha, n_cells)
-
-
 def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
              level: int = 1, threads: int = 1) -> PathEnsemble:
     """Simulate sample paths of the kernel's process on a time grid.
@@ -258,6 +263,14 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     S_cell drawn from a per-path counter-based stream; the joint CF of the
     output converges to exp(-cf_exponent) as n_paths grows and the cell grid
     refines.  Row i depends only on (seed, i), never on thread scheduling.
+
+    Path i takes one uniform and one exponential per cell from
+    ``philox(seed).jumped(i)``.  Cells whose weighted kernel is 0 at every
+    grid time are dead: they still consume their draws, so every live cell
+    keeps the draw it would have without pruning, but are not transformed
+    or summed.  Each chunk of ``_PATH_CHUNK`` paths is reduced by one matrix
+    product of fixed shape, zero-padded past the last path, so a row's
+    arithmetic does not depend on n_paths or on the worker count.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
@@ -268,25 +281,32 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
         raise ValueError(f"threads must be at least 1, got {threads}")
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
+    base = philox(seed)
     grid = RandomMeasureGrid(*kernel.sim_grid(float(t[0]), float(t[-1]), level))
     weights = grid.masses ** (1.0 / kernel.alpha)
     kmat = np.empty((t.size, weights.size))
     for j, tj in enumerate(t):
         kmat[j] = kernel.eval(float(tj), grid.points)
     kmat *= weights[None, :]
+    live = np.any(kmat != 0.0, axis=0)
+    kT = np.ascontiguousarray(kmat[:, live].T)    # (n_live, n_times)
+    del kmat
 
-    base = np.random.Philox(key=np.uint64(seed))
     values = np.empty((int(n_paths), t.size))
     chunks = [(lo, min(lo + _PATH_CHUNK, int(n_paths)))
               for lo in range(0, int(n_paths), _PATH_CHUNK)]
 
     def fill(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        S = np.empty((hi - lo, weights.size))
+        S = np.zeros((_PATH_CHUNK, kT.shape[0]))
         for i in range(lo, hi):
-            S[i - lo] = _path_draws(base, i, kernel.alpha, weights.size)
-        # einsum without optimization keeps the reduction order fixed
-        values[lo:hi] = np.einsum("pc,tc->pt", S, kmat, optimize=False)
+            gen = np.random.Generator(base.jumped(i))
+            u = gen.random(live.size)
+            w = gen.standard_exponential(live.size)
+            S[i - lo] = _cms(u[live], w[live], kernel.alpha)
+        # always the full chunk shape: a product with fewer rows may take
+        # another BLAS kernel (one row goes through gemv) and round differently
+        values[lo:hi] = (S @ kT)[:hi - lo]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -163,7 +163,10 @@ class TestCli:
         (["--t", "0:1:5", "--n-paths", "-3"], "n_paths"),
         (["--t", "0:1:5", "--threads", "0"], "threads"),
         (["--t", "0:1:5", "--level", "-1"], "level"),
-    ], ids=["t-bad", "t-reversed", "n-paths-negative", "threads-zero", "level-negative"])
+        (["--t", "0:1:5", "--seed", "-1"], "seed"),
+        (["--t", "0:1:5", "--seed", str(2 ** 64)], "seed"),
+    ], ids=["t-bad", "t-reversed", "n-paths-negative", "threads-zero", "level-negative",
+            "seed-negative", "seed-too-large"])
     def test_simulate_bad_arguments_exit_2(self, specdir, capsys, args, message):
         out = specdir["dir"] / "x.csv"
         rc = main(["simulate", "--spec", specdir["lfsm"], *args, "--out", str(out)])
@@ -182,8 +185,13 @@ class TestCli:
           "--margin", "nan"], "margin"),
         (["region", "--alpha", "1.5", "--a", "0.3:0.7:3", "--b", "0.2:0.9:3",
           "--margin", "inf"], "margin"),
+        (["region", "--alpha", "1.5", "--a", "0.3:0.7:3", "--b", "0.2:0.9:3",
+          "--margin", "10"], "no grid point to score"),
+        (["classify", "--flow", "rotation", "--seed", "-1"], "seed"),
+        (["classify", "--flow", "rotation", "--seed", str(2 ** 64)], "seed"),
     ], ids=["classify-zero-points", "classify-negative-points", "classify-alpha-0",
-            "region-alpha-3", "region-empty-grid", "region-margin-nan", "region-margin-inf"])
+            "region-alpha-3", "region-empty-grid", "region-margin-nan", "region-margin-inf",
+            "region-nothing-scored", "classify-seed-negative", "classify-seed-too-large"])
     def test_bad_classify_and_region_arguments_exit_2(self, specdir, capsys, args, message):
         out = specdir["dir"] / "o.out"
         rc = main([*args, "--out", str(out)])
@@ -196,7 +204,9 @@ class TestCli:
         ("simulate", "not_utf8", ["--t", "0:1:5"], "can't decode"),
         ("verify", "not_utf8", [], "can't decode"),
         ("verify", "lfsm", ["--checks", "mc", "--n-paths", "0"], "n_paths"),
-    ], ids=["simulate-not-utf8", "verify-not-utf8", "verify-mc-zero-paths"])
+        ("verify", "lfsm", ["--checks", "mc", "--seed", "-1"], "seed"),
+    ], ids=["simulate-not-utf8", "verify-not-utf8", "verify-mc-zero-paths",
+            "verify-mc-seed-negative"])
     def test_bad_spec_file_and_verify_arguments_exit_2(self, specdir, capsys,
                                                        command, spec, args, message):
         out = specdir["dir"] / "o.out"

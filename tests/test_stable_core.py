@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesim as ss
+from stablesim.core import _cms
 from stablesim.transforms import increment_process
 from stablesim.verify import default_probes
 
@@ -46,6 +47,14 @@ class TestSampler:
             ss.sample_standard_sas(0.0, 10, seed=0)
         with pytest.raises(ValueError):
             ss.sample_standard_sas(1.5, 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        k = ss.build(ss.LinearMotion(1.5))
+        with pytest.raises(ValueError, match="seed"):
+            ss.simulate(k, [1.0], 5, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            ss.sample_standard_sas(1.5, 5, seed=seed)
 
 
 class TestCfExponent:
@@ -177,6 +186,52 @@ class TestSimulate:
         k = ss.build(ss.LinearMotion(1.5))
         with pytest.raises(ValueError):
             ss.simulate(k, [1.0, 1.0], 5, seed=0)
+
+
+PRUNED_SPECS = (ss.Chentsov(1.25, 0.5), ss.TruncatedFractional(1.5, 0.5, 0.5),
+                ss.Lfsm(1.5, 0.7))
+PRUNED_TIMES = [0.5, 1.0, 2.0]
+
+
+class TestPrunedSimulation:
+    """Dead cells (kernel 0 at every grid time) are skipped after their draws;
+    each path chunk is reduced by one fixed-shape matrix product."""
+
+    @pytest.mark.parametrize("spec", PRUNED_SPECS, ids=lambda s: s.label)
+    def test_row_independent_of_n_paths(self, spec):
+        # 1 row is the gemv shape; 255/256/257 straddle the chunk edge
+        k = ss.build(spec)
+        full = ss.simulate(k, PRUNED_TIMES, 300, seed=13).values
+        for n in (1, 255, 256, 257):
+            assert np.array_equal(ss.simulate(k, PRUNED_TIMES, n, seed=13).values, full[:n])
+
+    @pytest.mark.parametrize("spec", PRUNED_SPECS, ids=lambda s: s.label)
+    def test_thread_count_does_not_change_bytes(self, spec):
+        k = ss.build(spec)
+        e1 = ss.simulate(k, PRUNED_TIMES, 300, seed=3, threads=1)
+        e2 = ss.simulate(k, PRUNED_TIMES, 300, seed=3, threads=2)
+        assert e1.values.tobytes() == e2.values.tobytes()
+
+    @pytest.mark.parametrize("spec", ss.catalog_specs(),
+                             ids=lambda s: f"{s.label}-{s.alpha}")
+    def test_matches_unpruned_reference(self, spec):
+        # reference: every cell transformed, reduced with einsum over all
+        # cells; pruning may only drop zero columns and must keep each live
+        # cell's draw, so the two differ by reduction rounding alone
+        times = sorted({t for c in default_probes() for t in c.times})
+        seed, n_paths = 17, 7
+        k = ss.build(spec)
+        pts, masses = k.sim_grid(times[0], times[-1], 1)
+        kmat = np.array([k.eval(t, pts) for t in times]) * masses ** (1.0 / k.alpha)
+        base = np.random.Philox(key=np.uint64(seed))
+        draws = []
+        for i in range(n_paths):
+            gen = np.random.Generator(base.jumped(i))
+            u = gen.random(masses.size)
+            draws.append(_cms(u, gen.standard_exponential(masses.size), k.alpha))
+        ref = np.einsum("pc,tc->pt", np.array(draws), kmat, optimize=False)
+        got = ss.simulate(k, times, n_paths, seed=seed).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestEmpiricalCf:
