@@ -6,8 +6,6 @@ from .core import (
     CfExponent,
     LinearCombo,
     PathEnsemble,
-    RandomMeasureGrid,
-    StableLaw,
     cf_exponent,
     cf_exponents,
     combo,

@@ -34,8 +34,16 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("STABLESIM_SEED", "0"))
+def _seed(given: int | None) -> int:
+    """--seed, else $STABLESIM_SEED, else 0.  Checked by ``philox`` for every
+    command that takes a seed, also one whose checks draw nothing."""
+    text = os.environ.get("STABLESIM_SEED", "0")
+    try:
+        seed = int(text) if given is None else given
+    except ValueError:
+        raise ValueError(f"STABLESIM_SEED must be an integer, got {text!r}") from None
+    philox(seed)
+    return seed
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", required=True, help="family spec JSON file")
     sp.add_argument("--n-paths", type=int, default=100)
     sp.add_argument("--t", required=True, help="time grid lo:hi:n (append g for geometric)")
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--level", type=int, default=1, help="cell-grid refinement level")
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", required=True, help="ensemble CSV path")
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--checks", default="si,ss",
                     help="comma list from si,ss,scaling,mc,kernel-identity")
     vp.add_argument("--n-paths", type=int, default=2000)
-    vp.add_argument("--seed", type=int, default=_default_seed())
+    vp.add_argument("--seed", type=int)
     vp.add_argument("--out", help="JSON report path")
     vp.set_defaults(fn=cmd_verify)
 
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--flow", required=True, choices=["rotation", "translation"])
     cp.add_argument("--alpha", type=float, default=1.5)
     cp.add_argument("--n-points", type=int, default=40)
-    cp.add_argument("--seed", type=int, default=_default_seed())
+    cp.add_argument("--seed", type=int)
     cp.add_argument("--out", help="JSON verdict path")
     cp.set_defaults(fn=cmd_classify)
 
@@ -290,6 +298,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_glue_negative_grids(list(argv)))
     try:
+        if "seed" in args:
+            args.seed = _seed(args.seed)
         return args.fn(args)
     except OSError as exc:
         print(f"stablesim {args.command}: {exc}", file=sys.stderr)

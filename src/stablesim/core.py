@@ -24,17 +24,6 @@ _PATH_CHUNK = 256  # fixed so that results cannot depend on the worker count
 
 
 @dataclass(frozen=True)
-class StableLaw:
-    """Symmetric alpha-stable law with unit scale, CF exp(-|theta|^alpha)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class LinearCombo:
     """Finite probe sum_j theta_j X_{t_j} for joint characteristic functions."""
 
@@ -50,9 +39,6 @@ class LinearCombo:
 
     def scaled_times(self, c: float) -> "LinearCombo":
         return LinearCombo(tuple((th, c * t) for th, t in self.terms))
-
-    def scaled_thetas(self, c: float) -> "LinearCombo":
-        return LinearCombo(tuple((c * th, t) for th, t in self.terms))
 
     def shifted_increments(self, h: float) -> "LinearCombo":
         """Probe of sum_j theta_j (X_{t_j + h} - X_h), the h-shifted increment combo."""
@@ -93,13 +79,15 @@ def _cms(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
     return t1 * t2
 
 
-def sample_standard_sas(law: StableLaw | float, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. standard SaS variables, deterministic in (seed, n).
+def sample_standard_sas(alpha: float, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. standard SaS variables (CF exp(-|theta|^alpha)),
+    deterministic in (seed, n).
 
     For alpha = 2 the output is centered Gaussian with variance 2; for
     alpha = 1 it is standard Cauchy.
     """
-    alpha = law.alpha if isinstance(law, StableLaw) else StableLaw(float(law)).alpha
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = np.random.Generator(philox(seed))
@@ -205,30 +193,6 @@ def cf_exponent(kernel: Kernel, combo: LinearCombo, policy: QuadraturePolicy | N
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RandomMeasureGrid:
-    """Discretization of the random measure: disjoint cells with their masses.
-
-    ``points`` holds one representative per cell (scalar shift, or a
-    (radial, shift) pair for two-coordinate state spaces); ``masses`` the
-    control-measure content of each cell.
-    """
-
-    points: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
-        if m.ndim != 1 or len(m) != len(self.points):
-            raise ValueError("one mass per cell")
-        if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-            raise ValueError("cell masses must be nonnegative and finite")
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Seeded matrix of sample paths on a fixed time grid."""
 
@@ -264,13 +228,16 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     output converges to exp(-cf_exponent) as n_paths grows and the cell grid
     refines.  Row i depends only on (seed, i), never on thread scheduling.
 
-    Path i takes one uniform and one exponential per cell from
-    ``philox(seed).jumped(i)``.  Cells whose weighted kernel is 0 at every
-    grid time are dead: they still consume their draws, so every live cell
-    keeps the draw it would have without pruning, but are not transformed
-    or summed.  Each chunk of ``_PATH_CHUNK`` paths is reduced by one matrix
+    The cells are ``kernel.sim_cells`` over the window of the grid.  Each
+    K(t_j, .) is evaluated on their factored points and raveled, with the
+    masses, in C order: the cell order of ``kernel.sim_grid``.  Path i takes
+    one uniform and one exponential per cell from ``philox(seed).jumped(i)``.
+    Cells whose weighted kernel is 0 at every grid time are dead: they still
+    consume their draws, so every live cell keeps the draw it would have
+    without pruning, but are not transformed or summed.  Each chunk of ``_PATH_CHUNK`` paths is reduced by one matrix
     product of fixed shape, zero-padded past the last path, so a row's
-    arithmetic does not depend on n_paths or on the worker count.
+    arithmetic does not depend on n_paths or on the worker count.  The
+    chunks run on a pool of ``threads`` workers.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
@@ -282,11 +249,11 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     base = philox(seed)
-    grid = RandomMeasureGrid(*kernel.sim_grid(float(t[0]), float(t[-1]), level))
-    weights = grid.masses ** (1.0 / kernel.alpha)
+    points, masses = kernel.sim_cells(float(t[0]), float(t[-1]), level)
+    weights = masses.ravel() ** (1.0 / kernel.alpha)
     kmat = np.empty((t.size, weights.size))
     for j, tj in enumerate(t):
-        kmat[j] = kernel.eval(float(tj), grid.points)
+        kmat[j] = kernel.eval(float(tj), points).ravel()
     kmat *= weights[None, :]
     live = np.any(kmat != 0.0, axis=0)
     kT = np.ascontiguousarray(kmat[:, live].T)    # (n_live, n_times)
@@ -308,12 +275,8 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
         # another BLAS kernel (one row goes through gemv) and round differently
         values[lo:hi] = (S @ kT)[:hi - lo]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(fill, chunks))
-    else:
-        for ch in chunks:
-            fill(ch)
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        list(ex.map(fill, chunks))
 
     return PathEnsemble(t, values, int(seed), spec_digest(kernel.to_doc()))
 

@@ -242,12 +242,12 @@ def _orbit_integral_increment(flow: FlowSpec, g0, alpha: float, point: np.ndarra
 
 def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray,
                   schedule: Sequence[float] = (4.0, 8.0, 16.0, 32.0, 64.0),
-                  rtol: float = 1e-3, r2_threshold: float = 0.99) -> HopfVerdict:
+                  rtol: float = 1e-3) -> HopfVerdict:
     """Classify points by the truncated orbit integral of |g0 o phi_t|^alpha rho_t.
 
     Dissipative when the integral stabilizes under doubling of the time
     window, conservative when it grows linearly in the window (R^2 above
-    threshold for periodic orbit integrands), undecided otherwise.
+    0.99 for periodic orbit integrands), undecided otherwise.
     """
     pts = np.atleast_2d(points) if flow.dim > 1 else np.atleast_1d(points)
     n_points = len(pts)
@@ -287,7 +287,7 @@ def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray,
         ss_tot = float(np.sum((y - y.mean()) ** 2))
         r2 = 1.0 - ss_res / max(ss_tot, 1e-300)
         grew = vals[-1] > 1.5 * vals[0]
-        if r2 > r2_threshold and slope > 0 and grew:
+        if r2 > 0.99 and slope > 0 and grew:
             verdicts.append("conservative")
         else:
             verdicts.append("undecided")

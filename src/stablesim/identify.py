@@ -39,19 +39,22 @@ def _alpha_norm(b1: float, b2: float, alpha: float) -> float:
     return (abs(b1) ** alpha + abs(b2) ** alpha) ** (1.0 / alpha)
 
 
-def _merge_atoms(atoms: list[tuple[tuple[float, float], float]],
-                 angle_tol: float = 1e-9) -> tuple[tuple[tuple[float, float], float], ...]:
+_ANGLE_TOL = 1e-9  # sphere directions closer than this (radians) are one atom
+
+
+def _merge_atoms(atoms: list[tuple[tuple[float, float], float]]
+                 ) -> tuple[tuple[tuple[float, float], float], ...]:
     if not atoms:
         return ()
     angled = sorted((math.atan2(o[1], o[0]) % TWO_PI, o, w) for o, w in atoms)
     merged: list[list] = []
     for ang, o, w in angled:
-        if merged and abs(ang - merged[-1][0]) <= angle_tol:
+        if merged and abs(ang - merged[-1][0]) <= _ANGLE_TOL:
             merged[-1][2] += w
         else:
             merged.append([ang, o, w])
     # wraparound: 0 and 2pi are the same direction
-    if len(merged) > 1 and abs(merged[-1][0] - TWO_PI - merged[0][0]) <= angle_tol:
+    if len(merged) > 1 and abs(merged[-1][0] - TWO_PI - merged[0][0]) <= _ANGLE_TOL:
         merged[0][2] += merged.pop()[2]
     return tuple(((o[0], o[1]), w) for _, o, w in merged)
 

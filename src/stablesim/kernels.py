@@ -7,10 +7,17 @@ with X_0 = 0 (Samorodnitsky & Taqqu, 1994).  A family is one frozen
 dataclass deriving from ``Kernel``: its fields are the parameters, and it
 carries the admissibility inequalities (``violations``), the Hurst exponent,
 the kernel (``eval``), the control-measure discretizations used for
-quadrature (``cf_cells``) and path simulation (``sim_grid``), its JSON
+quadrature (``cf_cells``) and path simulation (``sim_cells``), its JSON
 document (``to_doc`` / ``from_doc``) and, where the family declares them,
 the scaling maps of its lag kernel.  ``FAMILIES`` registers every family by
 name.
+
+Both discretizations share one cell layout.  On the shift families the
+points are an array of shifts.  Every two-coordinate family is a mixed
+moving average over (radial or atom coordinate, shift), so its cells are a
+product and its points a pair of coordinate arrays that broadcast to the
+2-d mass array.  ``cf_grid`` and ``sim_grid`` are the same cells flattened
+to one point and one mass per cell, in C order.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from typing import ClassVar, Iterator, Sequence
 import numpy as np
 
 from .quadrature import (
-    QuadraturePolicy,
     cells_from_edges,
     pairwise_sum,
     power_law_cells,
@@ -76,7 +82,7 @@ class Admissibility:
 
 class Kernel(ABC):
     """Increment kernel K(t, u) of a family paired with control-measure
-    discretizations.  Points u are scalar shifts, or rows (radial, shift) on
+    discretizations.  Points u are scalar shifts, or (radial, shift) pairs on
     two-coordinate state spaces."""
 
     label: ClassVar[str]  # family name: the "family" of its JSON document
@@ -93,8 +99,10 @@ class Kernel(ABC):
 
     @abstractmethod
     def eval(self, t: float, points) -> np.ndarray:
-        """K(t, point) for every point: the points of ``cf_grid`` or
-        ``sim_grid``, or the coordinate arrays of ``cf_cells``."""
+        """K(t, point) for every point.  ``points`` is either the points of
+        ``cf_cells`` / ``sim_cells`` (on two-coordinate spaces a broadcastable
+        coordinate pair, and the result has the shape of the masses) or the
+        flat points of ``cf_grid`` / ``sim_grid`` (one value per row)."""
 
     @abstractmethod
     def cf_cells(self, times: Sequence[float], level: int) -> tuple:
@@ -115,10 +123,18 @@ class Kernel(ABC):
         return frozenset(times)
 
     @abstractmethod
+    def sim_cells(self, t_lo: float, t_hi: float, level: int) -> tuple:
+        """Simulation cells (points, masses) covering the time window
+        [min(t_lo, 0), max(t_hi, 0)], in the layout of ``cf_cells``.  They
+        depend on that window and the level only, so ensembles of one seed
+        whose time grids span the same window share one random measure
+        realization."""
+
     def sim_grid(self, t_lo: float, t_hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Absolute cells (points, masses) covering a time window, reused across
-        path simulations so that ensembles on nested time grids share one
-        random measure realization."""
+        """The cells of ``sim_cells`` flattened: one point (scalar shift or
+        (radial, shift) row) and one mass per cell, in the cell order of
+        ``core.simulate``."""
+        return _flat_cells(*self.sim_cells(t_lo, t_hi, level))
 
     def scaling_maps(self) -> tuple | None:
         """Declared scaling maps (xs, radial_exponent, beta1, beta2) of the lag
@@ -223,14 +239,16 @@ def _coords(points):
 
 
 def _product_cells(radial: tuple[np.ndarray, np.ndarray], shift_edges: np.ndarray):
-    """Product of radial cells and shift cells in the factored layout of ``cf_cells``."""
+    """Product of radial cells and shift cells in the factored layout of
+    ``cf_cells`` and ``sim_cells``."""
     r_nodes, r_mass = radial
     s_nodes, s_w = cells_from_edges(shift_edges)
     return (r_nodes[:, None], s_nodes[None, :]), np.multiply.outer(r_mass, s_w)
 
 
 def _flat_cells(points, masses) -> tuple[np.ndarray, np.ndarray]:
-    """Cells with one point (scalar, or a row per coordinate pair) and one mass each."""
+    """Cells with one point (scalar, or a row per coordinate pair) and one mass
+    each; a 2-d mass array is raveled in C order."""
     if not isinstance(points, tuple):
         return points, masses
     return (np.column_stack([np.broadcast_to(c, masses.shape).ravel() for c in points]),
@@ -248,7 +266,7 @@ class _ShiftFamily(Kernel):
     def cf_cells(self, times, level):
         return cells_from_edges(_shift_cf_edges(times, level))
 
-    def sim_grid(self, t_lo, t_hi, level):
+    def sim_cells(self, t_lo, t_hi, level):
         return cells_from_edges(_shift_sim_edges(t_lo, t_hi, level))
 
 
@@ -334,7 +352,7 @@ class LogFractional(_ShiftFamily):
         return out
 
 
-# -- two-coordinate families: points are rows (radial or atom index, shift) -
+# -- two-coordinate families: points are (radial or atom index, shift) ------
 
 @dataclass(frozen=True)
 class MixedLfsm(Kernel):
@@ -377,8 +395,8 @@ class MixedLfsm(Kernel):
     def cf_cells(self, times, level):
         return self._atom_cells(_shift_cf_edges(times, level))
 
-    def sim_grid(self, t_lo, t_hi, level):
-        return _flat_cells(*self._atom_cells(_shift_sim_edges(t_lo, t_hi, level)))
+    def sim_cells(self, t_lo, t_hi, level):
+        return self._atom_cells(_shift_sim_edges(t_lo, t_hi, level))
 
     def scaling_maps(self):
         return tuple(range(len(self.atoms))), None, self.hurst - 1.0 / self.alpha, 0.0
@@ -439,13 +457,13 @@ class TruncatedFractional(Kernel):
                                 nodes_per_decade=10)
         return _product_cells(radial, edges)
 
-    def sim_grid(self, t_lo, t_hi, level):
+    def sim_cells(self, t_lo, t_hi, level):
         p_hi = 1e4 * 10.0 ** level
         radial = power_law_cells(1e-4 * 0.1 ** level, p_hi, 8 + 2 * level, -1.0 - self.b)[:2]
         lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
         edges = shift_partition([lo, hi], level, base_nodes=64,
                                 tail_reach=4.0 * p_hi, tail_growth=1.0, nodes_per_decade=6)
-        return _flat_cells(*_product_cells(radial, edges))
+        return _product_cells(radial, edges)
 
     def scaling_maps(self):
         return tuple(np.geomspace(0.05, 20.0, 8)), -1.0 - self.b, self.a, -self.b
@@ -489,14 +507,14 @@ class Chentsov(Kernel):
         x_nodes, x_mass, _ = power_law_cells(x_lo, x_hi, 24, self.beta - 2.0)
         return _chentsov_cells(times, x_nodes, x_mass)
 
-    def sim_grid(self, t_lo, t_hi, level):
+    def sim_cells(self, t_lo, t_hi, level):
         scale = max(abs(t_lo), abs(t_hi), 1.0)
         x_nodes, x_mass, _ = power_law_cells(1e-6 * scale, 1e6 * scale, 12 + 4 * level,
                                              self.beta - 2.0)
         lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
         edges = shift_partition([lo, hi], level, base_nodes=48,
                                 tail_reach=4e6 * scale, tail_growth=1.0, nodes_per_decade=8)
-        return _flat_cells(*_product_cells((x_nodes, x_mass), edges))
+        return _product_cells((x_nodes, x_mass), edges)
 
     def scaling_maps(self):
         return tuple(np.geomspace(0.05, 20.0, 8)), self.beta - 2.0, 0.0, self.beta - 1.0
@@ -540,12 +558,12 @@ class RotatingAverage(Kernel):
         s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
         return _product_cells((x_nodes, x_mass), s_edges)
 
-    def sim_grid(self, t_lo, t_hi, level):
+    def sim_cells(self, t_lo, t_hi, level):
         x_nodes, x_mass, _ = power_law_cells(1e-4 * 0.1 ** level, 1e4 * 10.0 ** level,
                                              12 + 4 * level, -1.0 - self.beta)
         n_s = 64 * 2 ** level
         s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
-        return _flat_cells(*_product_cells((x_nodes, x_mass), s_edges))
+        return _product_cells((x_nodes, x_mass), s_edges)
 
     def to_doc(self):
         return {"family": self.label, "alpha": self.alpha, "beta": self.beta,
@@ -681,20 +699,21 @@ def _corner_partition(breaks: np.ndarray, inner: float, pad: float, reach: float
     return np.unique(np.fromiter(edges, dtype=float))
 
 
-def integral_I(alpha: float, a: float, b: float, t: float = 1.0,
-               policy: QuadraturePolicy | None = None,
-               ratio_band: float = 0.08) -> IntegralVerdict:
+_RATIO_BAND = 0.08  # per-decade mass ratios within 1 +- this are not decaying
+
+
+def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerdict:
     """Estimate the truncated-kernel well-posedness integral and classify it.
 
     The integrand is nonnegative, so truncated values are monotone in the
     domain; the classifier watches the outermost decades at each truncation
     frontier (radial low/high end and the far shift tail).  A frontier whose
     per-decade mass keeps growing marks divergence; decaying frontiers are
-    extrapolated geometrically into the reported value.
+    extrapolated geometrically into the reported value.  Levels 1 to 5 are
+    tried until two successive levels agree on "finite" or "divergent".
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    policy = policy or QuadraturePolicy()
     if a == 0.0:
         # kernel is an indicator of 0 < s < t times the full radial integral
         ratio = 10.0 ** b if b > 0 else (10.0 ** (-b) if b < 0 else 1.0)
@@ -703,7 +722,7 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0,
 
     trace: list[float] = []
     last = None
-    for level in range(policy.min_level, policy.max_level + 1):
+    for level in range(1, 6):
         p_lo = 1e-5 * 10.0 ** (-2 * level)
         p_hi = 1e5 * 10.0 ** (2 * level)
         p_nodes, p_mass, _ = power_law_cells(p_lo, p_hi, 10, -1.0 - b)
@@ -750,9 +769,9 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0,
         for name, r in frontier.items():
             if edge_mass[name] <= floor:
                 verdicts[name] = "finite"
-            elif r > 1.0 + ratio_band:
+            elif r > 1.0 + _RATIO_BAND:
                 verdicts[name] = "divergent"
-            elif r >= 1.0 - ratio_band:
+            elif r >= 1.0 - _RATIO_BAND:
                 # non-decaying frontier with non-negligible mass: logarithmic divergence
                 verdicts[name] = "divergent" if r >= 0.999 else "undecided"
             else:
@@ -804,8 +823,7 @@ def _boundary_distance(alpha: float, a: float, b: float) -> float:
 
 
 def region_map(alpha: float, a_values: Sequence[float], b_values: Sequence[float],
-               t: float = 1.0, margin: float = 0.05,
-               policy: QuadraturePolicy | None = None) -> RegionMap:
+               t: float = 1.0, margin: float = 0.05) -> RegionMap:
     """Classify the (a, b) grid by integral_I and score against the closed form.
 
     Points within ``margin`` of any region boundary line are reported but
@@ -823,7 +841,7 @@ def region_map(alpha: float, a_values: Sequence[float], b_values: Sequence[float
     n_scored = 0
     for i, a in enumerate(a_values):
         for j, b in enumerate(b_values):
-            res = integral_I(alpha, a, b, t=t, policy=policy)
+            res = integral_I(alpha, a, b, t=t)
             verdicts[i, j] = res.verdict
             values[i, j] = res.value
             expected[i, j] = truncated_region(alpha, a, b)

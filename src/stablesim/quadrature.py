@@ -70,7 +70,10 @@ def run_levels(eval_level: Callable[[int], float], policy: QuadraturePolicy) -> 
     return values[-1], Certificate(tuple(levels), tuple(values), "exhausted", policy.rtol)
 
 
-def graded_edges(lo: float, hi: float, n: int, power: float = 3.0,
+_GRADE_POWER = 3.0
+
+
+def graded_edges(lo: float, hi: float, n: int,
                  grade_lo: bool = True, grade_hi: bool = True) -> np.ndarray:
     """Cell edges on [lo, hi] clustered toward graded endpoints.
 
@@ -82,13 +85,13 @@ def graded_edges(lo: float, hi: float, n: int, power: float = 3.0,
     u = np.linspace(0.0, 1.0, n + 1)
     if grade_lo and grade_hi:
         mid = 0.5 * (lo + hi)
-        left = lo + (mid - lo) * u ** power
-        right = hi - (hi - mid) * u[::-1] ** power
+        left = lo + (mid - lo) * u ** _GRADE_POWER
+        right = hi - (hi - mid) * u[::-1] ** _GRADE_POWER
         return np.concatenate([left, right[1:]])
     if grade_lo:
-        return lo + (hi - lo) * u ** power
+        return lo + (hi - lo) * u ** _GRADE_POWER
     if grade_hi:
-        return hi - (hi - lo) * u[::-1] ** power
+        return hi - (hi - lo) * u[::-1] ** _GRADE_POWER
     return lo + (hi - lo) * u
 
 
@@ -148,14 +151,13 @@ def shift_partition(breakpoints, level: int, *, base_nodes: int = 8,
     pad = span
     reach = tail_reach * tail_growth ** level
     ndec = max(2, int(np.ceil(np.log10(reach / pad) * (nodes_per_decade + 2 * level))))
-    power = 3.0
     pieces = [bp[0] - np.geomspace(reach, pad, ndec + 1),
-              graded_edges(bp[0] - pad, bp[0], n, power, grade_lo=False)]
+              graded_edges(bp[0] - pad, bp[0], n, grade_lo=False)]
     for a, b in zip(bp[:-1], bp[1:]):
         if b - a < 1e-14 * span:
             continue
-        pieces.append(graded_edges(a, b, n, power)[1:])
-    pieces.append(graded_edges(bp[-1], bp[-1] + pad, n, power, grade_hi=False)[1:])
+        pieces.append(graded_edges(a, b, n)[1:])
+    pieces.append(graded_edges(bp[-1], bp[-1] + pad, n, grade_hi=False)[1:])
     pieces.append((bp[-1] + np.geomspace(pad, reach, ndec + 1))[1:])
     return np.concatenate(pieces)
 

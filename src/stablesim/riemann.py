@@ -9,6 +9,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import philox
+
 
 @dataclass(frozen=True)
 class ValueSpace:
@@ -22,9 +24,9 @@ def scalar_space() -> ValueSpace:
     return ValueSpace("scalar", lambda y: float(np.max(np.abs(np.atleast_1d(y)))))
 
 
-def ensemble_space(clip: float = 1.0) -> ValueSpace:
-    """F-norm E min(|Y|, clip) averaged over paths; metrizes convergence in probability."""
-    return ValueSpace("ensemble", lambda y: float(np.mean(np.minimum(np.abs(y), clip))))
+def ensemble_space() -> ValueSpace:
+    """F-norm E min(|Y|, 1) averaged over paths; metrizes convergence in probability."""
+    return ValueSpace("ensemble", lambda y: float(np.mean(np.minimum(np.abs(y), 1.0))))
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,9 @@ def _riemann_sum(curve: Curve, mult, a: float, b: float, n: int) -> np.ndarray:
 
 
 def integrate(curve: Curve, mult, interval: tuple[float, float], tol: float = 1e-8,
-              max_depth: int = 18, min_depth: int = 3) -> tuple[np.ndarray, ConvergenceCertificate]:
-    """Riemann integral over dyadic partitions until sums are F-norm Cauchy.
+              max_depth: int = 18) -> tuple[np.ndarray, ConvergenceCertificate]:
+    """Riemann integral over dyadic partitions, from 2**3 cells up, until
+    sums are F-norm Cauchy.
 
     Raises NotConvergedError with the certificate attached when the depth
     budget is exhausted before the Cauchy tolerance is met.
@@ -123,7 +126,7 @@ def integrate(curve: Curve, mult, interval: tuple[float, float], tol: float = 1e
     sizes: list[int] = []
     gaps: list[float] = []
     prev = None
-    for depth in range(min_depth, max_depth + 1):
+    for depth in range(3, max_depth + 1):
         n = 2 ** depth
         s = _riemann_sum(curve, mult, a, b, n)
         sizes.append(n)
@@ -176,13 +179,13 @@ class SemivariationEstimate:
 
 
 def semivariation(curve: Curve, delta: float, interval: tuple[float, float] = (0.0, 1.0),
-                  max_depth: int = 10, random_patterns: int = 8, seed: int = 0) -> SemivariationEstimate:
+                  max_depth: int = 10, seed: int = 0) -> SemivariationEstimate:
     """Lower-bound estimate of A(f, delta) = sup ||sum c_j (f(t_j)-f(t_j-1))||.
 
     For scalar curves the supremum over |c_j| <= delta is attained by
     c_j = delta * sign(increment), giving delta * total variation exactly on
     the sampled partition.  For vector values the search uses the
-    coordinate-optimal patterns plus seeded random sign patterns, so the
+    coordinate-optimal patterns plus 8 seeded random sign patterns, so the
     result is a certified lower bound.  Computed as delta times the unit
     pattern supremum, hence exactly homogeneous in delta.
     """
@@ -192,7 +195,7 @@ def semivariation(curve: Curve, delta: float, interval: tuple[float, float] = (0
     best_unit = 0.0
     sizes = []
     scalar = curve.space.label == "scalar"
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(philox(seed))
     for depth in range(2, max_depth + 1):
         n = 2 ** depth
         sizes.append(n)
@@ -205,7 +208,7 @@ def semivariation(curve: Curve, delta: float, interval: tuple[float, float] = (0
         else:
             flat = inc.reshape(n, -1)
             patterns = [np.sign(flat[:, k]) for k in range(min(flat.shape[1], 8))]
-            patterns.extend(rng.choice([-1.0, 1.0], size=(random_patterns, n)))
+            patterns.extend(rng.choice([-1.0, 1.0], size=(8, n)))
             for c in patterns:
                 c = np.where(c == 0.0, 1.0, c)
                 cand = curve.space.norm(np.tensordot(c, inc, axes=(0, 0)))

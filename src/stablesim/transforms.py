@@ -147,8 +147,8 @@ class IncrementProcess(Kernel):
     def cf_grid_key(self, times):
         return self.source.cf_grid_key(self._widened(times))
 
-    def sim_grid(self, t_lo, t_hi, level):
-        return self.source.sim_grid(t_lo, t_hi + self.lag, level)
+    def sim_cells(self, t_lo, t_hi, level):
+        return self.source.sim_cells(t_lo, t_hi + self.lag, level)
 
     def to_doc(self):
         return {"derived": "increment_process", "lag": self.lag, "source": self.source.to_doc()}

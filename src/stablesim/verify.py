@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf
+from .core import (CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf, philox,
+                   simulate)
 from .flows import dilation_flow, rotation_flow
 from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build, hurst_of
-from .quadrature import QuadraturePolicy
 
 _FLOOR = 1e-12  # machine-level invariance floor for refinement comparisons
 
@@ -73,20 +73,20 @@ def default_probes() -> tuple[LinearCombo, ...]:
 # ---------------------------------------------------------------------------
 
 def check_stationary_increments(kernel: Kernel, combos=None,
-                                shifts=(0.5, 1.0, 2.0, 5.0), tol: float = 1e-3,
-                                levels: tuple[int, int] = (1, 2)) -> VerificationReport:
+                                shifts=(0.5, 1.0, 2.0, 5.0),
+                                tol: float = 1e-3) -> VerificationReport:
     """h-invariance of sigma^alpha over shifted increment probes.
 
-    Evaluates at a coarse and a refined quadrature level; passes when the
-    refined relative deviation is below tol and did not grow past the coarse
-    one (up to the machine floor, since several families are h-invariant by
-    construction down to rounding noise).
+    Evaluates at a coarse and a refined quadrature level (1 and 2); passes
+    when the refined relative deviation is below tol and did not grow past
+    the coarse one (up to the machine floor, since several families are
+    h-invariant by construction down to rounding noise).
     """
     combos = combos or default_probes()
     hs = (0.0, *shifts)
     per_level: dict[int, list[float]] = {}
     batches = []
-    for level in levels:
+    for level in (1, 2):
         batch = cf_exponents(kernel, [c.shifted_increments(h) for c in combos for h in hs], level)
         batches.append(batch)
         devs = []
@@ -97,11 +97,11 @@ def check_stationary_increments(kernel: Kernel, combos=None,
                 worst = max(worst, abs(val - base) / max(abs(base), 1e-300))
             devs.append(worst)
         per_level[level] = devs
-    coarse = max(per_level[levels[0]])
-    fine = max(per_level[levels[1]])
+    coarse = max(per_level[1])
+    fine = max(per_level[2])
     passed = fine < tol and fine <= max(coarse, _FLOOR)
     return VerificationReport(
-        "stationary_increments", passed, tol, tuple(per_level[levels[1]]),
+        "stationary_increments", passed, tol, tuple(per_level[2]),
         {"shifts": list(shifts), "deviation_by_level": {str(k): v for k, v in per_level.items()},
          "coarse_max": coarse, "fine_max": fine, **_work(batches)})
 
@@ -216,13 +216,16 @@ class KernelIdentityFixture:
     points: np.ndarray
 
 
-def rotating_identity_fixture(series: FourierSeries, n_points: int = 512) -> KernelIdentityFixture:
+_N_POINTS = 512  # random points of each kernel-identity fixture
+
+
+def rotating_identity_fixture(series: FourierSeries) -> KernelIdentityFixture:
     """Rotating-average kernel as the stationary flow form
     g o phi_t - g with unit cocycle and unit derivative."""
     flow = rotation_flow()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
-    pts = np.column_stack([rng.uniform(0.0, 2.0 * math.pi, n_points),
-                           np.exp(rng.uniform(np.log(0.2), np.log(20.0), n_points))])
+    rng = np.random.Generator(philox(7))
+    pts = np.column_stack([rng.uniform(0.0, 2.0 * math.pi, _N_POINTS),
+                           np.exp(rng.uniform(np.log(0.2), np.log(20.0), _N_POINTS))])
 
     def lhs(t, pts):
         s, x = pts[:, 0], pts[:, 1]
@@ -237,11 +240,11 @@ def rotating_identity_fixture(series: FourierSeries, n_points: int = 512) -> Ker
                                  (0.0, 0.25, 1.0, 2.5), pts)
 
 
-def lamperti_identity_fixture(spec: Lfsm, n_points: int = 512) -> KernelIdentityFixture:
+def lamperti_identity_fixture(spec: Lfsm) -> KernelIdentityFixture:
     """Self-similar kernel as t^H rho^{1/alpha} g0 o dilation_{log t} with g0 = f_1."""
     flow = dilation_flow()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
-    pts = np.exp(rng.uniform(-2.0, 2.0, n_points)) * rng.choice([-1.0, 1.0], n_points)
+    rng = np.random.Generator(philox(11))
+    pts = np.exp(rng.uniform(-2.0, 2.0, _N_POINTS)) * rng.choice([-1.0, 1.0], _N_POINTS)
 
     def rhs(t, s):
         u = math.log(t)
@@ -342,8 +345,8 @@ _IDENTITY_FIXTURES = {
 }
 
 
-def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000, seed: int = 0,
-              policy: QuadraturePolicy | None = None) -> list[VerificationReport]:
+def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000,
+              seed: int = 0) -> list[VerificationReport]:
     """Run the named verification suites for one family spec."""
     kernel = build(spec)
     reports: list[VerificationReport] = []
@@ -366,7 +369,6 @@ def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000, seed: int 
                 reports.append(VerificationReport("kernel_identity", True, 0.0, (),
                                                   {"skipped": f"no fixture for {type(spec).__name__}"}))
         elif name == "mc":
-            from .core import simulate
             times = sorted({t for c in default_probes() for t in c.times})
             ens = simulate(kernel, times, n_paths, seed, level=1)
             reports.append(mc_distribution_check(ens, kernel))

@@ -157,17 +157,21 @@ class TestCli:
         assert rc == 2
         assert "b < alpha*a" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args, message", [
-        (["--t", "bad"], "bad grid spec"),
-        (["--t", "1:0:5"], "strictly increasing"),
-        (["--t", "0:1:5", "--n-paths", "-3"], "n_paths"),
-        (["--t", "0:1:5", "--threads", "0"], "threads"),
-        (["--t", "0:1:5", "--level", "-1"], "level"),
-        (["--t", "0:1:5", "--seed", "-1"], "seed"),
-        (["--t", "0:1:5", "--seed", str(2 ** 64)], "seed"),
+    @pytest.mark.parametrize("args, message, env_seed", [
+        (["--t", "bad"], "bad grid spec", None),
+        (["--t", "1:0:5"], "strictly increasing", None),
+        (["--t", "0:1:5", "--n-paths", "-3"], "n_paths", None),
+        (["--t", "0:1:5", "--threads", "0"], "threads", None),
+        (["--t", "0:1:5", "--level", "-1"], "level", None),
+        (["--t", "0:1:5", "--seed", "-1"], "seed", None),
+        (["--t", "0:1:5", "--seed", str(2 ** 64)], "seed", None),
+        (["--t", "0:1:5"], "STABLESIM_SEED", "abc"),
     ], ids=["t-bad", "t-reversed", "n-paths-negative", "threads-zero", "level-negative",
-            "seed-negative", "seed-too-large"])
-    def test_simulate_bad_arguments_exit_2(self, specdir, capsys, args, message):
+            "seed-negative", "seed-too-large", "env-seed-not-integer"])
+    def test_simulate_bad_arguments_exit_2(self, specdir, capsys, monkeypatch,
+                                           args, message, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("STABLESIM_SEED", env_seed)
         out = specdir["dir"] / "x.csv"
         rc = main(["simulate", "--spec", specdir["lfsm"], *args, "--out", str(out)])
         err = capsys.readouterr().err
@@ -205,8 +209,10 @@ class TestCli:
         ("verify", "not_utf8", [], "can't decode"),
         ("verify", "lfsm", ["--checks", "mc", "--n-paths", "0"], "n_paths"),
         ("verify", "lfsm", ["--checks", "mc", "--seed", "-1"], "seed"),
+        ("verify", "lfsm", ["--seed", "-1"], "seed"),
+        ("verify", "lfsm", ["--seed", str(2 ** 64)], "seed"),
     ], ids=["simulate-not-utf8", "verify-not-utf8", "verify-mc-zero-paths",
-            "verify-mc-seed-negative"])
+            "verify-mc-seed-negative", "verify-seed-negative", "verify-seed-too-large"])
     def test_bad_spec_file_and_verify_arguments_exit_2(self, specdir, capsys,
                                                        command, spec, args, message):
         out = specdir["dir"] / "o.out"

@@ -154,3 +154,9 @@ class TestSemivariation:
         curve = Curve(fn, ensemble_space())
         est = semivariation(curve, 0.5)
         assert est.value >= 0.25 - 1e-12  # F-norm of 0.5 * unit increment sum
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        curve = Curve(lambda ts: np.column_stack([ts, 1.0 - ts]), ensemble_space())
+        with pytest.raises(ValueError, match="seed"):
+            semivariation(curve, 0.5, seed=seed)

@@ -138,16 +138,10 @@ class TestCfExponents:
 
 class TestMeasureGrid:
     def test_kernel_grids_are_valid_measures(self):
-        for spec in (ss.Lfsm(1.5, 0.7), ss.TruncatedFractional(1.5, 0.5, 0.5),
-                     ss.Chentsov(1.25, 0.5)):
-            k = ss.build(spec)
-            grid = ss.RandomMeasureGrid(*k.sim_grid(0.0, 2.0, 1))
-            assert grid.total_mass < math.inf
-            assert np.all(grid.masses >= 0.0)
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            ss.RandomMeasureGrid(np.array([0.5]), np.array([-1.0]))
+        for k in BATCH_SPECS:
+            pts, masses = k.sim_grid(0.0, 2.0, 1)
+            assert masses.ndim == 1 and len(pts) == masses.size
+            assert np.all(np.isfinite(masses)) and np.all(masses >= 0.0)
 
 
 class TestSimulate:
@@ -212,7 +206,7 @@ class TestPrunedSimulation:
         e2 = ss.simulate(k, PRUNED_TIMES, 300, seed=3, threads=2)
         assert e1.values.tobytes() == e2.values.tobytes()
 
-    @pytest.mark.parametrize("spec", ss.catalog_specs(),
+    @pytest.mark.parametrize("spec", BATCH_SPECS,
                              ids=lambda s: f"{s.label}-{s.alpha}")
     def test_matches_unpruned_reference(self, spec):
         # reference: every cell transformed, reduced with einsum over all
