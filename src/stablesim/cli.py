@@ -107,8 +107,11 @@ def cmd_verify(args) -> int:
         _write_json(args.out, doc)
     all_pass = all(r.passed for r in reports)
     for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: max residual "
-              f"{r.max_residual:.3g} (tol {r.tolerance:g})")
+        if "skipped" in r.details:
+            print(f"SKIP {r.name}: {r.details['skipped']}")
+        else:
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: max residual "
+                  f"{r.max_residual:.3g} (tol {r.tolerance:g})")
     return EXIT_OK if all_pass else EXIT_FAIL
 
 

@@ -126,15 +126,52 @@ class CfBatch:
     kernel_evals: int   # distinct (grid, time) evaluations of K(t, .)
 
 
+_BLOCK_CELLS = 1 << 16  # cells per row block of the oracle integrand
+
+
+def _row_blocks(points, shape: tuple[int, ...]):
+    """(points, rows) of each row block of a ``cf_cells`` grid: runs of about
+    ``_BLOCK_CELLS`` cells of the radial rows of a two-coordinate grid, or
+    the whole array of a shift grid.  Coordinate arrays whose leading axis
+    is the row axis are sliced; the shift row is passed whole."""
+    if not isinstance(points, tuple):
+        yield points, slice(None)
+        return
+    n_rows = shape[0]
+    step = max(1, _BLOCK_CELLS // shape[1])
+    for r0 in range(0, n_rows, step):
+        rows = slice(r0, r0 + step)
+        yield tuple(c[rows] if c.shape[0] == n_rows else c for c in points), rows
+
+
+def _abs_power(o: np.ndarray, alpha: float) -> None:
+    """|o|^alpha in place, the power taken on the nonzero entries only, since
+    numpy's power is about 3x slower on exact zeros (which stay 0).  At
+    alpha 0.5 ``**`` takes numpy's sqrt path, so this does too."""
+    np.abs(o, out=o)
+    if alpha == 1.0:
+        return
+    nonzero = o != 0.0
+    if alpha == 0.5:
+        np.sqrt(o, out=o, where=nonzero)
+    else:
+        np.power(o, alpha, out=o, where=nonzero)
+
+
 def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> CfBatch:
     """sigma^alpha(combo) = integral of |sum_j theta_j K(t_j, .)|^alpha dmu for
     every combo, at one refinement level.
 
-    Combos with equal ``kernel.cf_grid_key`` share one grid.  On a grid,
-    K(t, .) is evaluated once per distinct time and dropped after the last
-    combo that uses it.  The combos of a grid are swept in order of their
-    latest time, so each field's uses cluster and few fields are held at
-    once.  Every value equals the one a batch of that combo alone gives.
+    Combos with equal ``kernel.cf_grid_key`` share one grid.  The combos of
+    a grid are swept in order of their latest time, so each field's uses
+    cluster.  A combo's integrand is built row block by row block
+    (``_row_blocks``) in one array shaped like the masses: per block, the
+    terms are accumulated in their own order, then the absolute value, the
+    power and the masses are applied in place.  A K(t, .) that later combos
+    on the grid use again is evaluated once, block by block, held, and
+    dropped after its last use; one used once is evaluated per block and
+    never held at full size.  Every value equals the one a batch of that
+    combo alone gives.
     """
     combos = tuple(combos)
     groups: dict = {}
@@ -144,28 +181,36 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     n_evals = 0
     for members in groups.values():
         pts, masses = kernel.cf_cells(combos[members[0]].times, level)
+        blocks = list(_row_blocks(pts, masses.shape))
         pending = Counter(t for i in members for theta, t in combos[i].terms if theta != 0.0)
         fields: dict[float, np.ndarray] = {}
         for i in sorted(members, key=lambda i: (max(combos[i].times), min(combos[i].times))):
-            acc = None
-            for theta, t in combos[i].terms:
-                if theta == 0.0:
-                    continue
-                if t not in fields:
-                    fields[t] = kernel.eval(t, pts)
-                    n_evals += 1
+            terms = [(theta, t) for theta, t in combos[i].terms if theta != 0.0]
+            new = {t for _, t in terms} - fields.keys()
+            n_evals += len(new)
+            for t in new:
+                if pending[t] > 1:  # used again on this grid: held at full size
+                    fields[t] = np.empty(masses.shape)
+                    for bpts, rows in blocks:
+                        fields[t][rows] = kernel.eval(t, bpts)
+            out = np.empty(masses.shape)
+            for bpts, rows in blocks:
+                o = out[rows]
+                if not terms:
+                    o.fill(0.0)
+                for k, (theta, t) in enumerate(terms):
+                    v = fields[t][rows] if t in fields else kernel.eval(t, bpts)
+                    if k == 0:
+                        np.multiply(theta, v, out=o)
+                    else:
+                        o += theta * v
+                _abs_power(o, kernel.alpha)
+                o *= masses[rows]
+            values[i] = pairwise_sum(out.ravel())
+            for _, t in terms:
                 pending[t] -= 1
-                v = fields[t] if pending[t] else fields.pop(t)
-                if acc is None:
-                    acc = theta * v
-                else:
-                    acc += theta * v
-            if acc is None:
-                acc = np.zeros(masses.shape)
-            np.abs(acc, out=acc)
-            acc **= kernel.alpha
-            acc *= masses
-            values[i] = pairwise_sum(acc.ravel())
+                if not pending[t]:
+                    fields.pop(t, None)
     return CfBatch(tuple(values), len(groups), n_evals)
 
 

@@ -5,6 +5,7 @@ and Monte Carlo distribution checks against the quadrature oracle."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,11 +48,19 @@ def _jsonable(obj):
     return obj
 
 
-def _work(batches: list[CfBatch]) -> dict:
-    """Quadrature work behind a report: grids built and distinct (grid, time)
-    kernel evaluations, summed over its batches."""
-    return {"grids": sum(b.grids for b in batches),
-            "kernel_evals": sum(b.kernel_evals for b in batches)}
+def _timed_batch(kernel: Kernel, combos, level: int) -> tuple[CfBatch, float]:
+    """``cf_exponents`` and the ``time.perf_counter`` seconds it took."""
+    start = time.perf_counter()
+    batch = cf_exponents(kernel, combos, level)
+    return batch, time.perf_counter() - start
+
+
+def _work(timed: list[tuple[CfBatch, float]]) -> dict:
+    """Quadrature work behind a report: grids built, distinct (grid, time)
+    kernel evaluations and wall seconds, summed over its timed batches."""
+    return {"grids": sum(b.grids for b, _ in timed),
+            "kernel_evals": sum(b.kernel_evals for b, _ in timed),
+            "wall_s": sum(s for _, s in timed)}
 
 
 def default_probes() -> tuple[LinearCombo, ...]:
@@ -85,10 +94,11 @@ def check_stationary_increments(kernel: Kernel, combos=None,
     combos = combos or default_probes()
     hs = (0.0, *shifts)
     per_level: dict[int, list[float]] = {}
-    batches = []
+    timed = []
     for level in (1, 2):
-        batch = cf_exponents(kernel, [c.shifted_increments(h) for c in combos for h in hs], level)
-        batches.append(batch)
+        batch, seconds = _timed_batch(
+            kernel, [c.shifted_increments(h) for c in combos for h in hs], level)
+        timed.append((batch, seconds))
         devs = []
         for j in range(len(combos)):
             base, *vals = batch.values[j * len(hs):(j + 1) * len(hs)]
@@ -103,7 +113,7 @@ def check_stationary_increments(kernel: Kernel, combos=None,
     return VerificationReport(
         "stationary_increments", passed, tol, tuple(per_level[2]),
         {"shifts": list(shifts), "deviation_by_level": {str(k): v for k, v in per_level.items()},
-         "coarse_max": coarse, "fine_max": fine, **_work(batches)})
+         "coarse_max": coarse, "fine_max": fine, **_work(timed)})
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,8 @@ def check_self_similar(kernel: Kernel, combos=None,
     target = target_hurst if target_hurst is not None else hurst_of(kernel)
     if target is None:
         raise ValueError("kernel has no Hurst exponent; pass target_hurst")
-    batch = cf_exponents(kernel, [c.scaled_times(sc) for c in combos for sc in scales], level)
+    batch, seconds = _timed_batch(
+        kernel, [c.scaled_times(sc) for c in combos for sc in scales], level)
     slopes = []
     for j in range(len(combos)):
         logs = [math.log(v) for v in batch.values[j * len(scales):(j + 1) * len(scales)]]
@@ -134,7 +145,7 @@ def check_self_similar(kernel: Kernel, combos=None,
     passed = max(residuals) < tol
     return VerificationReport("self_similarity", passed, tol, residuals,
                               {"fitted_hurst": fitted, "target_hurst": target,
-                               "scales": list(scales), **_work([batch])})
+                               "scales": list(scales), **_work([(batch, seconds)])})
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +299,15 @@ def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
     _require_paths(ensemble)
     combos = combos or default_probes()
     tol = tol if tol is not None else 3.0 / math.sqrt(ensemble.n_paths) + 0.02
-    batch = cf_exponents(kernel, combos, level)
+    batch, seconds = _timed_batch(kernel, combos, level)
     residuals = []
     for c, sigma in zip(combos, batch.values):
         target = math.exp(-sigma)
         est = empirical_cf(ensemble, c)
         residuals.append(abs(est - target))
     return VerificationReport("mc_distribution", max(residuals) < tol, tol,
-                              tuple(residuals), {"n_paths": ensemble.n_paths, **_work([batch])})
+                              tuple(residuals), {"n_paths": ensemble.n_paths,
+                                                 **_work([(batch, seconds)])})
 
 
 def mc_stationary_increments(ensemble: PathEnsemble, combos=None,
@@ -348,6 +360,8 @@ _IDENTITY_FIXTURES = {
 def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000,
               seed: int = 0) -> list[VerificationReport]:
     """Run the named verification suites for one family spec."""
+    if not checks:
+        raise ValueError("no checks given")
     kernel = build(spec)
     reports: list[VerificationReport] = []
     for name in checks:

@@ -211,8 +211,10 @@ class TestCli:
         ("verify", "lfsm", ["--checks", "mc", "--seed", "-1"], "seed"),
         ("verify", "lfsm", ["--seed", "-1"], "seed"),
         ("verify", "lfsm", ["--seed", str(2 ** 64)], "seed"),
+        ("verify", "lfsm", ["--checks", ","], "no checks given"),
     ], ids=["simulate-not-utf8", "verify-not-utf8", "verify-mc-zero-paths",
-            "verify-mc-seed-negative", "verify-seed-negative", "verify-seed-too-large"])
+            "verify-mc-seed-negative", "verify-seed-negative", "verify-seed-too-large",
+            "verify-no-checks"])
     def test_bad_spec_file_and_verify_arguments_exit_2(self, specdir, capsys,
                                                        command, spec, args, message):
         out = specdir["dir"] / "o.out"
@@ -247,6 +249,21 @@ class TestCli:
         doc = json.loads(open(rep).read())
         assert all(r["passed"] for r in doc["reports"])
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec, check, name", [
+        ("lfsm", "scaling", "scaling_maps"),
+        ("q1", "kernel-identity", "kernel_identity"),
+    ], ids=["scaling-undeclared", "kernel-identity-no-fixture"])
+    def test_verify_skipped_check_prints_skip(self, specdir, capsys, spec, check, name):
+        # a skipped check computed nothing: it prints SKIP with its reason, and
+        # keeps exit 0 and its passed report
+        rep = str(specdir["dir"] / "rep.json")
+        rc = main(["verify", "--spec", specdir[spec], "--checks", check, "--out", rep])
+        assert rc == 0
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        (report,) = json.loads(open(rep).read())["reports"]
+        assert line == f"SKIP {name}: {report['details']['skipped']}"
+        assert report["name"] == name and report["passed"] and report["residuals"] == []
 
     def test_classify_rotation_conservative(self, specdir, capsys):
         rc = main(["classify", "--flow", "rotation", "--alpha", "1.5",

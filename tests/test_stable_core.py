@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import stablesim as ss
 from stablesim.core import _cms
+from stablesim.quadrature import pairwise_sum
 from stablesim.transforms import increment_process
 from stablesim.verify import default_probes
 
@@ -119,6 +120,50 @@ class TestCfExponents:
             batch = ss.cf_exponents(spec, combos, level)
             assert batch.values == tuple(ss.cf_exponent(spec, c, level=level).value
                                          for c in combos)
+
+    @pytest.mark.parametrize("spec", (*BATCH_SPECS, ss.Chentsov(1.0, 0.5)),
+                             ids=lambda s: f"{s.label}-{s.alpha}")
+    def test_matches_full_array_reference(self, spec):
+        # the row-blocked integrand with its power on nonzero cells only must
+        # give exactly the values of whole fields, accumulated term by term,
+        # then abs, ** alpha and * masses over the full array.  The truncated
+        # level-1 grid (864 rows, 173 per block) ends in a partial block;
+        # Chentsov(1.0, 0.5) covers alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
+        def reference(kernel, combos, level):
+            key, values = object(), []
+            for c in combos:
+                if kernel.cf_grid_key(c.times) != key:
+                    key = kernel.cf_grid_key(c.times)
+                    (pts, masses), fields = kernel.cf_cells(c.times, level), {}
+                acc = None
+                for theta, t in c.terms:
+                    if theta == 0.0:
+                        continue
+                    if t not in fields:
+                        fields[t] = kernel.eval(t, pts)
+                    v = fields[t]
+                    if acc is None:
+                        acc = theta * v
+                    else:
+                        acc += theta * v
+                if acc is None:
+                    acc = np.zeros(masses.shape)
+                acc = np.abs(acc)
+                acc **= kernel.alpha
+                acc *= masses
+                values.append(pairwise_sum(acc.ravel()))
+            return tuple(values)
+
+        extra = [ss.combo((1.0, 1.0), (-0.5, 2.0), (0.5, 1.0)),   # a repeated time
+                 ss.combo((0.0, 1.0), (0.0, 2.0))]                 # all thetas zero
+        si = [c.shifted_increments(h) for c in default_probes()
+              for h in (0.0, 0.5, 1.0, 2.0, 5.0)]
+        ss_probes = [c.scaled_times(sc) for c in default_probes()
+                     for sc in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        for level in (1, 2):
+            for combos in (si + extra, ss_probes + extra):
+                assert (ss.cf_exponents(spec, combos, level).values
+                        == reference(spec, combos, level))
 
     def test_work_counts(self):
         rot = ss.catalog_specs()[-1]

@@ -58,6 +58,18 @@ class TestStationaryIncrements:
         rep = check_stationary_increments(k, combos=[ss.combo((1.0, 1.0))])
         json.dumps(rep.to_dict())
 
+    def test_oracle_wall_seconds_reported(self):
+        k = ss.build(ss.LinearMotion(1.5))
+        probe = [ss.combo((1.0, 1.0))]
+        times = sorted({t for c in default_probes() for t in c.times})
+        reports = (check_stationary_increments(k, combos=probe),
+                   check_self_similar(k, combos=probe),
+                   mc_distribution_check(ss.simulate(k, times, 10, seed=1), k, combos=probe))
+        for rep in reports:
+            wall = rep.details["wall_s"]
+            assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0.0
+            assert json.loads(json.dumps(rep.to_dict()))["details"]["wall_s"] == wall
+
 
 class TestSelfSimilar:
     def test_linear_motion_exact_doubling(self):

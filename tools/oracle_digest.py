@@ -1,0 +1,64 @@
+"""Print digests of the quadrature oracle's values, to show that a change
+kept every value bit-identical.
+
+For every ``catalog_specs()`` entry and ``increment_process(Lfsm(1.5, 0.7), 1.0)``
+it evaluates 176 ``cf_exponents`` values: at levels 1 and 2, the
+stationary-increment probes (each default probe shifted by 0, 0.5, 1, 2
+and 5), the self-similarity probes (each default probe scaled by 0.25,
+0.5, 1, 2 and 4) and the eight default probes.  One line per spec gives
+the first 16 hex digits of the SHA-256 of the comma-joined ``repr`` of
+those values, in that order.  A last line does the same for the values
+and verdicts of ``region_map(1.5)`` on an 11 x 11 grid over [-1, 1]^2.
+Only public calls are used, so the script runs on older trees too.
+
+usage: python tools/oracle_digest.py   (imports the package from src/ next to tools/)
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+_SHIFTS = (0.0, 0.5, 1.0, 2.0, 5.0)
+_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def digest(values) -> str:
+    return hashlib.sha256(",".join(repr(v) for v in values).encode()).hexdigest()[:16]
+
+
+def oracle_values(ss, kernel) -> list[float]:
+    from stablesim.verify import default_probes
+
+    probes = default_probes()
+    sets = ([c.shifted_increments(h) for c in probes for h in _SHIFTS],
+            [c.scaled_times(s) for c in probes for s in _SCALES],
+            list(probes))
+    values: list[float] = []
+    for level in (1, 2):
+        for combos in sets:
+            values.extend(ss.cf_exponents(kernel, combos, level).values)
+    return values
+
+
+def main() -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    import stablesim as ss
+    from stablesim.transforms import increment_process
+
+    specs = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+    for spec in specs:
+        values = oracle_values(ss, ss.build(spec))
+        print(f"{digest(values)}  {len(values)} values  {spec!r}")
+    grid = np.linspace(-1.0, 1.0, 11)
+    rm = ss.region_map(1.5, grid, grid)
+    print(f"{digest([*rm.values.ravel(), *rm.verdicts.ravel()])}  "
+          f"{rm.values.size} values and verdicts  region_map(1.5, 11x11 over [-1, 1]^2)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
