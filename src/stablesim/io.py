@@ -11,6 +11,7 @@ import numpy as np
 from . import kernels as K
 
 SCHEMA_VERSION = 1
+_CSV_BLOCK_ROWS = 256  # rows per parse block of read_ensemble_csv
 
 
 def spec_to_dict(spec: K.Kernel) -> dict:
@@ -49,22 +50,33 @@ def read_ensemble_csv(fh: IO[str]) -> tuple[np.ndarray, np.ndarray]:
     header = fh.readline().strip().split(",")
     if not header or header[0] != "time":
         raise ValueError("not an ensemble CSV (missing 'time' header)")
-    # each row is kept as one float array, never as Python floats, so the
-    # reader holds at most two copies of the table
-    rows = []
+    n_cols = len(header)
+    # rows are parsed straight into blocks of one fixed shape, never kept as
+    # one array per row, so what the reader holds does not depend on the
+    # lengths of the lines
+    blocks: list[np.ndarray] = []
+    n_rows = 0
     for lineno, line in enumerate(fh, start=2):
         parts = line.strip().split(",")
         if parts == [""]:
             continue
-        if len(parts) != len(header):
-            raise ValueError(f"line {lineno}: {len(parts)} fields, the header has {len(header)}")
+        if len(parts) != n_cols:
+            raise ValueError(f"line {lineno}: {len(parts)} fields, the header has {n_cols}")
+        if n_rows % _CSV_BLOCK_ROWS == 0:
+            blocks.append(np.empty((_CSV_BLOCK_ROWS, n_cols)))
         try:
-            rows.append(np.fromiter(map(float, parts), dtype=float, count=len(parts)))
+            blocks[-1][n_rows % _CSV_BLOCK_ROWS] = np.fromiter(map(float, parts), dtype=float,
+                                                               count=n_cols)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
-    table = np.array(rows).reshape(len(rows), len(header))
-    del rows
-    return table[:, 0].copy(), np.ascontiguousarray(table[:, 1:].T)
+        n_rows += 1
+    times = np.empty(n_rows)
+    values = np.empty((n_cols - 1, n_rows))
+    for r0 in range(0, n_rows, _CSV_BLOCK_ROWS):
+        block = blocks.pop(0)[:n_rows - r0]
+        times[r0:r0 + len(block)] = block[:, 0]
+        values[:, r0:r0 + len(block)] = block[:, 1:].T
+    return times, values
 
 
 def ensemble_metadata(ensemble, spec_doc: dict | None, grid: dict, extra: dict | None = None) -> dict:

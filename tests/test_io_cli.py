@@ -80,6 +80,26 @@ class TestEnsembleCsv:
         assert np.array_equal(times, [0.5, 1.0, 2.0])
         assert values.shape == (0, 3)
 
+    def test_round_trip_over_several_blocks(self):
+        # 2.5 parse blocks of rows: two full ones and a partial last one
+        n_times = 2 * sio._CSV_BLOCK_ROWS + sio._CSV_BLOCK_ROWS // 2
+        times = np.linspace(0.0, 1.0, n_times + 1)[1:]
+        values = np.random.default_rng(5).standard_normal((3, n_times))
+        buf = io.StringIO()
+        sio.write_ensemble_csv(buf, times, values)
+        buf.seek(0)
+        t_back, v_back = sio.read_ensemble_csv(buf)
+        assert np.array_equal(t_back, times)
+        assert np.array_equal(v_back, values)
+        assert v_back.flags.c_contiguous
+
+    def test_bad_row_past_first_block_names_its_line(self):
+        rows = "".join(f"{j},1.5\n" for j in range(sio._CSV_BLOCK_ROWS + 3))
+        text = "time,path_0\n" + rows + "0.5,abc\n"
+        line = sio._CSV_BLOCK_ROWS + 5
+        with pytest.raises(ValueError, match=re.escape(f"line {line}: non-numeric field")):
+            sio.read_ensemble_csv(io.StringIO(text))
+
     def test_header_checked(self):
         with pytest.raises(ValueError):
             sio.read_ensemble_csv(io.StringIO("a,b\n1,2\n"))
