@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import IO
 
@@ -11,7 +12,7 @@ import numpy as np
 from . import kernels as K
 
 SCHEMA_VERSION = 1
-_CSV_BLOCK_ROWS = 256  # rows per parse block of read_ensemble_csv
+_CSV_BLOCK_ROWS = 64  # rows per parse block of read_ensemble_csv
 
 
 def spec_to_dict(spec: K.Kernel) -> dict:
@@ -36,11 +37,32 @@ def spec_digest(descriptor: dict) -> str:
 
 def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> None:
     """CSV with header time,path_0,... and round-trip decimal formatting."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     n_paths = values.shape[0]
     fh.write(",".join(["time", *(f"path_{i}" for i in range(n_paths))]) + "\n")
-    for j, t in enumerate(times):
-        row = [repr(float(t))] + [repr(float(values[i, j])) for i in range(n_paths)]
-        fh.write(",".join(row) + "\n")
+    # one column at a time: the whole matrix as Python floats would hold
+    # about 32 bytes per value
+    for j, t in enumerate(times.tolist()):
+        fh.write(",".join(map(repr, [t, *values[:, j].tolist()])) + "\n")
+
+
+class _RowError(ValueError):
+    """A data line whose field count differs from the header's."""
+
+
+def _data_lines(fh: IO[str], n_cols: int, last: list[int]):
+    """The stripped nonblank lines of fh, each checked to have n_cols fields;
+    last[0] is the line number of the latest one yielded."""
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        n_fields = line.count(",") + 1
+        if n_fields != n_cols:
+            raise _RowError(f"line {lineno}: {n_fields} fields, the header has {n_cols}")
+        last[0] = lineno
+        yield line
 
 
 def read_ensemble_csv(fh: IO[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -51,29 +73,28 @@ def read_ensemble_csv(fh: IO[str]) -> tuple[np.ndarray, np.ndarray]:
     if not header or header[0] != "time":
         raise ValueError("not an ensemble CSV (missing 'time' header)")
     n_cols = len(header)
-    # rows are parsed straight into blocks of one fixed shape, never kept as
-    # one array per row, so what the reader holds does not depend on the
+    # numpy's C parser reads blocks of at most _CSV_BLOCK_ROWS lines, pulled
+    # one at a time from the generator (it does not read past a bad line), so
+    # what the reader holds is the output plus the blocks, whatever the
     # lengths of the lines
+    last = [1]
+    lines = _data_lines(fh, n_cols, last)
     blocks: list[np.ndarray] = []
-    n_rows = 0
-    for lineno, line in enumerate(fh, start=2):
-        parts = line.strip().split(",")
-        if parts == [""]:
-            continue
-        if len(parts) != n_cols:
-            raise ValueError(f"line {lineno}: {len(parts)} fields, the header has {n_cols}")
-        if n_rows % _CSV_BLOCK_ROWS == 0:
-            blocks.append(np.empty((_CSV_BLOCK_ROWS, n_cols)))
+    for first in lines:  # a block is parsed only when it has a first line
+        rows = itertools.chain((first,), itertools.islice(lines, _CSV_BLOCK_ROWS - 1))
         try:
-            blocks[-1][n_rows % _CSV_BLOCK_ROWS] = np.fromiter(map(float, parts), dtype=float,
-                                                               count=n_cols)
+            blocks.append(np.loadtxt(rows, delimiter=",", ndmin=2, comments=None))
+        except _RowError:
+            raise
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
-        n_rows += 1
+            # loadtxt's own row number counts from the start of the block
+            reason = str(exc).split(" at row ")[0]
+            raise ValueError(f"line {last[0]}: non-numeric field ({reason})") from None
+    n_rows = sum(map(len, blocks))
     times = np.empty(n_rows)
     values = np.empty((n_cols - 1, n_rows))
     for r0 in range(0, n_rows, _CSV_BLOCK_ROWS):
-        block = blocks.pop(0)[:n_rows - r0]
+        block = blocks.pop(0)
         times[r0:r0 + len(block)] = block[:, 0]
         values[:, r0:r0 + len(block)] = block[:, 1:].T
     return times, values

@@ -357,11 +357,18 @@ _IDENTITY_FIXTURES = {
 }
 
 
+_CHECK_NAMES = ("si", "ss", "scaling", "kernel-identity", "mc")
+
+
 def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000,
               seed: int = 0) -> list[VerificationReport]:
-    """Run the named verification suites for one family spec."""
+    """Run the named verification suites for one family spec; every name is
+    checked before any suite runs."""
     if not checks:
         raise ValueError("no checks given")
+    for name in checks:
+        if name not in _CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r}")
     kernel = build(spec)
     reports: list[VerificationReport] = []
     for name in checks:
@@ -382,10 +389,8 @@ def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000,
             else:
                 reports.append(VerificationReport("kernel_identity", True, 0.0, (),
                                                   {"skipped": f"no fixture for {type(spec).__name__}"}))
-        elif name == "mc":
+        else:  # "mc"
             times = sorted({t for c in default_probes() for t in c.times})
             ens = simulate(kernel, times, n_paths, seed, level=1)
             reports.append(mc_distribution_check(ens, kernel))
-        else:
-            raise ValueError(f"unknown check {name!r}")
     return reports

@@ -1,10 +1,15 @@
+import hashlib
 import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import stablesim as ss
 from stablesim import io as sio
@@ -108,11 +113,89 @@ class TestEnsembleCsv:
         ("0.5,1.0,2.0", "line 3: 3 fields, the header has 2"),
         ("0.5", "line 3: 1 fields, the header has 2"),
         ("0.5,abc", "line 3: non-numeric field"),
-    ], ids=["long-row", "short-row", "non-numeric"])
+        # Python's float() reads "1_5" as 15.0; numpy's parser does not
+        ("0.5,1_5", "line 3: non-numeric field"),
+    ], ids=["long-row", "short-row", "non-numeric", "underscore-digits"])
     def test_bad_row_names_its_line(self, row, message):
         text = "time,path_0\n0.25,1.5\n" + row + "\n"
         with pytest.raises(ValueError, match=re.escape(message)):
             sio.read_ensemble_csv(io.StringIO(text))
+
+    def test_blank_lines_skipped_but_counted(self):
+        text = "time,path_0\n0.25,1.5\n\n   \n0.5,2.5\n\n"
+        times, values = sio.read_ensemble_csv(io.StringIO(text))
+        assert np.array_equal(times, [0.25, 0.5]) and np.array_equal(values, [[1.5, 2.5]])
+        for row, message in [("0.75,abc", "line 6: non-numeric field"),
+                             ("0.75", "line 6: 1 fields, the header has 2")]:
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                sio.read_ensemble_csv(io.StringIO(text[:-1] + row + "\n"))
+
+    def test_whole_blocks_read_without_warning(self):
+        n_times = 2 * sio._CSV_BLOCK_ROWS
+        times = np.arange(n_times, dtype=float)
+        values = np.random.default_rng(6).standard_normal((2, n_times))
+        buf = io.StringIO()
+        sio.write_ensemble_csv(buf, times, values)
+        buf.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t_back, v_back = sio.read_ensemble_csv(buf)
+        assert np.array_equal(t_back, times) and np.array_equal(v_back, values)
+
+    @pytest.mark.parametrize("index", [0, sio._CSV_BLOCK_ROWS - 1, sio._CSV_BLOCK_ROWS,
+                                       2 * sio._CSV_BLOCK_ROWS - 1],
+                             ids=["first-of-block-0", "last-of-block-0", "first-of-block-1",
+                                  "last-of-block-1"])
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5,abc", "non-numeric field"),
+        ("0.5,1.0,2.0", "3 fields, the header has 2"),
+    ], ids=["non-numeric", "long-row"])
+    def test_bad_row_at_block_edge_names_its_line(self, index, bad, message):
+        rows = [f"{j},1.5" for j in range(2 * sio._CSV_BLOCK_ROWS + 3)]
+        rows[index] = bad
+        text = "time,path_0\n" + "".join(r + "\n" for r in rows)
+        with pytest.raises(ValueError, match="^" + re.escape(f"line {index + 2}: {message}")):
+            sio.read_ensemble_csv(io.StringIO(text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n_paths: st.integers(
+        1, 2 * sio._CSV_BLOCK_ROWS + 1).flatmap(lambda n_times: st.tuples(
+            hnp.arrays(np.float64, n_times), hnp.arrays(np.float64, (n_paths, n_times))))))
+    def test_any_float_matrix_round_trips(self, times_values):
+        times, values = times_values
+        buf = io.StringIO()
+        sio.write_ensemble_csv(buf, times, values)
+        buf.seek(0)
+        t_back, v_back = sio.read_ensemble_csv(buf)
+        for sent, back in ((times, t_back), (values, v_back)):
+            assert back.shape == sent.shape
+            nan = np.isnan(sent)
+            assert np.array_equal(np.isnan(back), nan)
+            # bit-exact, so -0.0 keeps its sign bit
+            assert np.array_equal(back.view(np.uint64)[~nan], sent.view(np.uint64)[~nan])
+
+    # SHA-256 of the writer's text, taken from the element-by-element writer
+    # that preceded the row-wise one: the file bytes are part of the format
+    @pytest.mark.parametrize("case, digest", [
+        ("lfsm", "d7d347bb0ed04cdcb00cc3214769b41c7247078d6ef041eb4501d8dd4331a0ee"),
+        ("special", "cad0f116eedaba3131f1efd8d5b7d149e83733197b61547d7f855dcb0f898c95"),
+        ("integer", "18e2dcc73be8b383799c299cfafae7f2ceaba7b745c0bc2d6566cb643f566af4"),
+    ])
+    def test_writer_bytes_pinned(self, case, digest):
+        if case == "lfsm":
+            ens = ss.simulate(ss.build(ss.Lfsm(1.5, 0.7)), [0.25, 0.5, 1.0, 2.0], 7, seed=3)
+            times, values = ens.times, ens.values
+        elif case == "special":
+            times = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 1e308, 5e-324])
+            values = np.array([[-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.1],
+                               [0.1, 1e308, 5e-324, np.nan, -np.inf, np.inf, -0.0]])
+        else:
+            times, values = np.arange(3), np.ones((2, 3), dtype=np.int64)
+        buf = io.StringIO()
+        sio.write_ensemble_csv(buf, times, values)
+        if case == "integer":
+            assert buf.getvalue() == "time,path_0,path_1\n0.0,1.0,1.0\n1.0,1.0,1.0\n2.0,1.0,1.0\n"
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_bad_row_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
@@ -232,9 +315,10 @@ class TestCli:
         ("verify", "lfsm", ["--seed", "-1"], "seed"),
         ("verify", "lfsm", ["--seed", str(2 ** 64)], "seed"),
         ("verify", "lfsm", ["--checks", ","], "no checks given"),
+        ("verify", "lfsm", ["--checks", "si,nope"], "unknown check 'nope'"),
     ], ids=["simulate-not-utf8", "verify-not-utf8", "verify-mc-zero-paths",
             "verify-mc-seed-negative", "verify-seed-negative", "verify-seed-too-large",
-            "verify-no-checks"])
+            "verify-no-checks", "verify-unknown-check-after-known"])
     def test_bad_spec_file_and_verify_arguments_exit_2(self, specdir, capsys,
                                                        command, spec, args, message):
         out = specdir["dir"] / "o.out"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stablesim as ss
+from stablesim import verify as verify_module
 from stablesim.verify import (
     VerificationReport,
     check_kernel_identity,
@@ -186,3 +187,11 @@ class TestRunSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             run_suite(ss.Lfsm(1.5, 0.7), ("nope",))
+
+    def test_every_name_checked_before_any_suite_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the SI check ran before the names were checked")
+
+        monkeypatch.setattr(verify_module, "check_stationary_increments", fail)
+        with pytest.raises(ValueError, match="unknown check 'nope'"):
+            run_suite(ss.TruncatedFractional(1.5, 0.5, 0.5), ("si", "nope"))

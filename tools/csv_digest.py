@@ -1,0 +1,50 @@
+"""Print digests of ensemble CSV text, to show that a change kept the bytes
+that ``write_ensemble_csv`` writes.
+
+For every ``catalog_specs()`` entry it simulates 37 paths at seed 0 on the
+sorted times of the default probes and writes them with
+``write_ensemble_csv``.  One line per spec gives the first 16 hex digits of
+the SHA-256 of that text.  A last line does the same for a small matrix of
+special values (-0.0, +-inf, nan, the smallest subnormal, 1e308, 0.1).
+Only public calls are used, so the script runs on older trees too.
+
+usage: python tools/csv_digest.py   (imports the package from src/ next to tools/)
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+_SPECIAL = (-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.1)
+
+
+def digest(times, values) -> str:
+    from stablesim.io import write_ensemble_csv
+
+    buf = io.StringIO()
+    write_ensemble_csv(buf, times, values)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16]
+
+
+def main() -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    import stablesim as ss
+    from stablesim.verify import default_probes
+
+    probe_times = sorted({t for c in default_probes() for t in c.times})
+    for spec in ss.catalog_specs():
+        ens = ss.simulate(ss.build(spec), probe_times, 37, seed=0)
+        print(f"{digest(ens.times, ens.values)}  37 x {len(probe_times)}  {spec!r}")
+    special = np.array([_SPECIAL, _SPECIAL[::-1]])
+    print(f"{digest(np.arange(len(_SPECIAL), dtype=float), special)}  "
+          f"2 x {len(_SPECIAL)}  special values {_SPECIAL!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
