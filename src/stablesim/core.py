@@ -158,6 +158,31 @@ def _abs_power(o: np.ndarray, alpha: float) -> None:
         np.power(o, alpha, out=o, where=nonzero)
 
 
+def _block_integrand(kernel: Kernel, o: np.ndarray, mass: np.ndarray, terms, held, fields,
+                     bpts, rows) -> None:
+    """One row block of a combo's integrand |sum_j theta_j K(t_j, .)|^alpha *
+    mass, written into ``o``; the block's rows of the new ``held`` fields are
+    filled first.  Every K(t, .) the block evaluates comes from one
+    ``kernel.evals`` call, so F(0, .) is evaluated once, and no array of the
+    block outlives the call."""
+    fresh = kernel.evals([*held, *(t for _, t in terms if t not in fields)], bpts)
+    for t in held:
+        fields[t][rows] = next(fresh)
+    if not terms:
+        o.fill(0.0)
+    for k, (theta, t) in enumerate(terms):
+        v = fields[t][rows] if t in fields else next(fresh)
+        if k == 0:
+            np.multiply(theta, v, out=o)
+        elif t in fields:
+            o += theta * v
+        else:  # a fresh block array: scaled in place
+            v *= theta
+            o += v
+    _abs_power(o, kernel.alpha)
+    o *= mass
+
+
 def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> CfBatch:
     """sigma^alpha(combo) = integral of |sum_j theta_j K(t_j, .)|^alpha dmu for
     every combo, at one refinement level.
@@ -170,8 +195,9 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     power and the masses are applied in place.  A K(t, .) that later combos
     on the grid use again is evaluated once, block by block, held, and
     dropped after its last use; one used once is evaluated per block and
-    never held at full size.  Every value equals the one a batch of that
-    combo alone gives.
+    never held at full size.  Per block, every new K(t, .) of a combo comes
+    from one ``kernel.evals`` call, so F(0, .) is evaluated once.  Every
+    value equals the one a batch of that combo alone gives.
     """
     combos = tuple(combos)
     groups: dict = {}
@@ -188,24 +214,12 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
             terms = [(theta, t) for theta, t in combos[i].terms if theta != 0.0]
             new = {t for _, t in terms} - fields.keys()
             n_evals += len(new)
-            for t in new:
-                if pending[t] > 1:  # used again on this grid: held at full size
-                    fields[t] = np.empty(masses.shape)
-                    for bpts, rows in blocks:
-                        fields[t][rows] = kernel.eval(t, bpts)
+            held = sorted(t for t in new if pending[t] > 1)  # used again on this grid
+            for t in held:
+                fields[t] = np.empty(masses.shape)
             out = np.empty(masses.shape)
             for bpts, rows in blocks:
-                o = out[rows]
-                if not terms:
-                    o.fill(0.0)
-                for k, (theta, t) in enumerate(terms):
-                    v = fields[t][rows] if t in fields else kernel.eval(t, bpts)
-                    if k == 0:
-                        np.multiply(theta, v, out=o)
-                    else:
-                        o += theta * v
-                _abs_power(o, kernel.alpha)
-                o *= masses[rows]
+                _block_integrand(kernel, out[rows], masses[rows], terms, held, fields, bpts, rows)
             values[i] = pairwise_sum(out.ravel())
             for _, t in terms:
                 pending[t] -= 1
@@ -274,15 +288,17 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     refines.  Row i depends only on (seed, i), never on thread scheduling.
 
     The cells are ``kernel.sim_cells`` over the window of the grid.  Each
-    K(t_j, .) is evaluated on their factored points and raveled, with the
-    masses, in C order: the cell order of ``kernel.sim_grid``.  Path i takes
-    one uniform and one exponential per cell from ``philox(seed).jumped(i)``.
-    Cells whose weighted kernel is 0 at every grid time are dead: they still
-    consume their draws, so every live cell keeps the draw it would have
-    without pruning, but are not transformed or summed.  Each chunk of ``_PATH_CHUNK`` paths is reduced by one matrix
-    product of fixed shape, zero-padded past the last path, so a row's
-    arithmetic does not depend on n_paths or on the worker count.  The
-    chunks run on a pool of ``threads`` workers.
+    K(t_j, .) is evaluated on their factored points (``kernel.evals``, one
+    F(0, .) for the grid) and raveled, with the masses, in C order: the cell
+    order of ``kernel.sim_grid``.  Path i takes one uniform and one
+    exponential per cell from ``philox(seed).jumped(i)``.  Cells whose
+    weighted kernel is 0 at every grid time are dead: they still consume
+    their draws, so every live cell keeps the draw it would have without
+    pruning, but are not transformed or summed.  Each chunk of
+    ``_PATH_CHUNK`` paths is reduced by one matrix product of fixed shape,
+    zero-padded past the last path, so a row's arithmetic does not depend on
+    n_paths or on the worker count.  The chunks run on a pool of
+    ``threads`` workers.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
@@ -297,8 +313,9 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     points, masses = kernel.sim_cells(float(t[0]), float(t[-1]), level)
     weights = masses.ravel() ** (1.0 / kernel.alpha)
     kmat = np.empty((t.size, weights.size))
-    for j, tj in enumerate(t):
-        kmat[j] = kernel.eval(float(tj), points).ravel()
+    for j, k_t in enumerate(kernel.evals(t.tolist(), points)):
+        kmat[j] = k_t.ravel()
+    del k_t  # else the last field stays allocated through the simulation
     kmat *= weights[None, :]
     live = np.any(kmat != 0.0, axis=0)
     kT = np.ascontiguousarray(kmat[:, live].T)    # (n_live, n_times)

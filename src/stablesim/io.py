@@ -36,9 +36,14 @@ def spec_digest(descriptor: dict) -> str:
 
 
 def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> None:
-    """CSV with header time,path_0,... and round-trip decimal formatting."""
+    """CSV with header time,path_0,... and round-trip decimal formatting.
+    ``values`` is (paths, times); a ``times`` of another length raises
+    ValueError before anything is written."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or times.shape != values.shape[1:]:
+        raise ValueError(f"times has {times.size} entries, values has "
+                         f"{values.shape[-1] if values.ndim else 0} columns")
     n_paths = values.shape[0]
     fh.write(",".join(["time", *(f"path_{i}" for i in range(n_paths))]) + "\n")
     # one column at a time: the whole matrix as Python floats would hold

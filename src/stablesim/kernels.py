@@ -6,11 +6,15 @@ against an independently scattered SaS random measure on its state space,
 with X_0 = 0 (Samorodnitsky & Taqqu, 1994).  A family is one frozen
 dataclass deriving from ``Kernel``: its fields are the parameters, and it
 carries the admissibility inequalities (``violations``), the Hurst exponent,
-the kernel (``eval``), the control-measure discretizations used for
-quadrature (``cf_cells``) and path simulation (``sim_cells``), its JSON
-document (``to_doc`` / ``from_doc``) and, where the family declares them,
-the scaling maps of its lag kernel.  ``FAMILIES`` registers every family by
-name.
+the field of its kernel (``field``), the control-measure discretizations
+used for quadrature (``cf_cells``) and path simulation (``sim_cells``), its
+JSON document (``to_doc`` / ``from_doc``) and, where the family declares
+them, the scaling maps of its lag kernel.  ``FAMILIES`` registers every
+family by name.
+
+Every family's kernel has the Masani form K(t, .) = F(t, .) - F(0, .) of a
+stationary-increment process: the family implements the field F(t, .) once,
+and ``Kernel`` derives ``eval`` and ``evals`` from it.
 
 Both discretizations share one cell layout.  On the shift families the
 points are an array of shifts.  Every two-coordinate family is a mixed
@@ -22,11 +26,12 @@ to one point and one mass per cell, in C order.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,11 +103,29 @@ class Kernel(ABC):
         return None
 
     @abstractmethod
-    def eval(self, t: float, points) -> np.ndarray:
-        """K(t, point) for every point.  ``points`` is either the points of
+    def field(self, t: float, points) -> np.ndarray:
+        """F(t, point) for every point, the field of the Masani form
+        K(t, .) = F(t, .) - F(0, .).  ``points`` is either the points of
         ``cf_cells`` / ``sim_cells`` (on two-coordinate spaces a broadcastable
         coordinate pair, and the result has the shape of the masses) or the
-        flat points of ``cf_grid`` / ``sim_grid`` (one value per row)."""
+        flat points of ``cf_grid`` / ``sim_grid`` (one value per row).  The
+        result is a new array, which the caller may overwrite."""
+
+    def eval(self, t: float, points) -> np.ndarray:
+        """K(t, point) = F(t, point) - F(0, point) for every point, in the
+        layout of ``field``."""
+        return self.field(t, points) - self.field(0.0, points)
+
+    def evals(self, times: Iterable[float], points) -> Iterator[np.ndarray]:
+        """K(t, .) on ``points`` for each of ``times`` in turn, bit for bit
+        ``eval(t, points)``, with F(0, .) evaluated once for all of them."""
+        f0 = None
+        for t in times:
+            if f0 is None:
+                f0 = self.field(0.0, points)
+            k_t = self.field(t, points)
+            k_t -= f0
+            yield k_t
 
     @abstractmethod
     def cf_cells(self, times: Sequence[float], level: int) -> tuple:
@@ -258,10 +281,10 @@ def _flat_cells(points, masses) -> tuple[np.ndarray, np.ndarray]:
 # -- moving-average families (state space R, Lebesgue control measure) -----
 
 class _ShiftFamily(Kernel):
-    """K(t, s) = f(t - s) - f(-s) for the moving-average profile f = ``self.profile``."""
+    """F(t, s) = f(t - s) for the moving-average profile f = ``self.profile``."""
 
-    def eval(self, t, s):
-        return self.profile(t - s) - self.profile(-s)
+    def field(self, t, s):
+        return self.profile(t - s)
 
     def cf_cells(self, times, level):
         return cells_from_edges(_shift_cf_edges(times, level))
@@ -377,16 +400,14 @@ class MixedLfsm(Kernel):
     def hurst_exponent(self):
         return self.hurst
 
-    def eval(self, t, pts):
+    def field(self, t, pts):
         g = self.hurst - 1.0 / self.alpha
         b1 = np.array([b[0] for b, _ in self.atoms])
         b2 = np.array([b[1] for b, _ in self.atoms])
         idx, s = _coords(pts)
         idx = idx.astype(int)
-        u1, u0 = t - s, -s
-        f1 = b1[idx] * _power_plus(u1, g) + b2[idx] * _power_plus(-u1, g)
-        f0 = b1[idx] * _power_plus(u0, g) + b2[idx] * _power_plus(-u0, g)
-        return f1 - f0
+        u = t - s
+        return b1[idx] * _power_plus(u, g) + b2[idx] * _power_plus(-u, g)
 
     def _atom_cells(self, shift_edges: np.ndarray):
         weights = np.array([w for _, w in self.atoms])
@@ -441,9 +462,9 @@ class TruncatedFractional(Kernel):
     def hurst_exponent(self):
         return (self.alpha * self.a - self.b + 1.0) / self.alpha
 
-    def eval(self, t, pts):
+    def field(self, t, pts):
         p, s = _coords(pts)
-        return _trunc_f(t - s, p, self.a) - _trunc_f(-s, p, self.a)
+        return _trunc_f(t - s, p, self.a)
 
     def cf_cells(self, times, level):
         # slow power tails: both radial cutoffs move three decades per level.
@@ -496,9 +517,9 @@ class Chentsov(Kernel):
     def hurst_exponent(self):
         return self.beta / self.alpha
 
-    def eval(self, t, pts):
+    def field(self, t, pts):
         x, s = _coords(pts)
-        return (np.abs(t - s) < x).astype(float) - (np.abs(s) < x).astype(float)
+        return (np.abs(t - s) < x).astype(float)
 
     def cf_cells(self, times, level):
         scale = max(max(abs(t) for t in times), 1.0)
@@ -540,9 +561,21 @@ class RotatingAverage(Kernel):
     def hurst_exponent(self):
         return self.beta / self.alpha
 
-    def eval(self, t, pts):
+    def field(self, t, pts):
+        # series(s + t x) by angle addition: with c = cos(k t x), d = sin(k t x),
+        #   a cos(k (s + t x)) + b sin(k (s + t x)) = (a c + b d) cos(k s) + (b c - a d) sin(k s),
+        # so trig runs on the radial and shift factors only and a cell costs a
+        # few multiply-adds
         x, s = _coords(pts)
-        return self.series(s + t * x) - self.series(s)
+        out = np.full(np.broadcast_shapes(np.shape(x), np.shape(s)), self.series.constant)
+        for k, a, b in self.series.terms:
+            if a == 0.0 and b == 0.0:
+                continue
+            ktx, ks = k * (t * x), k * s
+            c, d = np.cos(ktx), np.sin(ktx)
+            out += (a * c + b * d) * np.cos(ks)
+            out += (b * c - a * d) * np.sin(ks)
+        return out
 
     def cf_grid_key(self, times):
         return None  # one grid for every probe
@@ -699,6 +732,20 @@ def _corner_partition(breaks: np.ndarray, inner: float, pad: float, reach: float
     return np.unique(np.fromiter(edges, dtype=float))
 
 
+@functools.lru_cache(maxsize=8)
+def _corner_cells(t: float, p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shift cells (nodes, widths) of ``integral_I`` at time t and radial
+    range [p_lo, p_hi].  They do not depend on (a, b), so ``region_map``
+    builds them once per level; the arrays are read-only since they are shared."""
+    inner = max(0.1 * p_lo, 1e-13 * max(t, 1.0))  # below this, shells hit rounding
+    s_edges = _corner_partition(np.array([0.0, t]), inner=inner, pad=max(2.0 * t, 2.0),
+                                reach=4.0 * p_hi + 4.0 * t, n_per_decade=8)
+    cells = cells_from_edges(s_edges)
+    for c in cells:
+        c.setflags(write=False)
+    return cells
+
+
 _RATIO_BAND = 0.08  # per-decade mass ratios within 1 +- this are not decaying
 
 
@@ -726,11 +773,7 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
         p_lo = 1e-5 * 10.0 ** (-2 * level)
         p_hi = 1e5 * 10.0 ** (2 * level)
         p_nodes, p_mass, _ = power_law_cells(p_lo, p_hi, 10, -1.0 - b)
-        s_reach = 4.0 * p_hi + 4.0 * t
-        inner = max(0.1 * p_lo, 1e-13 * max(t, 1.0))  # below this, shells hit rounding
-        s_edges = _corner_partition(np.array([0.0, t]), inner=inner,
-                                    pad=max(2.0 * t, 2.0), reach=s_reach, n_per_decade=8)
-        s_nodes, s_w = cells_from_edges(s_edges)
+        s_nodes, s_w = _corner_cells(float(t), p_lo, p_hi)
         P = p_nodes[:, None]
         S = s_nodes[None, :]
         G = _trunc_f(t - S, P, a) - _trunc_f(-S, P, a)

@@ -135,8 +135,20 @@ class IncrementProcess(Kernel):
     def alpha(self) -> float:
         return self.source.alpha
 
-    def eval(self, t, pts):
+    def field(self, t, pts):
+        # the increment process is stationary: its kernel is its own field
+        # F_T(t, .) = K(t + lag, .) - K(t, .), with no F_T(0, .) term
         return self.source.eval(t + self.lag, pts) - self.source.eval(t, pts)
+
+    def eval(self, t, pts):
+        return self.field(t, pts)
+
+    def evals(self, times, pts):
+        # the source's K at t + lag and t for every t, from one source F(0, .)
+        pairs = self.source.evals((u for t in times for u in (t + self.lag, t)), pts)
+        for upper, lower in zip(pairs, pairs):
+            upper -= lower
+            yield upper
 
     def _widened(self, times):
         return tuple(sorted(set(times) | {t + self.lag for t in times}))

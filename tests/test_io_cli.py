@@ -105,6 +105,14 @@ class TestEnsembleCsv:
         with pytest.raises(ValueError, match=re.escape(f"line {line}: non-numeric field")):
             sio.read_ensemble_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("n_times", (3, 6))
+    def test_times_must_match_columns(self, n_times):
+        buf = io.StringIO()
+        with pytest.raises(ValueError,
+                           match=f"times has {n_times} entries, values has 5 columns"):
+            sio.write_ensemble_csv(buf, np.arange(float(n_times)), np.ones((2, 5)))
+        assert buf.getvalue() == ""
+
     def test_header_checked(self):
         with pytest.raises(ValueError):
             sio.read_ensemble_csv(io.StringIO("a,b\n1,2\n"))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import stablesim as ss
 from stablesim import io as sio
-from stablesim.kernels import integral_I, truncated_region
-from stablesim.verify import default_probes
+from stablesim.kernels import _coords, _power_plus, _trunc_f, integral_I, truncated_region
+from stablesim.transforms import IncrementProcess, increment_process
+from stablesim.verify import check_self_similar, check_stationary_increments, default_probes
 
 # Per catalog spec: the digest of its JSON document, which ensemble sidecars
 # carry, and the level-1 sigma^alpha of X_1, which fixes its kernel and grid.
@@ -195,6 +196,107 @@ def chentsov_sigma_exact(alpha, beta, terms):
     mlast = m(breaks[-1])
     total += mlast * breaks[-1] ** (beta - 1.0) / (1.0 - beta)
     return total
+
+
+MASANI_SPECS = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+MASANI_IDS = [f"{i}-{type(s).__name__}" for i, s in enumerate(MASANI_SPECS)]
+MASANI_TIMES = (1.0, 0.0, 2.5, 0.5)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _masani_layouts(k):
+    """Factored cf_cells points, flat cf_grid points and flat sim_grid points."""
+    return (k.cf_cells(MASANI_TIMES, 1)[0], k.cf_grid(MASANI_TIMES, 1)[0],
+            k.sim_grid(min(MASANI_TIMES), max(MASANI_TIMES), 1)[0])
+
+
+def _pre_field_eval(k, t, pts):
+    """K(t, .) written out as each family computed it before families
+    supplied their field F(t, .): F(t, .) and F(0, .) evaluated separately,
+    F(0, .) at the negated shift."""
+    if isinstance(k, IncrementProcess):
+        return _pre_field_eval(k.source, t + k.lag, pts) - _pre_field_eval(k.source, t, pts)
+    if isinstance(k, (ss.Lfsm, ss.LinearMotion, ss.LogFractional)):
+        return k.profile(t - pts) - k.profile(-pts)
+    r, s = _coords(pts)
+    if isinstance(k, ss.MixedLfsm):
+        g = k.hurst - 1.0 / k.alpha
+        b1 = np.array([b[0] for b, _ in k.atoms])[r.astype(int)]
+        b2 = np.array([b[1] for b, _ in k.atoms])[r.astype(int)]
+        u1, u0 = t - s, -s
+        return ((b1 * _power_plus(u1, g) + b2 * _power_plus(-u1, g))
+                - (b1 * _power_plus(u0, g) + b2 * _power_plus(-u0, g)))
+    if isinstance(k, ss.TruncatedFractional):
+        return _trunc_f(t - s, r, k.a) - _trunc_f(-s, r, k.a)
+    assert isinstance(k, ss.Chentsov)
+    return (np.abs(t - s) < r).astype(float) - (np.abs(s) < r).astype(float)
+
+
+class TestMasaniForm:
+    @pytest.mark.parametrize("spec", MASANI_SPECS, ids=MASANI_IDS)
+    def test_evals_match_eval_bit_for_bit(self, spec):
+        k = ss.build(spec)
+        for pts in _masani_layouts(k):
+            got = list(k.evals(MASANI_TIMES, pts))
+            assert len(got) == len(MASANI_TIMES)
+            for t, v in zip(MASANI_TIMES, got):
+                assert np.array_equal(_bits(v), _bits(k.eval(t, pts))), t
+
+    @pytest.mark.parametrize("spec", [pytest.param(s, id=i) for s, i in zip(MASANI_SPECS, MASANI_IDS)
+                                      if not isinstance(s, ss.RotatingAverage)])
+    def test_eval_matches_pre_field_formula(self, spec):
+        k = ss.build(spec)
+        for pts in _masani_layouts(k):
+            for t in MASANI_TIMES:
+                assert np.array_equal(_bits(k.eval(t, pts)), _bits(_pre_field_eval(k, t, pts))), t
+
+    def test_evals_of_no_times_is_empty(self):
+        assert list(ss.Lfsm(1.5, 0.7).evals([], np.array([0.5]))) == []
+
+    def test_rotating_angle_addition_accuracy(self):
+        # The field sums harmonics a cos(k(s + tx)) + b sin(k(s + tx)) by angle
+        # addition, the direct series evaluates trig at fl(k fl(s + fl(tx))).
+        # With u = fl(tx) shared and eps = 2**-53: the direct argument is off
+        # by <= 2.01 eps k |s + u|; the angle form's arguments fl(k u) and
+        # fl(k s) by <= eps k |u| and eps k |s|, and each of its factors
+        # (a c + b d), cos(ks) has <= 3 roundings besides libm's <= 1 ulp, so a
+        # harmonic of weight w = |a| + |b| differs by <= w (4.1 eps k (|u| + |s|)
+        # + 13 eps) between the two forms, at t and again at t = 0.  Summing
+        # the H harmonics and the constant adds <= (H + 1) eps W per form and
+        # the final subtraction 2 eps W, W = |constant| + sum of w.  Hence
+        # |eval - direct| <= eps (sum_k w_k (4.1 k (|u| + 4 pi) + 26) + (2H + 6) W),
+        # with |s| < 2 pi; at |tx| = 1e6 and k = 5 that is about 2e-9.
+        series = ss.FourierSeries(((1, 0.7, -0.4), (2, 0.0, 1.3), (5, -0.25, 0.6)), 0.9)
+        k = ss.RotatingAverage(1.5, 0.8, series)
+        x = np.geomspace(1e-4, 1e4, 41)[:, None]
+        s = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)[None, :]
+        eps = 2.0 ** -53
+        w = [(kk, abs(a) + abs(b)) for kk, a, b in series.terms]
+        W = abs(series.constant) + sum(wk for _, wk in w)
+        for t in (-100.0, -3.7, 0.0, 0.3, 1.0, 25.0, 100.0):
+            u = np.abs(t * x)
+            bound = eps * (sum(wk * (4.1 * kk * (u + 4.0 * np.pi) + 26.0) for kk, wk in w)
+                           + (2 * len(w) + 6) * W)
+            err = np.abs(k.eval(t, (x, s)) - (series(s + t * x) - series(s)))
+            assert np.all(err <= bound), (t, float(np.max(err / bound)))
+        assert np.max(np.abs(100.0 * x)) == pytest.approx(1e6)
+
+    def test_rotating_checks_keep_their_residuals(self):
+        # residuals of the catalog rotating spec with the direct series
+        # evaluation, before the field used angle addition
+        si = (3.2632050915242194e-08, 4.57239928475236e-08, 1.2988998123505352e-08,
+              1.9666082636257347e-08, 1.4232690108429506e-08, 2.4092727673579067e-08,
+              4.0661950244976613e-08, 1.0700046060604623e-08)
+        ss_ = (0.00012651911850139475, 0.0002541081056797734, 9.900504612678218e-05,
+               0.00033380434193847064, 0.0005192438041132924, 0.0005088977745194151,
+               0.00018023414174908603, 0.0001518736977791646)
+        k = ss.build(ss.catalog_specs()[-1])
+        for report, pinned in ((check_stationary_increments(k), si), (check_self_similar(k), ss_)):
+            assert report.passed
+            assert np.max(np.abs(np.array(report.residuals) - pinned)) <= 1e-12
 
 
 class TestChentsovOracle:

@@ -11,12 +11,19 @@ those values, in that order.  A last line does the same for the values
 and verdicts of ``region_map(1.5)`` on an 11 x 11 grid over [-1, 1]^2.
 Only public calls are used, so the script runs on older trees too.
 
-usage: python tools/oracle_digest.py   (imports the package from src/ next to tools/)
+With ``--values FILE`` it also writes the raw values as JSON, one list of
+176 per spec keyed by the spec's ``repr``, so that two trees whose digests
+differ can be compared value by value.
+
+usage: python tools/oracle_digest.py [--values FILE]
+       (imports the package from src/ next to tools/)
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -45,14 +52,22 @@ def oracle_values(ss, kernel) -> list[float]:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Digest the quadrature oracle's values.")
+    parser.add_argument("--values", metavar="FILE",
+                        help="also write the raw values per spec to FILE as JSON")
+    args = parser.parse_args()
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import stablesim as ss
     from stablesim.transforms import increment_process
 
     specs = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+    raw = {}
     for spec in specs:
-        values = oracle_values(ss, ss.build(spec))
+        values = raw[repr(spec)] = oracle_values(ss, ss.build(spec))
         print(f"{digest(values)}  {len(values)} values  {spec!r}")
+    if args.values:
+        with open(args.values, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh, indent=1)
     grid = np.linspace(-1.0, 1.0, 11)
     rm = ss.region_map(1.5, grid, grid)
     print(f"{digest([*rm.values.ravel(), *rm.verdicts.ravel()])}  "
