@@ -35,7 +35,7 @@ from .kernels import (
     truncated_region,
     validate,
 )
-from .quadrature import DivergenceError, QuadraturePolicy
+from .quadrature import DivergenceError
 
 __version__ = "0.1.0"
 

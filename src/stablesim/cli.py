@@ -47,19 +47,21 @@ def _seed(given: int | None) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid), n >= 1."""
+    """lo:hi:n (linear) or lo:hi:nxg (geometric n-point grid), finite lo and
+    hi, n >= 1."""
     try:
         lo_s, hi_s, n_s = text.split(":")
         geometric = n_s.endswith("g")
         n = int(n_s[:-1] if geometric else n_s)
         lo, hi = float(lo_s), float(hi_s)
-        if n < 1:
+        if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError
         if geometric:
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
     except ValueError:
-        raise ValueError(f"bad grid spec {text!r}: want lo:hi:n with n >= 1") from None
+        raise ValueError(f"bad grid spec {text!r}: want lo:hi:n with finite lo, hi "
+                         "and n >= 1") from None
 
 
 def _check_alpha(alpha: float) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .io import spec_digest
 from .kernels import Kernel
-from .quadrature import Certificate, DivergenceError, QuadraturePolicy, pairwise_sum, run_levels
+from .quadrature import RTOL, Certificate, DivergenceError, pairwise_sum, run_levels
 
 _PATH_CHUNK = 256  # fixed so that results cannot depend on the worker count
 
@@ -228,22 +228,21 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     return CfBatch(tuple(values), len(groups), n_evals)
 
 
-def cf_exponent(kernel: Kernel, combo: LinearCombo, policy: QuadraturePolicy | None = None,
-                level: int | None = None) -> CfExponent:
+def cf_exponent(kernel: Kernel, combo: LinearCombo, *, level: int | None = None) -> CfExponent:
     """sigma^alpha(combo), the one-combo case of ``cf_exponents``.
 
     With ``level`` given, evaluates that one refinement level only (status
-    "single_level"); otherwise runs the policy schedule.
+    "single_level"); otherwise runs the refinement schedule of
+    ``quadrature.run_levels`` (levels 1 to 5, relative tolerance ``RTOL``).
     """
-    policy = policy or QuadraturePolicy()
 
     def eval_level(lvl: int) -> float:
         return cf_exponents(kernel, (combo,), lvl).values[0]
 
     if level is not None:
         v = eval_level(level)
-        return CfExponent(v, Certificate((level,), (v,), "single_level", policy.rtol))
-    value, cert = run_levels(eval_level, policy)
+        return CfExponent(v, Certificate((level,), (v,), "single_level", RTOL))
+    value, cert = run_levels(eval_level)
     return CfExponent(value, cert)
 
 

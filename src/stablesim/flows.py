@@ -45,6 +45,12 @@ def _abs_distance(p, q):
     return np.abs(p - q).reshape(len(p), -1).max(axis=1)
 
 
+def _circle_distance(p, q):
+    # points (angle, x) of (0, 2pi) x R_+: the larger of the angle and x gaps
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    return np.maximum(_angle_gap(p[:, 0], q[:, 0]), np.abs(p[:, 1] - q[:, 1]))
+
+
 def _orbit_shape(t, pts) -> tuple[int, ...]:
     """Shape of (time, point) broadcast along the points' leading axis."""
     return np.broadcast_shapes(np.shape(t), (len(pts),))
@@ -77,17 +83,13 @@ def rotation_flow() -> FlowSpec:
         s = np.mod(pts[:, 0] + t * pts[:, 1], TWO_PI)
         return np.column_stack([s, np.broadcast_to(pts[:, 1], s.shape)])
 
-    def distance(p, q):
-        p, q = np.atleast_2d(p), np.atleast_2d(q)
-        return np.maximum(_angle_gap(p[:, 0], q[:, 0]), np.abs(p[:, 1] - q[:, 1]))
-
     def sample(rng, n):
         return np.column_stack([rng.uniform(0.0, TWO_PI, n),
                                 np.exp(rng.uniform(np.log(0.3), np.log(30.0), n))])
 
     return FlowSpec("rotation", 2, apply,
                     lambda t, pts: np.ones(_orbit_shape(t, np.atleast_2d(pts))),
-                    distance, sample, orbit_speed=lambda pts: np.atleast_2d(pts)[:, 1])
+                    _circle_distance, sample, orbit_speed=lambda pts: np.atleast_2d(pts)[:, 1])
 
 
 def circle_scaling_flow(beta: float) -> FlowSpec:
@@ -100,17 +102,13 @@ def circle_scaling_flow(beta: float) -> FlowSpec:
         x = pts[:, 1] * np.exp(t)
         return np.column_stack([np.broadcast_to(pts[:, 0], x.shape), x])
 
-    def distance(p, q):
-        p, q = np.atleast_2d(p), np.atleast_2d(q)
-        return np.maximum(_angle_gap(p[:, 0], q[:, 0]), np.abs(p[:, 1] - q[:, 1]))
-
     def sample(rng, n):
         return np.column_stack([rng.uniform(0.0, TWO_PI, n),
                                 np.exp(rng.uniform(-2.0, 2.0, n))])
 
     return FlowSpec("scaling", 2, apply,
                     lambda t, pts: np.exp(-beta * t) * np.ones(_orbit_shape(t, np.atleast_2d(pts))),
-                    distance, sample)
+                    _circle_distance, sample)
 
 
 def dilation_flow() -> FlowSpec:
@@ -240,9 +238,13 @@ def _orbit_integral_increment(flow: FlowSpec, g0, alpha: float, point: np.ndarra
     return total
 
 
-def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray,
-                  schedule: Sequence[float] = (4.0, 8.0, 16.0, 32.0, 64.0),
-                  rtol: float = 1e-3) -> HopfVerdict:
+# half-widths L of the time windows [-L, L] of hopf_classify, and the relative
+# change under the last doubling below which an orbit integral has stabilized
+_HOPF_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
+_HOPF_RTOL = 1e-3
+
+
+def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray) -> HopfVerdict:
     """Classify points by the truncated orbit integral of |g0 o phi_t|^alpha rho_t.
 
     Dissipative when the integral stabilizes under doubling of the time
@@ -253,7 +255,6 @@ def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray,
     n_points = len(pts)
     verdicts: list[str] = []
     traces: list[tuple[tuple[float, float], ...]] = []
-    Ls = [float(L) for L in schedule]
     for i in range(n_points):
         point = pts[i]
         if flow.orbit_speed is not None:
@@ -264,22 +265,22 @@ def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray,
         vals = []
         total = 0.0
         prev_L = 0.0
-        for L in Ls:
+        for L in _HOPF_WINDOWS:
             total += _orbit_integral_increment(flow, g0, alpha, point, prev_L, L, step)
             total += _orbit_integral_increment(flow, g0, alpha, point, -L, -prev_L, step)
             prev_L = L
             vals.append(total)
-        trace = tuple(zip(Ls, vals))
+        trace = tuple(zip(_HOPF_WINDOWS, vals))
         traces.append(trace)
         if vals[-1] <= 1e-12:
             verdicts.append("degenerate")
             continue
         tail_change = abs(vals[-1] - vals[-2]) / max(abs(vals[-1]), 1e-300)
         prev_change = abs(vals[-2] - vals[-3]) / max(abs(vals[-1]), 1e-300)
-        if tail_change < rtol and prev_change < 10 * rtol:
+        if tail_change < _HOPF_RTOL and prev_change < 10 * _HOPF_RTOL:
             verdicts.append("dissipative")
             continue
-        x = np.array(Ls)
+        x = np.array(_HOPF_WINDOWS)
         y = np.array(vals)
         slope, intercept = np.polyfit(x, y, 1)
         fit = slope * x + intercept

@@ -77,9 +77,13 @@ def mixing_measure(atoms: Atoms, alpha: float) -> SphereMeasure:
     return SphereMeasure(sym, alpha, True)
 
 
-def same_mixed_lfsm(q1: Atoms, q2: Atoms, alpha: float, tol: float = 1e-9) -> bool:
+_SPHERE_TOL = 1e-9  # angular and relative weight tolerance of same_mixed_lfsm
+
+
+def same_mixed_lfsm(q1: Atoms, q2: Atoms, alpha: float) -> bool:
     """Equality in law of two mixed-LFSM mixing measures: equal symmetrized
-    sphere measures (directions within angular tol, weights within rtol)."""
+    sphere measures (directions within _SPHERE_TOL radians, weights within
+    _SPHERE_TOL relative)."""
     m1 = mixing_measure(q1, alpha).atoms
     m2 = mixing_measure(q2, alpha).atoms
     if len(m1) != len(m2):
@@ -89,9 +93,9 @@ def same_mixed_lfsm(q1: Atoms, q2: Atoms, alpha: float, tol: float = 1e-9) -> bo
         ang2 = math.atan2(o2[1], o2[0]) % TWO_PI
         gap = abs(ang1 - ang2)
         gap = min(gap, TWO_PI - gap)
-        if gap > 1e-9:
+        if gap > _SPHERE_TOL:
             return False
-        if abs(w1 - w2) > tol * max(abs(w1), abs(w2)):
+        if abs(w1 - w2) > _SPHERE_TOL * max(abs(w1), abs(w2)):
             return False
     return True
 
@@ -164,8 +168,7 @@ def match_rotating(g1: FourierSeries, beta1: float, g2: FourierSeries, beta2: fl
 
 
 def shift_sign_equivalent(times: np.ndarray, y1: np.ndarray, y2: np.ndarray,
-                          alpha: float, tol: float = 1e-3,
-                          max_shift: float | None = None) -> EquivalenceWitness | None:
+                          alpha: float, tol: float = 1e-3) -> EquivalenceWitness | None:
     """Search for eps in {-1, +1} and a real shift u with y2(t) = eps * y1(t - u).
 
     Inputs are sampled on one uniform grid covering the declared support
@@ -181,9 +184,8 @@ def shift_sign_equivalent(times: np.ndarray, y1: np.ndarray, y2: np.ndarray,
     norm = float(np.sum(np.abs(a) ** alpha) * dt) ** (1.0 / alpha)
     if norm == 0.0:
         raise ValueError("y1 is identically zero on the window")
-    kmax = a.size - 1 if max_shift is None else min(a.size - 1, int(round(max_shift / dt)))
     best: tuple[float, int, int] | None = None
-    for k in range(-kmax, kmax + 1):
+    for k in range(1 - a.size, a.size):
         shifted = np.zeros_like(a)
         if k >= 0:
             shifted[k:] = a[: a.size - k]

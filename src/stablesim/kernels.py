@@ -708,39 +708,26 @@ def _frontier_ratio(masses: np.ndarray, n: int = 3) -> float:
     return float(np.exp(np.mean(np.log(m[1:] / m[:-1]))))
 
 
-def _corner_partition(breaks: np.ndarray, inner: float, pad: float, reach: float,
-                      n_per_decade: int) -> np.ndarray:
-    """Shift partition with log shells around every breakpoint down to ``inner``.
-
-    Resolving the kernel corners at scales commensurate with the radial
-    cutoff is what lets the decade analysis see joint (shift, radial)
-    singularities of the integrand.
-    """
-    edges = set(float(b) for b in breaks)
-    bp = np.sort(np.asarray(breaks, dtype=float))
-    for i, b in enumerate(bp):
-        left_gap = pad if i == 0 else 0.5 * (b - bp[i - 1])
-        right_gap = pad if i == len(bp) - 1 else 0.5 * (bp[i + 1] - b)
-        for sign, gap in ((-1.0, left_gap), (1.0, right_gap)):
-            if gap <= inner:
-                continue
-            n = max(4, int(np.ceil(np.log10(gap / inner) * n_per_decade)))
-            edges.update(b + sign * np.geomspace(inner, gap, n + 1))
-    n = max(4, int(np.ceil(np.log10(reach / pad) * n_per_decade)))
-    edges.update(bp[0] - np.geomspace(pad, reach, n + 1))
-    edges.update(bp[-1] + np.geomspace(pad, min(reach, 10.0 * pad), n + 1))
-    return np.unique(np.fromiter(edges, dtype=float))
-
-
 @functools.lru_cache(maxsize=8)
 def _corner_cells(t: float, p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Shift cells (nodes, widths) of ``integral_I`` at time t and radial
-    range [p_lo, p_hi].  They do not depend on (a, b), so ``region_map``
-    builds them once per level; the arrays are read-only since they are shared."""
+    range [p_lo, p_hi]: log shells around both kernel corners s = 0 and
+    s = t down to a scale commensurate with the radial cutoff, which is what
+    lets the decade analysis see joint (shift, radial) singularities of the
+    integrand, and geometric tails beyond them.  The cells do not depend on
+    (a, b), so ``region_map`` builds them once per level; the arrays are
+    read-only since they are shared."""
     inner = max(0.1 * p_lo, 1e-13 * max(t, 1.0))  # below this, shells hit rounding
-    s_edges = _corner_partition(np.array([0.0, t]), inner=inner, pad=max(2.0 * t, 2.0),
-                                reach=4.0 * p_hi + 4.0 * t, n_per_decade=8)
-    cells = cells_from_edges(s_edges)
+    pad = max(2.0 * t, 2.0)
+    reach = 4.0 * p_hi + 4.0 * t
+    n = max(4, int(np.ceil(np.log10(reach / pad) * 8)))
+    pieces = [np.array([0.0, t]), -np.geomspace(pad, reach, n + 1),
+              t + np.geomspace(pad, min(reach, 10.0 * pad), n + 1)]
+    for corner, sign, gap in ((0.0, -1.0, pad), (0.0, 1.0, 0.5 * t),
+                              (t, -1.0, 0.5 * t), (t, 1.0, pad)):
+        if gap > inner:
+            pieces.append(corner + sign * power_law_cells(inner, gap, 8, 0.0)[2])
+    cells = cells_from_edges(np.unique(np.concatenate(pieces)))
     for c in cells:
         c.setflags(write=False)
     return cells
@@ -767,6 +754,7 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
         frontiers = {"radial_low": max(ratio, 1.0), "radial_high": max(1.0 / ratio if b != 0 else 1.0, 1.0)}
         return IntegralVerdict("divergent", math.inf, frontiers, ())
 
+    kernel = TruncatedFractional(alpha, a, b)
     trace: list[float] = []
     last = None
     for level in range(1, 6):
@@ -774,9 +762,7 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
         p_hi = 1e5 * 10.0 ** (2 * level)
         p_nodes, p_mass, _ = power_law_cells(p_lo, p_hi, 10, -1.0 - b)
         s_nodes, s_w = _corner_cells(float(t), p_lo, p_hi)
-        P = p_nodes[:, None]
-        S = s_nodes[None, :]
-        G = _trunc_f(t - S, P, a) - _trunc_f(-S, P, a)
+        G = kernel.eval(t, (p_nodes[:, None], s_nodes[None, :]))
         contrib = np.abs(G) ** alpha * s_w[None, :] * p_mass[:, None]
         total = pairwise_sum(contrib)
 

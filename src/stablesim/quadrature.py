@@ -19,22 +19,15 @@ class DivergenceError(ArithmeticError):
     """Raised when a quantity that must be finite fails its convergence schedule."""
 
 
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Refinement schedule for improper-integral evaluation.
-
-    Each level doubles the node budget and enlarges the truncated domain
-    geometrically.  ``rtol`` is the relative change between successive levels
-    accepted as converged; divergence is declared after ``divergence_runs``
-    consecutive enlargements that each grow the value, with cumulative growth
-    above ``divergence_factor``.
-    """
-
-    rtol: float = 1e-3
-    min_level: int = 1
-    max_level: int = 5
-    divergence_factor: float = 1.5
-    divergence_runs: int = 3
+# Refinement schedule of improper-integral evaluation.  Each level doubles
+# the node budget and enlarges the truncated domain geometrically.  A relative
+# change below RTOL between successive levels counts as converged; divergence
+# is declared after _DIVERGENCE_RUNS consecutive enlargements that each grow
+# the value, with cumulative growth above _DIVERGENCE_FACTOR.
+_LEVELS = range(1, 6)
+RTOL = 1e-3
+_DIVERGENCE_FACTOR = 1.5
+_DIVERGENCE_RUNS = 3
 
 
 @dataclass(frozen=True)
@@ -49,25 +42,25 @@ class Certificate:
         return self.status == "converged"
 
 
-def run_levels(eval_level: Callable[[int], float], policy: QuadraturePolicy) -> tuple[float | None, Certificate]:
+def run_levels(eval_level: Callable[[int], float]) -> tuple[float | None, Certificate]:
     """Evaluate ``eval_level`` over the schedule until converged or diverged."""
     levels: list[int] = []
     values: list[float] = []
-    for level in range(policy.min_level, policy.max_level + 1):
+    for level in _LEVELS:
         v = float(eval_level(level))
         levels.append(level)
         values.append(v)
         if len(values) >= 2:
             prev = values[-2]
-            if abs(v - prev) <= policy.rtol * max(abs(v), _TINY):
-                return v, Certificate(tuple(levels), tuple(values), "converged", policy.rtol)
-        k = policy.divergence_runs
+            if abs(v - prev) <= RTOL * max(abs(v), _TINY):
+                return v, Certificate(tuple(levels), tuple(values), "converged", RTOL)
+        k = _DIVERGENCE_RUNS
         if len(values) > k:
             tail = values[-(k + 1):]
             growing = all(tail[i + 1] > tail[i] for i in range(k))
-            if growing and tail[0] > 0 and tail[-1] / tail[0] > policy.divergence_factor:
-                return None, Certificate(tuple(levels), tuple(values), "diverged", policy.rtol)
-    return values[-1], Certificate(tuple(levels), tuple(values), "exhausted", policy.rtol)
+            if growing and tail[0] > 0 and tail[-1] / tail[0] > _DIVERGENCE_FACTOR:
+                return None, Certificate(tuple(levels), tuple(values), "diverged", RTOL)
+    return values[-1], Certificate(tuple(levels), tuple(values), "exhausted", RTOL)
 
 
 _GRADE_POWER = 3.0
@@ -75,7 +68,8 @@ _GRADE_POWER = 3.0
 
 def graded_edges(lo: float, hi: float, n: int,
                  grade_lo: bool = True, grade_hi: bool = True) -> np.ndarray:
-    """Cell edges on [lo, hi] clustered toward graded endpoints.
+    """Cell edges on [lo, hi] clustered toward graded endpoints; at least one
+    of ``grade_lo`` and ``grade_hi`` is set.
 
     Power grading resolves integrable endpoint singularities of the
     |kernel|^alpha integrand without evaluating at the endpoint itself.
@@ -90,9 +84,7 @@ def graded_edges(lo: float, hi: float, n: int,
         return np.concatenate([left, right[1:]])
     if grade_lo:
         return lo + (hi - lo) * u ** _GRADE_POWER
-    if grade_hi:
-        return hi - (hi - lo) * u[::-1] ** _GRADE_POWER
-    return lo + (hi - lo) * u
+    return hi - (hi - lo) * u[::-1] ** _GRADE_POWER
 
 
 def cells_from_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -178,8 +178,11 @@ class SemivariationEstimate:
     exact_pattern: bool     # scalar optimal pattern used
 
 
+_SEMIVARIATION_DEPTH = 10  # finest partition of semivariation: 2**10 cells
+
+
 def semivariation(curve: Curve, delta: float, interval: tuple[float, float] = (0.0, 1.0),
-                  max_depth: int = 10, seed: int = 0) -> SemivariationEstimate:
+                  seed: int = 0) -> SemivariationEstimate:
     """Lower-bound estimate of A(f, delta) = sup ||sum c_j (f(t_j)-f(t_j-1))||.
 
     For scalar curves the supremum over |c_j| <= delta is attained by
@@ -196,7 +199,7 @@ def semivariation(curve: Curve, delta: float, interval: tuple[float, float] = (0
     sizes = []
     scalar = curve.space.label == "scalar"
     rng = np.random.Generator(philox(seed))
-    for depth in range(2, max_depth + 1):
+    for depth in range(2, _SEMIVARIATION_DEPTH + 1):
         n = 2 ** depth
         sizes.append(n)
         ts = np.linspace(a, b, n + 1)

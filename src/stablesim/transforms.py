@@ -10,6 +10,7 @@ time grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,13 @@ def _cum_left_riemann(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def masani_forward(path: PathFunction, history: float = 20.0) -> tuple[PathFunction, float]:
     """Stationary transform of a stationary-increment path.
 
-    Requires samples back to -history; the neglected tail is bounded by
-    exp(-history) * max|X|, which is returned alongside the transform.
-    The exponential-window integral is evaluated by the trapezoid rule.
+    Requires a finite history >= 0 and samples back to -history; the
+    neglected tail is bounded by exp(-history) * max|X|, which is returned
+    alongside the transform.  The exponential-window integral is evaluated by
+    the trapezoid rule.
     """
+    if not (math.isfinite(history) and history >= 0.0):
+        raise ValueError(f"history must be a finite number >= 0, got {history}")
     t = np.asarray(path.times, float)
     x = np.asarray(path.values, float)
     if t[0] > -history + 1e-9:
@@ -100,8 +104,14 @@ def _geometric_ratio(times: np.ndarray) -> float:
     return r
 
 
+def _check_hurst(hurst: float) -> None:
+    if not math.isfinite(hurst):
+        raise ValueError(f"hurst must be a finite number, got {hurst}")
+
+
 def lamperti_to_stationary(path: PathFunction, hurst: float) -> PathFunction:
     """Y(u) = e^{-H u} X(e^u) on the log grid of a geometric time grid."""
+    _check_hurst(hurst)
     t = np.asarray(path.times, float)
     _geometric_ratio(t)
     u = np.log(t)
@@ -111,6 +121,7 @@ def lamperti_to_stationary(path: PathFunction, hurst: float) -> PathFunction:
 
 def lamperti_from_stationary(path: PathFunction, hurst: float) -> PathFunction:
     """X(t) = t^H Y(log t) on the exponential of a uniform grid."""
+    _check_hurst(hurst)
     u = np.asarray(path.times, float)
     du = np.diff(u)
     if np.max(np.abs(du - du[0])) > 1e-9 * abs(du[0]):

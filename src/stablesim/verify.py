@@ -16,6 +16,7 @@ from .flows import dilation_flow, rotation_flow
 from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build, hurst_of
 
 _FLOOR = 1e-12  # machine-level invariance floor for refinement comparisons
+_LEVEL = 2  # quadrature level of the self-similarity and Monte Carlo checks
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def check_stationary_increments(kernel: Kernel, combos=None,
 
 def check_self_similar(kernel: Kernel, combos=None,
                        scales=(0.25, 0.5, 1.0, 2.0, 4.0), tol: float = 0.01,
-                       level: int = 2, target_hurst: float | None = None) -> VerificationReport:
+                       target_hurst: float | None = None) -> VerificationReport:
     """Fit the scaling slope of log sigma^alpha against log c per probe.
 
     For an H-self-similar process the slope is alpha * H; the report carries
@@ -134,7 +135,7 @@ def check_self_similar(kernel: Kernel, combos=None,
     if target is None:
         raise ValueError("kernel has no Hurst exponent; pass target_hurst")
     batch, seconds = _timed_batch(
-        kernel, [c.scaled_times(sc) for c in combos for sc in scales], level)
+        kernel, [c.scaled_times(sc) for c in combos for sc in scales], _LEVEL)
     slopes = []
     for j in range(len(combos)):
         logs = [math.log(v) for v in batch.values[j * len(scales):(j + 1) * len(scales)]]
@@ -156,8 +157,11 @@ class UnsupportedFamilyError(TypeError):
     pass
 
 
-def check_scaling_maps(spec: Kernel, scales=(0.5, 2.0, 4.0),
-                       tol: float = 1e-12) -> VerificationReport:
+_MAP_SCALES = (0.5, 2.0, 4.0)  # the scales c of check_scaling_maps
+_MAP_TOL = 1e-12  # kernel and measure residual bound of check_scaling_maps
+
+
+def check_scaling_maps(spec: Kernel) -> VerificationReport:
     """Pointwise kernel homogeneity f_{cT}(rho_c x, c s) = c^{beta1} f_T(x, s)
     of the lag kernel f_T(x, s) = f(x, T+s) - f(x, s) and the measure
     rescaling law mu(rho_c A) = c^{beta2} mu(A), with (beta1, beta2) inferred
@@ -176,7 +180,7 @@ def check_scaling_maps(spec: Kernel, scales=(0.5, 2.0, 4.0),
     Ts = (0.5, 1.0, 2.0)
     kernel_res = 0.0
     ratios = []
-    for c in scales:
+    for c in _MAP_SCALES:
         for T in Ts:
             for x in xs:
                 rx = x if exponent is None else c * x
@@ -197,7 +201,7 @@ def check_scaling_maps(spec: Kernel, scales=(0.5, 2.0, 4.0),
         c1 = exponent + 1.0
         mass = (edges[1:] ** c1 - edges[:-1] ** c1) / c1
         hats = []
-        for c in scales:
+        for c in _MAP_SCALES:
             scaled_mass = ((c * edges[1:]) ** c1 - (c * edges[:-1]) ** c1) / c1
             ratio = scaled_mass / mass
             hats.extend(math.log(r) / math.log(c) for r in ratio)
@@ -207,9 +211,9 @@ def check_scaling_maps(spec: Kernel, scales=(0.5, 2.0, 4.0),
 
     hurst_from_maps = (alpha * beta1_hat + beta2_hat + 1.0) / alpha
     hurst_res = abs(hurst_from_maps - hurst_of(spec)) / abs(hurst_of(spec))
-    passed = kernel_res < tol and measure_res < tol and hurst_res < 1e-9
+    passed = kernel_res < _MAP_TOL and measure_res < _MAP_TOL and hurst_res < 1e-9
     return VerificationReport(
-        "scaling_maps", passed, tol, (kernel_res, measure_res, hurst_res),
+        "scaling_maps", passed, _MAP_TOL, (kernel_res, measure_res, hurst_res),
         {"beta1": beta1, "beta2": beta2, "beta1_hat": beta1_hat, "beta2_hat": beta2_hat,
          "hurst_from_maps": hurst_from_maps, "hurst": hurst_of(spec)})
 
@@ -290,7 +294,7 @@ def _require_paths(ensemble: PathEnsemble) -> None:
 
 
 def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
-                          tol: float | None = None, level: int = 2) -> VerificationReport:
+                          tol: float | None = None) -> VerificationReport:
     """Max over probes of |empirical CF - exp(-sigma^alpha)|.
 
     Default tolerance is the CLT scale 3/sqrt(n_paths) plus a 2% allowance
@@ -299,7 +303,7 @@ def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
     _require_paths(ensemble)
     combos = combos or default_probes()
     tol = tol if tol is not None else 3.0 / math.sqrt(ensemble.n_paths) + 0.02
-    batch, seconds = _timed_batch(kernel, combos, level)
+    batch, seconds = _timed_batch(kernel, combos, _LEVEL)
     residuals = []
     for c, sigma in zip(combos, batch.values):
         target = math.exp(-sigma)

@@ -277,8 +277,10 @@ class TestCli:
         (["--t", "0:1:5", "--seed", "-1"], "seed", None),
         (["--t", "0:1:5", "--seed", str(2 ** 64)], "seed", None),
         (["--t", "0:1:5"], "STABLESIM_SEED", "abc"),
+        (["--t", "nan:1:5"], "bad grid spec", None),
+        (["--t", "0.1:inf:5"], "bad grid spec", None),
     ], ids=["t-bad", "t-reversed", "n-paths-negative", "threads-zero", "level-negative",
-            "seed-negative", "seed-too-large", "env-seed-not-integer"])
+            "seed-negative", "seed-too-large", "env-seed-not-integer", "t-nan", "t-inf"])
     def test_simulate_bad_arguments_exit_2(self, specdir, capsys, monkeypatch,
                                            args, message, env_seed):
         if env_seed is not None:
@@ -304,9 +306,11 @@ class TestCli:
           "--margin", "10"], "no grid point to score"),
         (["classify", "--flow", "rotation", "--seed", "-1"], "seed"),
         (["classify", "--flow", "rotation", "--seed", str(2 ** 64)], "seed"),
+        (["region", "--alpha", "1.5", "--a", "nan:1:3", "--b", "0.2:0.9:3"], "bad grid spec"),
     ], ids=["classify-zero-points", "classify-negative-points", "classify-alpha-0",
             "region-alpha-3", "region-empty-grid", "region-margin-nan", "region-margin-inf",
-            "region-nothing-scored", "classify-seed-negative", "classify-seed-too-large"])
+            "region-nothing-scored", "classify-seed-negative", "classify-seed-too-large",
+            "region-a-nan"])
     def test_bad_classify_and_region_arguments_exit_2(self, specdir, capsys, args, message):
         out = specdir["dir"] / "o.out"
         rc = main([*args, "--out", str(out)])
@@ -433,6 +437,26 @@ class TestCli:
             t1, v1 = sio.read_ensemble_csv(fh)
         assert np.max(np.abs(v1 - v0)) < 1e-12
         assert np.max(np.abs(t1 - t0)) < 1e-12
+
+    @pytest.mark.parametrize("args, message", [
+        (["--op", "lamperti-to-stationary", "--hurst", "nan"], "hurst"),
+        (["--op", "lamperti-from-stationary", "--hurst", "inf"], "hurst"),
+        (["--op", "masani-forward", "--history", "-5"], "history"),
+        (["--op", "masani-forward", "--history", "nan"], "history"),
+    ], ids=["lamperti-to-hurst-nan", "lamperti-from-hurst-inf", "masani-history-negative",
+            "masani-history-nan"])
+    def test_transform_bad_arguments_exit_2(self, specdir, capsys, args, message):
+        csv_in = str(specdir["dir"] / "geo.csv")
+        assert main(["simulate", "--spec", specdir["lfsm"], "--n-paths", "4",
+                     "--t", "0.25:4:17g", "--seed", "1", "--out", csv_in]) == 0
+        capsys.readouterr()
+        out = specdir["dir"] / "t.csv"
+        rc = main(["transform", "--input", csv_in, *args, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_transform_requires_hurst(self, specdir, capsys):
         rc = main(["transform", "--input", "whatever.csv",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -323,6 +324,16 @@ class TestIntegralI:
         # cross-check against a direct wide-domain brute-force quadrature
         assert r.value == pytest.approx(8.322, rel=0.02)
 
+    @pytest.mark.parametrize("t, trace", [
+        (0.5, (3.4940735527996516, 3.4933730970911423)),
+        (3.0, (32.77689881424812, 32.76705269764048)),
+    ])
+    def test_values_pinned(self, t, trace):
+        # verdict, value and trace bit for bit: the kernel evaluation and the
+        # corner shells must not move them
+        r = integral_I(1.5, 0.5, 0.5, t)
+        assert (r.verdict, r.value, r.trace) == ("finite", trace[-1], trace)
+
     def test_negative_a_region(self):
         assert integral_I(1.5, -0.5, -0.2).verdict == "finite"
         assert integral_I(1.5, -0.5, -0.8).verdict == "divergent"
@@ -346,6 +357,13 @@ class TestRegionMap:
                 if rm.scored[i, j]:
                     want = "finite" if rm.expected[i, j] else "divergent"
                     assert rm.verdicts[i, j] == want
+
+    def test_values_and_verdicts_pinned(self):
+        rm = ss.region_map(1.5, np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
+        blob = (",".join(repr(float(v)) for v in rm.values.ravel()) + "|"
+                + ",".join(rm.verdicts.ravel()))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "07af357ed192facf18e19fa541e076346e57329229a56adb9df03646bce32d6b")
 
     def test_boundary_points_excluded_from_scoring(self):
         # (0.5, 0.75) lies exactly on b = alpha a

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import stablesim as ss
 from stablesim.core import _cms
-from stablesim.quadrature import pairwise_sum
+from stablesim.quadrature import Certificate, pairwise_sum
 from stablesim.transforms import increment_process
 from stablesim.verify import default_probes
 
@@ -100,9 +100,23 @@ class TestCfExponent:
         # H=1/alpha pure power kernel is not alpha-integrable; increments blow
         # up under domain enlargement
         bad = ss.build_unchecked(ss.Lfsm(1.5, 0.9999999, 1.0, 0.0))
-        r = ss.cf_exponent(bad, ss.combo((1.0, 1.0)),
-                           ss.QuadraturePolicy(max_level=5))
+        r = ss.cf_exponent(bad, ss.combo((1.0, 1.0)))
         assert r.status in ("diverged", "exhausted")
+
+    def test_certificates_pinned(self):
+        # the refinement schedule (levels 1-5, rtol 1e-3, divergence after 3
+        # growing enlargements of more than 1.5x overall), bit for bit
+        r = ss.cf_exponent(ss.build(ss.Lfsm(1.5, 0.7)), ss.combo((1.0, 1.0)))
+        assert r.value == 0.9742602868474426
+        assert r.certificate == Certificate(
+            (1, 2), (0.9741295742899339, 0.9742602868474426), "converged", 0.001)
+        bad = ss.build_unchecked(ss.Lfsm(1.5, 0.9999999, 1.0, 0.0))
+        r = ss.cf_exponent(bad, ss.combo((1.0, 1.0)))
+        assert r.value is None
+        assert r.certificate == Certificate(
+            (1, 2, 3, 4),
+            (2.608949412922411, 3.0530620751517197, 3.4968957879617255, 3.9405794141019204),
+            "diverged", 0.001)
 
 
 BATCH_SPECS = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0))

@@ -43,6 +43,14 @@ class TestMasaniForward:
         with pytest.raises(ValueError, match="history"):
             masani_forward(PathFunction(t, t.copy()), history=L)
 
+    @pytest.mark.parametrize("history", [-5.0, math.nan, math.inf])
+    def test_history_must_be_finite_and_nonnegative(self, history):
+        # a negative or NaN history would pass the sample check and report a
+        # meaningless truncation bound (exp(5) * max|X|, or nan)
+        t = dense_grid(-L, 1.0, 1.0 / 64)
+        with pytest.raises(ValueError, match="history must be a finite number"):
+            masani_forward(PathFunction(t, t.copy()), history=history)
+
     def test_stationarity_of_transformed_ensemble(self):
         # Brownian-type input: joint CF of (Y_t, Y_{t+h}) should not depend on t
         k = ss.build_unchecked(ss.LinearMotion(2.0))
@@ -130,6 +138,14 @@ class TestLamperti:
         t = np.array([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="geometric"):
             lamperti_to_stationary(PathFunction(t, t), 0.7)
+
+    @pytest.mark.parametrize("hurst", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hurst_refused(self, hurst):
+        t = 0.5 * 2.0 ** (0.25 * np.arange(5))
+        with pytest.raises(ValueError, match="hurst"):
+            lamperti_to_stationary(PathFunction(t, t), hurst)
+        with pytest.raises(ValueError, match="hurst"):
+            lamperti_from_stationary(PathFunction(np.log(t), t), hurst)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.1, 0.9), st.floats(1.05, 1.5), st.integers(5, 30))

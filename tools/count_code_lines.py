@@ -1,10 +1,18 @@
-"""Count the code lines of each module in a package directory.
+"""Count the code lines and the defaulted parameters of each module in a
+package directory.
 
 A code line holds at least one token that is not a comment and is not part
 of a docstring (the leading string literal of a module, class or function,
 found with ``ast``); blank lines and comment-only lines are not counted.
 
+A defaulted parameter is a parameter with a default value of a public
+function or method: a module-level function, or a method of a module-level
+class, whose name has no leading underscore (dunder methods count).  The
+fields with a default of a public dataclass count as parameters of its
+generated ``__init__``.  Each one is a setting a caller can change.
+
 usage: python tools/count_code_lines.py [PACKAGE_DIR]   (default src/stablesim)
+       prints one line per module: code lines, defaulted parameters, name
 """
 
 from __future__ import annotations
@@ -39,14 +47,46 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def _n_defaults(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    names = {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}
+    return bool(names & {"dataclass", "dataclasses.dataclass"})
+
+
+def defaulted_parameters(tree: ast.Module) -> int:
+    total = 0
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(node.name):
+            total += _n_defaults(node)
+        elif isinstance(node, ast.ClassDef) and _public(node.name):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(item.name):
+                    total += _n_defaults(item)
+                elif (isinstance(item, ast.AnnAssign) and item.value is not None
+                      and _is_dataclass(node) and "ClassVar" not in ast.unparse(item.annotation)):
+                    total += 1
+    return total
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/stablesim")
-    total = 0
+    total = total_defaults = 0
+    print("  code  defaulted  module")
     for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        n = code_lines(source)
+        d = defaulted_parameters(ast.parse(source))
         total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        total_defaults += d
+        print(f"{n:6d}  {d:9d}  {path.name}")
+    print(f"{total:6d}  {total_defaults:9d}  total")
     return 0
 
 
