@@ -9,6 +9,7 @@ ensembles are reproducible bit-for-bit regardless of worker threads.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ class LinearCombo:
     def __post_init__(self):
         if len(self.terms) == 0:
             raise ValueError("combo needs at least one term")
+        for theta, t in self.terms:
+            if not (math.isfinite(theta) and math.isfinite(t)):
+                raise ValueError(f"combo terms need a finite theta and t, got ({theta}, {t})")
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -199,6 +203,8 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     from one ``kernel.evals`` call, so F(0, .) is evaluated once.  Every
     value equals the one a batch of that combo alone gives.
     """
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
     combos = tuple(combos)
     groups: dict = {}
     for i, c in enumerate(combos):

@@ -472,11 +472,17 @@ class TruncatedFractional(Kernel):
         # p-dependent kink at s = t - p.
         p_lo = 1e-6 * 1e-3 ** level
         p_hi = 1e6 * 1e3 ** level
+        # The grid ends at the first edge at or right of the last breakpoint
+        # bp[-1] (bp[-1] itself unless its panel was too narrow to keep):
+        # for s >= bp[-1] both (t - s)_+ and (-s)_+ are 0, so
+        # F(t, .) = F(0, .) = 0 (0^a := 0) and the right pad panel and tail
+        # would add exact zeros only.
         radial = subdivided_power_cells(p_lo, p_hi, 8 + 4 * level, -1.0 - self.b, subs=4)
         bp = sorted(set(times) | {0.0})
         edges = shift_partition(bp, level, tail_reach=4.0 * p_hi, tail_growth=1.0,
                                 nodes_per_decade=10)
-        return _product_cells(radial, edges)
+        end = int(np.searchsorted(edges, bp[-1]))
+        return _product_cells(radial, edges[:end + 1])
 
     def sim_cells(self, t_lo, t_hi, level):
         p_hi = 1e4 * 10.0 ** level
@@ -736,6 +742,18 @@ def _corner_cells(t: float, p_lo: float, p_hi: float) -> tuple[np.ndarray, np.nd
 _RATIO_BAND = 0.08  # per-decade mass ratios within 1 +- this are not decaying
 
 
+def _check_integral_args(alpha: float, t: float, values: dict[str, float]) -> None:
+    """Reject an alpha outside (0, 2), a t that is not a finite positive
+    number, and any non-finite value of ``values``, naming the argument."""
+    for name, v in {"alpha": alpha, "t": t, **values}.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be a finite number, got {v}")
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    if t <= 0:
+        raise ValueError("t must be positive")
+
+
 def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerdict:
     """Estimate the truncated-kernel well-posedness integral and classify it.
 
@@ -745,9 +763,17 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
     per-decade mass keeps growing marks divergence; decaying frontiers are
     extrapolated geometrically into the reported value.  Levels 1 to 5 are
     tried until two successive levels agree on "finite" or "divergent".
+    alpha must lie in (0, 2), a and b must be finite and t finite and > 0.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_integral_args(alpha, t, {"a": a, "b": b})
+    return _integral_I(alpha, a, b, t, {})
+
+
+def _integral_I(alpha: float, a: float, b: float, t: float, weighted: dict) -> IntegralVerdict:
+    """``integral_I`` on checked arguments.  ``weighted`` maps a level to
+    |K(t, .)|^alpha times the shift widths on that level's (radial, shift)
+    nodes; neither factor depends on b, so calls with one (alpha, a, t) may
+    share the dict, which is filled on first use of a level."""
     if a == 0.0:
         # kernel is an indicator of 0 < s < t times the full radial integral
         ratio = 10.0 ** b if b > 0 else (10.0 ** (-b) if b < 0 else 1.0)
@@ -762,8 +788,10 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
         p_hi = 1e5 * 10.0 ** (2 * level)
         p_nodes, p_mass, _ = power_law_cells(p_lo, p_hi, 10, -1.0 - b)
         s_nodes, s_w = _corner_cells(float(t), p_lo, p_hi)
-        G = kernel.eval(t, (p_nodes[:, None], s_nodes[None, :]))
-        contrib = np.abs(G) ** alpha * s_w[None, :] * p_mass[:, None]
+        if level not in weighted:
+            G = kernel.eval(t, (p_nodes[:, None], s_nodes[None, :]))
+            weighted[level] = np.abs(G) ** alpha * s_w[None, :]
+        contrib = weighted[level] * p_mass[:, None]
         total = pairwise_sum(contrib)
 
         per_p = contrib.sum(axis=1)
@@ -856,12 +884,17 @@ def region_map(alpha: float, a_values: Sequence[float], b_values: Sequence[float
     """Classify the (a, b) grid by integral_I and score against the closed form.
 
     Points within ``margin`` of any region boundary line are reported but
-    excluded from the agreement score.
+    excluded from the agreement score.  Within one call, the |K(t, .)|^alpha
+    field of each a value is evaluated once per level and reused for all of
+    its b values; every point's verdict and value equal those of its own
+    ``integral_I`` call bit for bit.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be a finite number >= 0, got {margin}")
     a_values = tuple(float(x) for x in a_values)
     b_values = tuple(float(x) for x in b_values)
+    _check_integral_args(alpha, t, {**{f"a_values[{i}]": a for i, a in enumerate(a_values)},
+                                    **{f"b_values[{j}]": b for j, b in enumerate(b_values)}})
     verdicts = np.empty((len(a_values), len(b_values)), dtype=object)
     values = np.full((len(a_values), len(b_values)), np.nan)
     expected = np.zeros_like(values, dtype=bool)
@@ -869,8 +902,9 @@ def region_map(alpha: float, a_values: Sequence[float], b_values: Sequence[float
     hits = 0
     n_scored = 0
     for i, a in enumerate(a_values):
+        weighted: dict = {}
         for j, b in enumerate(b_values):
-            res = integral_I(alpha, a, b, t=t)
+            res = _integral_I(alpha, a, b, t, weighted)
             verdicts[i, j] = res.verdict
             values[i, j] = res.value
             expected[i, j] = truncated_region(alpha, a, b)

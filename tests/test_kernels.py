@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import stablesim as ss
 from stablesim import io as sio
 from stablesim.kernels import _coords, _power_plus, _trunc_f, integral_I, truncated_region
+from stablesim.quadrature import cells_from_edges, shift_partition
 from stablesim.transforms import IncrementProcess, increment_process
 from stablesim.verify import check_self_similar, check_stationary_increments, default_probes
 
@@ -310,7 +311,50 @@ class TestChentsovOracle:
             assert mine == pytest.approx(exact, rel=2e-3)
 
 
+class TestTruncatedCfCells:
+    # probe time sets with negative times, and one left of 0 entirely
+    TIMES = ((1.0,), (0.5, 2.0), (-1.0, 0.5), (-3.0, -1.0))
+    SPECS = (ss.TruncatedFractional(1.5, 0.5, 0.5), ss.TruncatedFractional(1.5, -0.5, -0.2))
+
+    @pytest.mark.parametrize("level", (1, 2))
+    def test_no_shift_node_beyond_last_breakpoint(self, level):
+        for times in self.TIMES:
+            (_, s), _ = self.SPECS[0].cf_cells(times, level)
+            assert s.max() < max(*times, 0.0)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=("a>0", "a<0"))
+    def test_dropped_cells_are_exact_zeros(self, spec):
+        # the grid is the full partition cut at max(times, 0); on every cell
+        # right of the cut, K(t, .) is exactly 0 for every probe time
+        for level in (1, 2):
+            for times in self.TIMES:
+                (r, s), _ = spec.cf_cells(times, level)
+                full = shift_partition(sorted(set(times) | {0.0}), level,
+                                       tail_reach=4.0 * 1e6 * 1e3 ** level, tail_growth=1.0,
+                                       nodes_per_decade=10)
+                kept = s.shape[1]
+                assert np.array_equal(cells_from_edges(full[:kept + 1])[0], s[0])
+                dropped = cells_from_edges(full[kept:])[0]
+                assert dropped.size > 0 and dropped.min() >= max(*times, 0.0)
+                for t in times:
+                    assert not spec.eval(t, (r, dropped[None, :])).any()
+
+
 class TestIntegralI:
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, math.nan, 0.5), "a must be a finite number"),
+        ((1.5, 0.5, -math.inf), "b must be a finite number"),
+        ((1.5, 0.5, 0.5, math.nan), "t must be a finite number"),
+        ((1.5, 0.5, 0.5, math.inf), "t must be a finite number"),
+        ((math.nan, 0.5, 0.5), "alpha must be a finite number"),
+        ((2.0, 0.5, 0.5), r"alpha must lie in \(0, 2\)"),
+        ((0.0, 0.5, 0.5), r"alpha must lie in \(0, 2\)"),
+        ((1.5, 0.5, 0.5, 0.0), "t must be positive"),
+    ])
+    def test_bad_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            integral_I(*args)
+
     def test_a_zero_always_divergent(self):
         for b in (-0.5, 0.0, 0.5):
             assert integral_I(1.5, 0.0, b).verdict == "divergent"
@@ -364,6 +408,26 @@ class TestRegionMap:
                 + ",".join(rm.verdicts.ravel()))
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "07af357ed192facf18e19fa541e076346e57329229a56adb9df03646bce32d6b")
+
+    def test_matches_separate_integral_I_calls(self):
+        # the per-a field shared across the b sweep changes no value or verdict
+        a_grid, b_grid = (-1.0, -0.5, 0.0, 0.5), (-0.6, -0.2, 0.5)
+        rm = ss.region_map(1.5, a_grid, b_grid, t=2.0)
+        for i, a in enumerate(a_grid):
+            for j, b in enumerate(b_grid):
+                r = integral_I(1.5, a, b, t=2.0)
+                assert ((rm.verdicts[i, j], repr(float(rm.values[i, j])))
+                        == (r.verdict, repr(float(r.value))))
+
+    @pytest.mark.parametrize("alpha, a_values, b_values, t, message", [
+        (1.5, [0.5], [0.5], math.inf, "t must be a finite number"),
+        (1.5, [0.5, math.nan], [0.5], 1.0, r"a_values\[1\] must be a finite number"),
+        (1.5, [0.5], [math.inf], 1.0, r"b_values\[0\] must be a finite number"),
+        (2.5, [0.5], [0.5], 1.0, r"alpha must lie in \(0, 2\)"),
+    ])
+    def test_bad_arguments_rejected(self, alpha, a_values, b_values, t, message):
+        with pytest.raises(ValueError, match=message):
+            ss.region_map(alpha, a_values, b_values, t=t)
 
     def test_boundary_points_excluded_from_scoring(self):
         # (0.5, 0.75) lies exactly on b = alpha a

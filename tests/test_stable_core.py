@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesim as ss
-from stablesim.core import _cms
+from stablesim.core import _BLOCK_CELLS, _cms
 from stablesim.quadrature import Certificate, pairwise_sum
 from stablesim.transforms import increment_process
 from stablesim.verify import default_probes
@@ -103,6 +103,16 @@ class TestCfExponent:
         r = ss.cf_exponent(bad, ss.combo((1.0, 1.0)))
         assert r.status in ("diverged", "exhausted")
 
+    def test_bad_probe_input_rejected(self):
+        for terms in (((1.0, math.nan),), ((math.inf, 1.0),), ((1.0, 1.0), (0.5, -math.inf))):
+            with pytest.raises(ValueError, match="finite theta and t"):
+                ss.combo(*terms)
+        k = ss.build(ss.Lfsm(1.5, 0.7))
+        with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
+            ss.cf_exponent(k, ss.combo((1.0, 1.0)), level=-1)
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            ss.cf_exponents(k, [ss.combo((1.0, 1.0))], -2)
+
     def test_certificates_pinned(self):
         # the refinement schedule (levels 1-5, rtol 1e-3, divergence after 3
         # growing enlargements of more than 1.5x overall), bit for bit
@@ -141,8 +151,9 @@ class TestCfExponents:
         # the row-blocked integrand with its power on nonzero cells only must
         # give exactly the values of whole fields, accumulated term by term,
         # then abs, ** alpha and * masses over the full array.  The truncated
-        # level-1 grid (864 rows, 173 per block) ends in a partial block;
-        # Chentsov(1.0, 0.5) covers alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
+        # level-1 grid of the first probe (864 rows, 65536 // 165 = 397 per
+        # block) ends in a partial block, asserted below; Chentsov(1.0, 0.5)
+        # covers alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
         def reference(kernel, combos, level):
             key, values = object(), []
             for c in combos:
@@ -174,6 +185,9 @@ class TestCfExponents:
               for h in (0.0, 0.5, 1.0, 2.0, 5.0)]
         ss_probes = [c.scaled_times(sc) for c in default_probes()
                      for sc in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        if isinstance(spec, ss.TruncatedFractional):
+            rows, cols = spec.cf_cells(si[0].times, 1)[1].shape
+            assert rows % (_BLOCK_CELLS // cols) != 0
         for level in (1, 2):
             for combos in (si + extra, ss_probes + extra):
                 assert (ss.cf_exponents(spec, combos, level).values

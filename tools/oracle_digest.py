@@ -13,9 +13,12 @@ Only public calls are used, so the script runs on older trees too.
 
 With ``--values FILE`` it also writes the raw values as JSON, one list of
 176 per spec keyed by the spec's ``repr``, so that two trees whose digests
-differ can be compared value by value.
+differ can be compared value by value.  With ``--against FILE`` it reads
+such a file, written by another tree, and prints under each spec's line how
+many of its values are identical to that tree's and the largest relative
+difference |x - y| / max(|x|, |y|) among the others.
 
-usage: python tools/oracle_digest.py [--values FILE]
+usage: python tools/oracle_digest.py [--values FILE] [--against FILE]
        (imports the package from src/ next to tools/)
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +39,25 @@ _SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 def digest(values) -> str:
     return hashlib.sha256(",".join(repr(v) for v in values).encode()).hexdigest()[:16]
+
+
+def compare(values, other) -> str:
+    """How many of ``values`` equal ``other`` entry by entry, and the largest
+    relative difference of the rest (a nan equals a nan; any other unequal
+    pair with a non-finite member differs by inf)."""
+    if other is None:
+        return "absent"
+    if len(other) != len(values):
+        return f"{len(other)} values, not {len(values)}"
+    same, worst = 0, 0.0
+    for x, y in zip(values, other):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            same += 1
+        elif math.isfinite(x) and math.isfinite(y):
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        else:
+            worst = math.inf
+    return f"{same}/{len(values)} identical, largest relative difference {worst:.3g}"
 
 
 def oracle_values(ss, kernel) -> list[float]:
@@ -55,7 +78,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Digest the quadrature oracle's values.")
     parser.add_argument("--values", metavar="FILE",
                         help="also write the raw values per spec to FILE as JSON")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare each spec's values with those a --values FILE holds")
     args = parser.parse_args()
+    against = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            against = json.load(fh)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import stablesim as ss
     from stablesim.transforms import increment_process
@@ -65,6 +94,8 @@ def main() -> int:
     for spec in specs:
         values = raw[repr(spec)] = oracle_values(ss, ss.build(spec))
         print(f"{digest(values)}  {len(values)} values  {spec!r}")
+        if against is not None:
+            print(f"    against {args.against}: {compare(values, against.get(repr(spec)))}")
     if args.values:
         with open(args.values, "w", encoding="utf-8") as fh:
             json.dump(raw, fh, indent=1)
