@@ -27,9 +27,7 @@ from .kernels import (
     RotatingAverage,
     TruncatedFractional,
     build,
-    build_unchecked,
     catalog_specs,
-    hurst_of,
     integral_I,
     region_map,
     truncated_region,

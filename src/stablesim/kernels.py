@@ -39,6 +39,7 @@ from .quadrature import (
     cells_from_edges,
     pairwise_sum,
     power_law_cells,
+    shell_tail,
     shift_partition,
     subdivided_power_cells,
 )
@@ -638,22 +639,12 @@ def truncated_region(alpha: float, a: float, b: float) -> bool:
     return max(alpha * a, alpha * a - alpha + 1.0) < b < min(0.0, alpha * a + 1.0)
 
 
-def build_unchecked(spec: Kernel) -> Kernel:
-    """The spec itself, without the admissibility gate (diagnostics only)."""
-    return spec
-
-
 def validate(spec: Kernel) -> Admissibility:
     """Deterministic admissibility report; names every violated inequality."""
     v = tuple(spec.violations())
     if v:
         return Admissibility(False, None, v)
-    return Admissibility(True, hurst_of(spec), ())
-
-
-def hurst_of(spec: Kernel) -> float | None:
-    """Self-similarity exponent of an admissible spec."""
-    return spec.hurst_exponent()
+    return Admissibility(True, spec.hurst_exponent(), ())
 
 
 def build(spec: Kernel) -> Kernel:
@@ -707,39 +698,28 @@ def _decade_masses(vals: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frontier_ratio(masses: np.ndarray, n: int = 3) -> float:
-    """Geometric-mean growth per decade over the outermost ``n`` decades."""
-    m = masses[-(n + 1):]
-    m = np.maximum(m, 1e-300)
-    return float(np.exp(np.mean(np.log(m[1:] / m[:-1]))))
-
-
 @functools.lru_cache(maxsize=8)
-def _corner_cells(t: float, p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shift cells (nodes, widths) of ``integral_I`` at time t and radial
+def _corner_cells(p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shift cells (nodes, widths) of ``integral_I`` at t = 1 and radial
     range [p_lo, p_hi]: log shells around both kernel corners s = 0 and
-    s = t down to a scale commensurate with the radial cutoff, which is what
+    s = 1 down to a scale commensurate with the radial cutoff, which is what
     lets the decade analysis see joint (shift, radial) singularities of the
     integrand, and geometric tails beyond them.  The cells do not depend on
     (a, b), so ``region_map`` builds them once per level; the arrays are
     read-only since they are shared."""
-    inner = max(0.1 * p_lo, 1e-13 * max(t, 1.0))  # below this, shells hit rounding
-    pad = max(2.0 * t, 2.0)
-    reach = 4.0 * p_hi + 4.0 * t
-    n = max(4, int(np.ceil(np.log10(reach / pad) * 8)))
-    pieces = [np.array([0.0, t]), -np.geomspace(pad, reach, n + 1),
-              t + np.geomspace(pad, min(reach, 10.0 * pad), n + 1)]
-    for corner, sign, gap in ((0.0, -1.0, pad), (0.0, 1.0, 0.5 * t),
-                              (t, -1.0, 0.5 * t), (t, 1.0, pad)):
+    inner = max(0.1 * p_lo, 1e-13)  # below this, shells hit rounding
+    reach = 4.0 * p_hi + 4.0
+    n = max(4, int(np.ceil(np.log10(reach / 2.0) * 8)))
+    pieces = [np.array([0.0, 1.0]), -np.geomspace(2.0, reach, n + 1),
+              1.0 + np.geomspace(2.0, min(reach, 20.0), n + 1)]
+    for corner, sign, gap in ((0.0, -1.0, 2.0), (0.0, 1.0, 0.5),
+                              (1.0, -1.0, 0.5), (1.0, 1.0, 2.0)):
         if gap > inner:
             pieces.append(corner + sign * power_law_cells(inner, gap, 8, 0.0)[2])
     cells = cells_from_edges(np.unique(np.concatenate(pieces)))
     for c in cells:
         c.setflags(write=False)
     return cells
-
-
-_RATIO_BAND = 0.08  # per-decade mass ratios within 1 +- this are not decaying
 
 
 def _check_integral_args(alpha: float, t: float, values: dict[str, float]) -> None:
@@ -757,10 +737,19 @@ def _check_integral_args(alpha: float, t: float, values: dict[str, float]) -> No
 def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerdict:
     """Estimate the truncated-kernel well-posedness integral and classify it.
 
+    I(t) = int int |K(t; p, s)|^alpha p^(-1-b) dp ds with
+    K(t; p, s) = min(p^a, (t - s)_+^a) - min(p^a, (-s)_+^a).  K is
+    homogeneous of degree a in (t, p, s), so the substitution
+    (p, s) = (t p', t s') gives K(t; t p', t s') = t^a K(1; p', s') and
+    I(t) = t^(alpha a) t^(-b) t I(1) = t^(alpha H) I(1), alpha H = alpha a - b + 1.
+    The verdict therefore does not depend on t: the t = 1 problem is solved
+    and its value and trace are multiplied by t^(alpha H).
+
     The integrand is nonnegative, so truncated values are monotone in the
-    domain; the classifier watches the outermost decades at each truncation
-    frontier (radial low/high end and the far shift tail).  A frontier whose
-    per-decade mass keeps growing marks divergence; decaying frontiers are
+    domain; the classifier (``shell_tail``) watches the outermost decades at
+    each truncation frontier (radial low/high end, the far shift tail and
+    the shells around the kernel corners).  A frontier whose per-decade mass
+    keeps growing marks divergence; decaying domain frontiers are
     extrapolated geometrically into the reported value.  Levels 1 to 5 are
     tried until two successive levels agree on "finite" or "divergent".
     alpha must lie in (0, 2), a and b must be finite and t finite and > 0.
@@ -771,9 +760,9 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
 
 def _integral_I(alpha: float, a: float, b: float, t: float, weighted: dict) -> IntegralVerdict:
     """``integral_I`` on checked arguments.  ``weighted`` maps a level to
-    |K(t, .)|^alpha times the shift widths on that level's (radial, shift)
-    nodes; neither factor depends on b, so calls with one (alpha, a, t) may
-    share the dict, which is filled on first use of a level."""
+    |K(1, .)|^alpha times the shift widths on that level's (radial, shift)
+    nodes; neither factor depends on b or t, so calls with one (alpha, a)
+    may share the dict, which is filled on first use of a level."""
     if a == 0.0:
         # kernel is an indicator of 0 < s < t times the full radial integral
         ratio = 10.0 ** b if b > 0 else (10.0 ** (-b) if b < 0 else 1.0)
@@ -787,75 +776,53 @@ def _integral_I(alpha: float, a: float, b: float, t: float, weighted: dict) -> I
         p_lo = 1e-5 * 10.0 ** (-2 * level)
         p_hi = 1e5 * 10.0 ** (2 * level)
         p_nodes, p_mass, _ = power_law_cells(p_lo, p_hi, 10, -1.0 - b)
-        s_nodes, s_w = _corner_cells(float(t), p_lo, p_hi)
+        s_nodes, s_w = _corner_cells(p_lo, p_hi)
         if level not in weighted:
-            G = kernel.eval(t, (p_nodes[:, None], s_nodes[None, :]))
+            G = kernel.eval(1.0, (p_nodes[:, None], s_nodes[None, :]))
             weighted[level] = np.abs(G) ** alpha * s_w[None, :]
         contrib = weighted[level] * p_mass[:, None]
         total = pairwise_sum(contrib)
-
-        per_p = contrib.sum(axis=1)
-        dm_p = _decade_masses(per_p, p_nodes)
-        # far shift tail: |s| shells on the negative side
-        far = s_nodes < -max(2.0 * t, 1.0)
-        per_far = contrib[:, far].sum(axis=0)
-        # corner shells: distance to the nearest kernel breakpoint
-        corner_dist = np.minimum(np.abs(s_nodes), np.abs(s_nodes - t))
-        near = corner_dist < max(0.5 * t, 0.5)
-        per_near = contrib[:, near].sum(axis=0)
-
-        frontier = {
-            "radial_low": _frontier_ratio(dm_p[::-1]),
-            "radial_high": _frontier_ratio(dm_p),
-            "shift_far": 0.0,
-            "corner": 0.0,
-        }
-        edge_mass = {"radial_low": dm_p[0], "radial_high": dm_p[-1],
-                     "shift_far": 0.0, "corner": 0.0}
-        if per_far.size and per_far.sum() > 1e-12 * total:
-            dm_far = _decade_masses(per_far, np.abs(s_nodes[far]))
-            frontier["shift_far"] = _frontier_ratio(dm_far)
-            edge_mass["shift_far"] = dm_far[-1]
-        if per_near.size and per_near.sum() > 1e-12 * total:
-            dm_near = _decade_masses(per_near, corner_dist[near])
-            frontier["corner"] = _frontier_ratio(dm_near[::-1])
-            edge_mass["corner"] = dm_near[0]
-
         floor = 1e-9 * max(total, 1e-300)
-        verdicts = {}
-        for name, r in frontier.items():
-            if edge_mass[name] <= floor:
-                verdicts[name] = "finite"
-            elif r > 1.0 + _RATIO_BAND:
-                verdicts[name] = "divergent"
-            elif r >= 1.0 - _RATIO_BAND:
-                # non-decaying frontier with non-negligible mass: logarithmic divergence
-                verdicts[name] = "divergent" if r >= 0.999 else "undecided"
-            else:
-                verdicts[name] = "finite"
 
-        if any(v == "divergent" for v in verdicts.values()):
+        dm_p = _decade_masses(contrib.sum(axis=1), p_nodes)
+        shells = {"radial_low": dm_p[::-1], "radial_high": dm_p}
+        # far shift tail: |s| shells on the negative side
+        far = s_nodes < -2.0
+        per_far = contrib[:, far].sum(axis=0)
+        if per_far.size and per_far.sum() > 1e-12 * total:
+            shells["shift_far"] = _decade_masses(per_far, np.abs(s_nodes[far]))
+        # corner shells: distance to the nearest kernel breakpoint
+        corner_dist = np.minimum(np.abs(s_nodes), np.abs(s_nodes - 1.0))
+        near = corner_dist < 0.5
+        per_near = contrib[:, near].sum(axis=0)
+        if per_near.size and per_near.sum() > 1e-12 * total:
+            shells["corner"] = _decade_masses(per_near, corner_dist[near])[::-1]
+
+        frontier, verdicts = {}, {}
+        value = total
+        for name in ("radial_low", "radial_high", "shift_far", "corner"):
+            if name not in shells:  # a frontier without mass
+                frontier[name], verdicts[name] = 0.0, "finite"
+                continue
+            frontier[name], verdicts[name], remainder = shell_tail(shells[name], 10.0, floor)
+            # geometric tail extrapolation of decaying domain frontiers
+            if verdicts[name] == "finite" and name != "corner":
+                value += remainder
+
+        if "divergent" in verdicts.values():
             overall = "divergent"
         elif all(v == "finite" for v in verdicts.values()):
             overall = "finite"
         else:
             overall = "undecided"
-
-        # geometric tail extrapolation of decaying domain frontiers
-        value = total
-        for name in ("radial_low", "radial_high", "shift_far"):
-            r = frontier[name]
-            if verdicts[name] == "finite" and 0.0 < r < 1.0 and edge_mass[name] > floor:
-                value += edge_mass[name] * r / (1.0 - r)
         trace.append(value if overall == "finite" else total)
 
-        if last is not None and last[0] == overall != "undecided":
-            return IntegralVerdict(overall, math.inf if overall == "divergent" else value,
-                                   frontier, tuple(trace))
-        last = (overall, value, frontier)
-    return IntegralVerdict("undecided" if last is None else last[0],
-                           last[1] if last else math.nan,
-                           last[2] if last else {}, tuple(trace))
+        done = last is not None and last[0] == overall != "undecided"
+        last = (overall, math.inf if overall == "divergent" and done else value, frontier)
+        if done:
+            break
+    scale = t ** (alpha * a - b + 1.0)
+    return IntegralVerdict(last[0], scale * last[1], last[2], tuple(scale * v for v in trace))
 
 
 @dataclass(frozen=True)

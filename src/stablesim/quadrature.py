@@ -7,6 +7,7 @@ levels, divergence by sustained growth of the truncated value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -152,6 +153,39 @@ def shift_partition(breakpoints, level: int, *, base_nodes: int = 8,
     pieces.append(graded_edges(bp[-1], bp[-1] + pad, n, grade_hi=False)[1:])
     pieces.append((bp[-1] + np.geomspace(pad, reach, ndec + 1))[1:])
     return np.concatenate(pieces)
+
+
+_RATIO_BAND = 0.08  # per-decade shell ratios within 1 - this of 1 are not decaying
+
+
+def shell_tail(masses: np.ndarray, growth: float, floor: float) -> tuple[float, str, float]:
+    """Tail analysis of a nonnegative integral from the masses of geometric
+    shells, ordered outward, each ``growth`` times as wide as the one before.
+
+    Returns (ratio, verdict, remainder).  ``ratio`` is the geometric-mean
+    ratio of successive shell masses over the outermost three shells.  The
+    verdict reads the ratio per decade, ratio ** (1 / log10(growth)):
+    "finite" below 1 - _RATIO_BAND or when the outer shell carries no more
+    than ``floor``, "undecided" up to 0.999, and "divergent" above that
+    (a flat ratio is a logarithmic divergence) or when the outer shell is
+    infinite.  ``remainder`` is the geometric extrapolation
+    edge * ratio / (1 - ratio) of the mass beyond the outer shell: 0 when
+    that shell is negligible, inf when the shells do not decay.
+    """
+    m = np.maximum(masses[-4:], 1e-300)
+    with np.errstate(invalid="ignore"):  # inf / inf
+        r = float(np.exp(np.mean(np.log(m[1:] / m[:-1]))))
+    edge = masses[-1]
+    if edge <= floor and edge < math.inf:
+        return r, "finite", 0.0
+    per_decade = r ** (1.0 / math.log10(growth))
+    if per_decade < 1.0 - _RATIO_BAND:
+        verdict = "finite"
+    elif per_decade < 0.999:
+        verdict = "undecided"
+    else:
+        verdict = "divergent"
+    return r, verdict, edge * r / (1.0 - r) if r < 1.0 else math.inf
 
 
 def pairwise_sum(x: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from .core import (CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf, philox,
                    simulate)
 from .flows import dilation_flow, rotation_flow
-from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build, hurst_of
+from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build
 
 _FLOOR = 1e-12  # machine-level invariance floor for refinement comparisons
 _LEVEL = 2  # quadrature level of the self-similarity and Monte Carlo checks
@@ -131,7 +131,7 @@ def check_self_similar(kernel: Kernel, combos=None,
     relative to tol.
     """
     combos = combos or default_probes()
-    target = target_hurst if target_hurst is not None else hurst_of(kernel)
+    target = target_hurst if target_hurst is not None else kernel.hurst_exponent()
     if target is None:
         raise ValueError("kernel has no Hurst exponent; pass target_hurst")
     batch, seconds = _timed_batch(
@@ -210,12 +210,12 @@ def check_scaling_maps(spec: Kernel) -> VerificationReport:
         beta2_hat = float(np.mean(hats))
 
     hurst_from_maps = (alpha * beta1_hat + beta2_hat + 1.0) / alpha
-    hurst_res = abs(hurst_from_maps - hurst_of(spec)) / abs(hurst_of(spec))
+    hurst_res = abs(hurst_from_maps - spec.hurst_exponent()) / abs(spec.hurst_exponent())
     passed = kernel_res < _MAP_TOL and measure_res < _MAP_TOL and hurst_res < 1e-9
     return VerificationReport(
         "scaling_maps", passed, _MAP_TOL, (kernel_res, measure_res, hurst_res),
         {"beta1": beta1, "beta2": beta2, "beta1_hat": beta1_hat, "beta2_hat": beta2_hat,
-         "hurst_from_maps": hurst_from_maps, "hurst": hurst_of(spec)})
+         "hurst_from_maps": hurst_from_maps, "hurst": spec.hurst_exponent()})
 
 
 # ---------------------------------------------------------------------------

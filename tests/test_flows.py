@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from stablesim import LinearMotion, Lfsm, LogFractional
+from stablesim.core import philox
 from stablesim.flows import (
+    _HOPF_WINDOWS,
     broken_cocycle,
     catalog_flows,
     check_cocycle,
@@ -16,6 +19,7 @@ from stablesim.flows import (
     rotation_flow,
     translation_flow,
 )
+from stablesim.quadrature import shell_tail
 
 T_PAIRS = [(0.5, 1.5), (2.0, -1.0), (-0.7, 0.3), (3.0, 2.0), (-2.5, -1.5)]
 
@@ -98,7 +102,7 @@ HOPF_G0 = {
 }
 
 
-def step_loop_traces(flow, g0, alpha, points, schedule=(4.0, 8.0, 16.0, 32.0, 64.0)):
+def step_loop_traces(flow, g0, alpha, points, schedule):
     """hopf_classify's truncated orbit integrals with one flow call per time step."""
     traces = []
     for point in points:
@@ -113,10 +117,12 @@ def step_loop_traces(flow, g0, alpha, points, schedule=(4.0, 8.0, 16.0, 32.0, 64
             total = 0.0
             for chunk in np.array_split(ts, max(1, n // 4096)):
                 vals = np.empty(chunk.size)
-                for i, t in enumerate(chunk):
-                    moved = flow.apply(float(t), pts)
-                    vals[i] = (np.abs(g0(moved)) ** alpha * flow.rn_derivative(float(t), pts))[0]
-                total += float(np.sum(vals)) * (hi - lo) / n
+                with np.errstate(over="ignore"):
+                    for i, t in enumerate(chunk):
+                        g = (np.abs(g0(flow.apply(float(t), pts))) ** alpha)[0]
+                        rho = flow.rn_derivative(float(t), pts)[0]
+                        vals[i] = g * rho if g != 0.0 else 0.0  # 0 * inf = 0
+                    total += float(np.sum(vals)) * (hi - lo) / n
             return total
 
         total, prev, trace = 0.0, 0.0, []
@@ -137,7 +143,7 @@ class TestHopf:
         g0 = HOPF_G0[flow.tag]
         pts = flow.sample_points(rng(), 2)
         verdict = hopf_classify(flow, g0, 1.5, pts)
-        assert verdict.traces == step_loop_traces(flow, g0, 1.5, pts)
+        assert verdict.traces == step_loop_traces(flow, g0, 1.5, pts, _HOPF_WINDOWS)
 
     @pytest.mark.parametrize("flow", catalog_flows(), ids=lambda f: f.tag)
     def test_flow_broadcasts_over_times(self, flow):
@@ -164,6 +170,40 @@ class TestHopf:
         flow = rotation_flow()
         g0 = lambda pts: np.cos(np.atleast_2d(pts)[:, 0])
         verdict = hopf_classify(flow, g0, 1.5, flow.sample_points(rng(), 25))
+        assert set(verdict.verdicts) == {"conservative"}
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    @pytest.mark.parametrize("spec", [Lfsm(1.5, 0.7), Lfsm(1.5, 0.3), Lfsm(1.2, 0.9),
+                                      LinearMotion(1.5), LogFractional(1.5)], ids=repr)
+    def test_moving_average_increment_kernel_dissipative(self, spec, seed):
+        # g0 = K(1, .) of a moving average: every point is dissipative, and the
+        # doubling-shell ratio of its orbit integral tends to 2^(-alpha (1 - H))
+        flow = translation_flow()
+        pts = flow.sample_points(np.random.Generator(philox(seed)), 8)
+        verdict = hopf_classify(flow, lambda s: spec.eval(1.0, np.asarray(s, dtype=float)),
+                                spec.alpha, pts)
+        assert set(verdict.verdicts) == {"dissipative"}
+        want = 2.0 ** (-spec.alpha * (1.0 - spec.hurst_exponent()))
+        errs = []
+        for trace in verdict.traces:
+            vals = np.array([v for _, v in trace])
+            shells = np.diff(vals, prepend=0.0)
+            if shells[-1] > 1e-9 * vals[-1]:
+                errs.append(abs(shell_tail(shells, 2.0, 0.0)[0] / want - 1.0))
+        # only the indicator kernel of linear_motion leaves its outer shells empty
+        assert len(errs) == (0 if isinstance(spec, LinearMotion) else 8)
+        if errs:
+            assert max(errs) < 0.02 and np.median(errs) < 0.01
+
+    @pytest.mark.parametrize("seed", [5, 31])
+    def test_rotation_cos_conservative_acceptance_draws(self, seed):
+        # acceptance test_06's draws (40 translation points, then 40 rotation
+        # points) at other seeds
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        translation_flow().sample_points(rng, 40)
+        flow = rotation_flow()
+        g0 = lambda pts: np.cos(np.atleast_2d(pts)[:, 0])
+        verdict = hopf_classify(flow, g0, 1.5, flow.sample_points(rng, 40))
         assert set(verdict.verdicts) == {"conservative"}
 
     def test_zero_g0_degenerate(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import stablesim as ss
 from stablesim import io as sio
 from stablesim.kernels import _coords, _power_plus, _trunc_f, integral_I, truncated_region
-from stablesim.quadrature import cells_from_edges, shift_partition
+from stablesim.quadrature import cells_from_edges, shell_tail, shift_partition
 from stablesim.transforms import IncrementProcess, increment_process
 from stablesim.verify import check_self_similar, check_stationary_increments, default_probes
 
@@ -82,21 +82,21 @@ class TestValidate:
 
 class TestHurst:
     def test_truncated_formula(self):
-        assert ss.hurst_of(ss.TruncatedFractional(1.5, 0.5, 0.5)) == pytest.approx(5.0 / 6.0)
+        assert ss.TruncatedFractional(1.5, 0.5, 0.5).hurst_exponent() == pytest.approx(5.0 / 6.0)
 
     def test_chentsov_values(self):
-        assert ss.hurst_of(ss.Chentsov(1.25, 0.5)) == pytest.approx(0.4)
+        assert ss.Chentsov(1.25, 0.5).hurst_exponent() == pytest.approx(0.4)
         # H above one is reachable when alpha < 1
-        assert ss.hurst_of(ss.Chentsov(0.5, 0.6)) == pytest.approx(1.2)
+        assert ss.Chentsov(0.5, 0.6).hurst_exponent() == pytest.approx(1.2)
 
     def test_h_equals_inverse_alpha_families(self):
-        assert ss.hurst_of(ss.LinearMotion(1.5)) == pytest.approx(2.0 / 3.0)
-        assert ss.hurst_of(ss.LogFractional(1.5)) == pytest.approx(2.0 / 3.0)
+        assert ss.LinearMotion(1.5).hurst_exponent() == pytest.approx(2.0 / 3.0)
+        assert ss.LogFractional(1.5).hurst_exponent() == pytest.approx(2.0 / 3.0)
 
     def test_mixed_weight_rescaling_invariance(self):
         atoms1 = (((1.0, 0.0), 1.0), ((0.0, 1.0), 0.5))
         atoms2 = tuple((b, 7.0 * w) for b, w in atoms1)
-        assert ss.hurst_of(ss.MixedLfsm(1.5, 0.7, atoms1)) == ss.hurst_of(ss.MixedLfsm(1.5, 0.7, atoms2))
+        assert ss.MixedLfsm(1.5, 0.7, atoms1).hurst_exponent() == ss.MixedLfsm(1.5, 0.7, atoms2).hurst_exponent()
 
 
 class TestBuild:
@@ -368,16 +368,6 @@ class TestIntegralI:
         # cross-check against a direct wide-domain brute-force quadrature
         assert r.value == pytest.approx(8.322, rel=0.02)
 
-    @pytest.mark.parametrize("t, trace", [
-        (0.5, (3.4940735527996516, 3.4933730970911423)),
-        (3.0, (32.77689881424812, 32.76705269764048)),
-    ])
-    def test_values_pinned(self, t, trace):
-        # verdict, value and trace bit for bit: the kernel evaluation and the
-        # corner shells must not move them
-        r = integral_I(1.5, 0.5, 0.5, t)
-        assert (r.verdict, r.value, r.trace) == ("finite", trace[-1], trace)
-
     def test_negative_a_region(self):
         assert integral_I(1.5, -0.5, -0.2).verdict == "finite"
         assert integral_I(1.5, -0.5, -0.8).verdict == "divergent"
@@ -390,6 +380,64 @@ class TestIntegralI:
         # a properly admissible point for alpha < 1
         assert truncated_region(0.5, -2.0, -0.3)
         assert integral_I(0.5, -2.0, -0.3).verdict == "finite"
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (-0.5, -0.2), (0.9, 0.5)])
+    def test_scales_as_t_to_alpha_H(self, a, b):
+        # I(t) = t^(alpha H) I(1) with alpha H = alpha a - b + 1, so every t
+        # has the t = 1 verdict; (0.9, 0.5) lies outside the region
+        at_one = integral_I(1.5, a, b)
+        assert at_one.verdict == ("finite" if truncated_region(1.5, a, b) else "divergent")
+        for t in (1e-12, 1e-8, 4.5e-8, 1e-3, 0.5, 3.0, 1e4):
+            r = integral_I(1.5, a, b, t)
+            scale = t ** (1.5 * a - b + 1.0)
+            assert r.verdict == at_one.verdict
+            assert r.value == pytest.approx(scale * at_one.value, rel=1e-12)
+            assert r.trace == pytest.approx([scale * v for v in at_one.trace], rel=1e-12)
+
+    @pytest.mark.parametrize("t, trace", [
+        (0.5, (3.4930907880365245, 3.4917630786589555)),
+        (3.0, (32.801895174912076, 32.78942731007017)),
+    ])
+    def test_values_pinned(self, t, trace):
+        # verdict, value and trace bit for bit: t^(alpha H) times the t = 1
+        # solution, which the kernel evaluation and the corner shells must
+        # not move
+        r = integral_I(1.5, 0.5, 0.5, t)
+        assert (r.verdict, r.value, r.trace) == ("finite", trace[-1], trace)
+
+
+class TestShellTail:
+    def test_decaying_decades_finite_with_exact_remainder(self):
+        masses = 0.5 ** np.arange(8)
+        r, verdict, remainder = shell_tail(masses, 10.0, 0.0)
+        assert r == pytest.approx(0.5, rel=1e-12)
+        assert verdict == "finite"
+        # sum over k >= 8 of 0.5^k
+        assert remainder == pytest.approx(0.5 ** 7, rel=1e-12)
+
+    def test_growing_doublings_divergent(self):
+        r, verdict, remainder = shell_tail(2.0 ** np.arange(8), 2.0, 0.0)
+        assert r == pytest.approx(2.0, rel=1e-12)
+        assert (verdict, remainder) == ("divergent", math.inf)
+
+    def test_flat_shells_divergent(self):
+        # a constant mass per decade is a logarithmic divergence
+        assert shell_tail(np.ones(6), 10.0, 0.0)[1] == "divergent"
+
+    def test_slow_decay_undecided(self):
+        assert shell_tail(0.97 ** np.arange(8), 10.0, 0.0)[1] == "undecided"
+
+    def test_growth_read_per_decade(self):
+        # 0.97 per doubling is 0.97^(1/log10 2) = 0.904 per decade
+        assert shell_tail(0.97 ** np.arange(8), 2.0, 0.0)[1] == "finite"
+
+    def test_zero_outer_shell_finite(self):
+        _, verdict, remainder = shell_tail(np.array([1.0, 0.5, 0.2, 0.0]), 2.0, 0.0)
+        assert (verdict, remainder) == ("finite", 0.0)
+
+    def test_infinite_outer_shell_divergent(self):
+        _, verdict, _ = shell_tail(np.array([1.0, 2.0, math.inf, math.inf]), 2.0, 1e-9 * math.inf)
+        assert verdict == "divergent"
 
 
 class TestRegionMap:

@@ -99,7 +99,7 @@ class TestCfExponent:
     def test_divergent_kernel_reports_divergence(self):
         # H=1/alpha pure power kernel is not alpha-integrable; increments blow
         # up under domain enlargement
-        bad = ss.build_unchecked(ss.Lfsm(1.5, 0.9999999, 1.0, 0.0))
+        bad = ss.Lfsm(1.5, 0.9999999, 1.0, 0.0)
         r = ss.cf_exponent(bad, ss.combo((1.0, 1.0)))
         assert r.status in ("diverged", "exhausted")
 
@@ -120,7 +120,7 @@ class TestCfExponent:
         assert r.value == 0.9742602868474426
         assert r.certificate == Certificate(
             (1, 2), (0.9741295742899339, 0.9742602868474426), "converged", 0.001)
-        bad = ss.build_unchecked(ss.Lfsm(1.5, 0.9999999, 1.0, 0.0))
+        bad = ss.Lfsm(1.5, 0.9999999, 1.0, 0.0)
         r = ss.cf_exponent(bad, ss.combo((1.0, 1.0)))
         assert r.value is None
         assert r.certificate == Certificate(
@@ -219,7 +219,7 @@ class TestMeasureGrid:
 
 class TestSimulate:
     def test_gaussian_variance_matches_time(self):
-        k = ss.build_unchecked(ss.LinearMotion(2.0))
+        k = ss.LinearMotion(2.0)
         ens = ss.simulate(k, [0.5, 1.0, 2.0], 20000, seed=7)
         for j, t in enumerate(ens.times):
             assert ens.values[:, j].var() / 2.0 == pytest.approx(t, rel=0.08)

@@ -53,7 +53,7 @@ class TestMasaniForward:
 
     def test_stationarity_of_transformed_ensemble(self):
         # Brownian-type input: joint CF of (Y_t, Y_{t+h}) should not depend on t
-        k = ss.build_unchecked(ss.LinearMotion(2.0))
+        k = ss.LinearMotion(2.0)
         times = dense_grid(-L, 3.0, 1.0 / 16)
         ens = ss.simulate(k, times, 1500, seed=21, level=1)
         y, _ = masani_forward(from_ensemble(ens), history=L)

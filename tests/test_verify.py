@@ -125,7 +125,7 @@ class TestScalingMaps:
         for spec in (ss.MixedLfsm(1.5, 0.7, (((1.0, 0.0), 1.0),)),
                      ss.TruncatedFractional(1.5, 0.5, 0.5), ss.Chentsov(1.25, 0.5)):
             rep = check_scaling_maps(spec)
-            assert rep.details["hurst_from_maps"] == pytest.approx(ss.hurst_of(spec), rel=1e-9)
+            assert rep.details["hurst_from_maps"] == pytest.approx(spec.hurst_exponent(), rel=1e-9)
 
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):

@@ -7,9 +7,14 @@ stationary-increment probes (each default probe shifted by 0, 0.5, 1, 2
 and 5), the self-similarity probes (each default probe scaled by 0.25,
 0.5, 1, 2 and 4) and the eight default probes.  One line per spec gives
 the first 16 hex digits of the SHA-256 of the comma-joined ``repr`` of
-those values, in that order.  A last line does the same for the values
-and verdicts of ``region_map(1.5)`` on an 11 x 11 grid over [-1, 1]^2.
-Only public calls are used, so the script runs on older trees too.
+those values, in that order.  A line does the same for the values and
+verdicts of ``region_map(1.5)`` on an 11 x 11 grid over [-1, 1]^2.  Two
+last lines digest the verdicts and then the (window, value) traces of
+``hopf_classify`` on 8 points drawn from ``philox(5)``: on the translation
+flow with g0 = K(1, .) for lfsm(1.5, 0.7), lfsm(1.5, 0.3), lfsm(1.2, 0.9),
+linear_motion(1.5) and log_fractional(1.5) in turn, and on the rotation
+flow with g0 = cos s; each line also counts the verdicts.  Only public
+calls are used, so the script runs on older trees too.
 
 With ``--values FILE`` it also writes the raw values as JSON, one list of
 176 per spec keyed by the spec's ``repr``, so that two trees whose digests
@@ -29,6 +34,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +80,32 @@ def oracle_values(ss, kernel) -> list[float]:
     return values
 
 
+def hopf_lines(ss) -> list[str]:
+    from stablesim.core import philox
+    from stablesim.flows import hopf_classify, rotation_flow, translation_flow
+
+    def points(flow):
+        return flow.sample_points(np.random.Generator(philox(5)), 8)
+
+    trans = translation_flow()
+    cases = [("translation, g0 = K(1, .) of lfsm(1.5, 0.7), lfsm(1.5, 0.3), lfsm(1.2, 0.9), "
+              "linear_motion, log_fractional",
+              [hopf_classify(trans, lambda s, k=k: k.eval(1.0, np.asarray(s, dtype=float)),
+                             k.alpha, points(trans))
+               for k in (ss.Lfsm(1.5, 0.7), ss.Lfsm(1.5, 0.3), ss.Lfsm(1.2, 0.9),
+                         ss.LinearMotion(1.5), ss.LogFractional(1.5))])]
+    rot = rotation_flow()
+    cases.append(("rotation, g0 = cos s",
+                  [hopf_classify(rot, lambda p: np.cos(np.atleast_2d(p)[:, 0]), 1.5, points(rot))]))
+    lines = []
+    for label, verdicts in cases:
+        names = [x for v in verdicts for x in v.verdicts]
+        traces = [x for v in verdicts for trace in v.traces for pair in trace for x in pair]
+        lines.append(f"{digest(names + traces)}  hopf_classify({label}; "
+                     f"8 points of philox(5)) {dict(Counter(names))}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Digest the quadrature oracle's values.")
     parser.add_argument("--values", metavar="FILE",
@@ -103,6 +135,8 @@ def main() -> int:
     rm = ss.region_map(1.5, grid, grid)
     print(f"{digest([*rm.values.ravel(), *rm.verdicts.ravel()])}  "
           f"{rm.values.size} values and verdicts  region_map(1.5, 11x11 over [-1, 1]^2)")
+    for line in hopf_lines(ss):
+        print(line)
     return 0
 
 
