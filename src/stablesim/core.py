@@ -10,7 +10,6 @@ ensembles are reproducible bit-for-bit regardless of worker threads.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -127,7 +126,7 @@ class CfBatch:
 
     values: tuple[float, ...]
     grids: int          # quadrature grids built
-    kernel_evals: int   # distinct (grid, time) evaluations of K(t, .)
+    kernel_evals: int   # (combo, nonzero-theta term) pairs evaluated
 
 
 _BLOCK_CELLS = 1 << 16  # cells per row block of the oracle integrand
@@ -162,46 +161,17 @@ def _abs_power(o: np.ndarray, alpha: float) -> None:
         np.power(o, alpha, out=o, where=nonzero)
 
 
-def _block_integrand(kernel: Kernel, o: np.ndarray, mass: np.ndarray, terms, held, fields,
-                     bpts, rows) -> None:
-    """One row block of a combo's integrand |sum_j theta_j K(t_j, .)|^alpha *
-    mass, written into ``o``; the block's rows of the new ``held`` fields are
-    filled first.  Every K(t, .) the block evaluates comes from one
-    ``kernel.evals`` call, so F(0, .) is evaluated once, and no array of the
-    block outlives the call."""
-    fresh = kernel.evals([*held, *(t for _, t in terms if t not in fields)], bpts)
-    for t in held:
-        fields[t][rows] = next(fresh)
-    if not terms:
-        o.fill(0.0)
-    for k, (theta, t) in enumerate(terms):
-        v = fields[t][rows] if t in fields else next(fresh)
-        if k == 0:
-            np.multiply(theta, v, out=o)
-        elif t in fields:
-            o += theta * v
-        else:  # a fresh block array: scaled in place
-            v *= theta
-            o += v
-    _abs_power(o, kernel.alpha)
-    o *= mass
-
-
 def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> CfBatch:
     """sigma^alpha(combo) = integral of |sum_j theta_j K(t_j, .)|^alpha dmu for
     every combo, at one refinement level.
 
-    Combos with equal ``kernel.cf_grid_key`` share one grid.  The combos of
-    a grid are swept in order of their latest time, so each field's uses
-    cluster.  A combo's integrand is built row block by row block
-    (``_row_blocks``) in one array shaped like the masses: per block, the
-    terms are accumulated in their own order, then the absolute value, the
-    power and the masses are applied in place.  A K(t, .) that later combos
-    on the grid use again is evaluated once, block by block, held, and
-    dropped after its last use; one used once is evaluated per block and
-    never held at full size.  Per block, every new K(t, .) of a combo comes
-    from one ``kernel.evals`` call, so F(0, .) is evaluated once.  Every
-    value equals the one a batch of that combo alone gives.
+    Combos with equal ``kernel.cf_grid_key`` share one grid.  A combo's
+    integrand is built row block by row block (``_row_blocks``) in one array
+    shaped like the masses: per block, ``kernel.combination`` writes
+    sum_j theta_j K(t_j, .) over the nonzero-theta terms, then the absolute
+    value, the power and the masses are applied in place.  Nothing is shared
+    between combos but the grid, so every value equals the one a batch of
+    that combo alone gives.
     """
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
@@ -214,23 +184,16 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     for members in groups.values():
         pts, masses = kernel.cf_cells(combos[members[0]].times, level)
         blocks = list(_row_blocks(pts, masses.shape))
-        pending = Counter(t for i in members for theta, t in combos[i].terms if theta != 0.0)
-        fields: dict[float, np.ndarray] = {}
-        for i in sorted(members, key=lambda i: (max(combos[i].times), min(combos[i].times))):
+        out = np.empty(masses.shape)
+        for i in members:
             terms = [(theta, t) for theta, t in combos[i].terms if theta != 0.0]
-            new = {t for _, t in terms} - fields.keys()
-            n_evals += len(new)
-            held = sorted(t for t in new if pending[t] > 1)  # used again on this grid
-            for t in held:
-                fields[t] = np.empty(masses.shape)
-            out = np.empty(masses.shape)
+            n_evals += len(terms)
             for bpts, rows in blocks:
-                _block_integrand(kernel, out[rows], masses[rows], terms, held, fields, bpts, rows)
+                o = out[rows]
+                kernel.combination(terms, bpts, o)
+                _abs_power(o, kernel.alpha)
+                o *= masses[rows]
             values[i] = pairwise_sum(out.ravel())
-            for _, t in terms:
-                pending[t] -= 1
-                if not pending[t]:
-                    fields.pop(t, None)
     return CfBatch(tuple(values), len(groups), n_evals)
 
 
@@ -269,6 +232,9 @@ class PathEnsemble:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
+        shape = np.shape(self.values)
+        if len(shape) != 2 or shape[1] != t.size:
+            raise ValueError(f"values must have shape (n_paths, {t.size}), got {shape}")
 
     def time_index(self, t: float) -> int:
         idx = int(np.searchsorted(self.times, t))

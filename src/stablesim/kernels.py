@@ -14,7 +14,8 @@ family by name.
 
 Every family's kernel has the Masani form K(t, .) = F(t, .) - F(0, .) of a
 stationary-increment process: the family implements the field F(t, .) once,
-and ``Kernel`` derives ``eval`` and ``evals`` from it.
+and ``Kernel`` derives ``eval``, ``evals`` and the oracle's ``combination``
+from it.
 
 Both discretizations share one cell layout.  On the shift families the
 points are an array of shifts.  Every two-coordinate family is a mixed
@@ -127,6 +128,20 @@ class Kernel(ABC):
             k_t = self.field(t, points)
             k_t -= f0
             yield k_t
+
+    def combination(self, terms: Sequence[tuple[float, float]], points, out: np.ndarray) -> None:
+        """sum_j theta_j K(t_j, .) over the (theta, t) ``terms`` on a row block
+        of ``cf_cells`` points, written into ``out`` (shaped like the block's
+        masses; 0 for no terms).  The fields come from one ``evals`` call and
+        are scaled and added in the order of ``terms``."""
+        if not terms:
+            out.fill(0.0)
+        for j, ((theta, _), v) in enumerate(zip(terms, self.evals([t for _, t in terms], points))):
+            if j == 0:
+                np.multiply(theta, v, out=out)
+            else:
+                v *= theta
+                out += v
 
     @abstractmethod
     def cf_cells(self, times: Sequence[float], level: int) -> tuple:
@@ -583,6 +598,25 @@ class RotatingAverage(Kernel):
             out += (a * c + b * d) * np.cos(ks)
             out += (b * c - a * d) * np.sin(ks)
         return out
+
+    def combination(self, terms, points, out):
+        # by the angle addition of ``field``, with F(0, .) at c = 1, d = 0,
+        #   sum_j theta_j K(t_j, .) = sum_k C_k(x) cos(k s) + S_k(x) sin(k s),
+        #   C_k = sum_j theta_j ((a c_kj + b d_kj) - a), S_k = sum_j theta_j ((b c_kj - a d_kj) - b),
+        # so the block is one product of radial coefficients and shift harmonics
+        x, s = points[0][:, 0], points[1][0]
+        theta = np.array([th for th, _ in terms])
+        tx = np.multiply.outer(x, [t for _, t in terms])
+        harmonics = [(k, a, b) for k, a, b in self.series.terms if a != 0.0 or b != 0.0]
+        coef = np.empty((x.size, 2 * len(harmonics)))
+        trig = np.empty((2 * len(harmonics), s.size))
+        for i, (k, a, b) in enumerate(harmonics):
+            ktx = k * tx
+            c, d = np.cos(ktx), np.sin(ktx)
+            coef[:, 2 * i] = (((a * c + b * d) - a) * theta).sum(axis=1)
+            coef[:, 2 * i + 1] = (((b * c - a * d) - b) * theta).sum(axis=1)
+            trig[2 * i], trig[2 * i + 1] = np.cos(k * s), np.sin(k * s)
+        np.matmul(coef, trig, out=out)
 
     def cf_grid_key(self, times):
         return None  # one grid for every probe

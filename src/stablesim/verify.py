@@ -57,8 +57,8 @@ def _timed_batch(kernel: Kernel, combos, level: int) -> tuple[CfBatch, float]:
 
 
 def _work(timed: list[tuple[CfBatch, float]]) -> dict:
-    """Quadrature work behind a report: grids built, distinct (grid, time)
-    kernel evaluations and wall seconds, summed over its timed batches."""
+    """Quadrature work behind a report: grids built, (probe, nonzero-theta
+    term) kernel evaluations and wall seconds, summed over its timed batches."""
     return {"grids": sum(b.grids for b, _ in timed),
             "kernel_evals": sum(b.kernel_evals for b, _ in timed),
             "wall_s": sum(s for _, s in timed)}

@@ -286,6 +286,52 @@ class TestMasaniForm:
             assert np.all(err <= bound), (t, float(np.max(err / bound)))
         assert np.max(np.abs(100.0 * x)) == pytest.approx(1e6)
 
+    @pytest.mark.parametrize("series", (
+        ss.FourierSeries(((1, 1.0, 0.0),)),
+        ss.FourierSeries(((1, 0.7, -0.4), (2, 0.0, 1.3), (5, -0.25, 0.6)), 0.9)),
+        ids=("cos", "three-harmonics"))
+    def test_rotating_combination_accuracy(self, series):
+        # ``combination`` sums radial coefficients (a c + b d) - a, (b c - a d) - b
+        # over the terms and takes one product with cos(ks), sin(ks); the term
+        # loop sums fields F(t) - F(0).  Both use the same c, d = cos, sin(fl(k
+        # fl(t x))) and cos, sin(fl(k s)) (numpy's trig gives one value per
+        # argument in any layout), so only the roundings differ.  To first order
+        # in eps = 2**-53, with w = |a| + |b| per harmonic, W their sum, H the
+        # harmonics, J the terms, Theta = sum_j |theta_j| and c0 the constant:
+        # - loop: a c + b d is off by <= 2 eps w, its product with cos(ks) by
+        #   3 eps w (likewise with sin(ks)), so F(t) is off by <= 6 eps W plus
+        #   2H eps (|c0| + 2W) from its 2H additions, and F(0) (c = 1, d = 0)
+        #   by <= eps W + 2H eps (|c0| + 2W); the difference, of size <= 3W,
+        #   adds 3 eps W; scaling by theta and J - 1 additions add 3 eps Theta W
+        #   each.  In all eps Theta ((3J + 10 + 8H) W + 4H |c0|).
+        # - combination: a term (a c + b d) - a is off by <= 4 eps w before and
+        #   6 eps |theta| w after scaling, so with J - 1 additions each C_k, S_k
+        #   is off by <= 2 eps Theta w (J + 2), and |C_k|, |S_k| <= 2 Theta w.
+        #   The 2H coefficients carry 4 eps Theta W (J + 2) into the product,
+        #   whose 2H roundings add 4 eps Theta W and 2H - 1 additions
+        #   (2H - 1) 4 eps Theta W.  In all eps Theta W (4J + 8H + 8).
+        # Hence |combination - sum_j theta_j eval(t_j)| <=
+        # eps Theta ((7J + 16H + 18) W + 4H |c0|) per cell.  Checked on every
+        # eighth radial row of the level-1 and level-2 grids.
+        k = ss.RotatingAverage(1.5, 0.8, series)
+        eps = 2.0 ** -53
+        H = len(series.terms)
+        W = sum(abs(a) + abs(b) for _, a, b in series.terms)
+        si = [c.shifted_increments(h) for c in default_probes() for h in (0.0, 0.5, 1.0, 2.0, 5.0)]
+        ss_probes = [c.scaled_times(sc) for c in default_probes() for sc in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        for level in (1, 2):
+            (x, s), masses = k.cf_cells((1.0,), level)
+            pts = (x[::8], s)
+            for c in si + ss_probes:
+                terms = [(theta, t) for theta, t in c.terms if theta != 0.0]
+                got = np.empty((pts[0].shape[0], s.shape[1]))
+                k.combination(terms, pts, got)
+                loop = sum(theta * k.eval(t, pts) for theta, t in terms)
+                J, theta_sum = len(terms), sum(abs(theta) for theta, _ in terms)
+                bound = eps * theta_sum * ((7 * J + 16 * H + 18) * W + 4 * H * abs(series.constant))
+                err = np.max(np.abs(got - loop))
+                assert err <= bound, (level, c, err / bound)
+
     def test_rotating_checks_keep_their_residuals(self):
         # residuals of the catalog rotating spec with the direct series
         # evaluation, before the field used angle addition

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,10 +153,12 @@ class TestCfExponents:
     def test_matches_full_array_reference(self, spec):
         # the row-blocked integrand with its power on nonzero cells only must
         # give exactly the values of whole fields, accumulated term by term,
-        # then abs, ** alpha and * masses over the full array.  The truncated
-        # level-1 grid of the first probe (864 rows, 65536 // 165 = 397 per
-        # block) ends in a partial block, asserted below; Chentsov(1.0, 0.5)
-        # covers alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
+        # then abs, ** alpha and * masses over the full array.  The rotating
+        # family sums its terms as radial coefficients (its ``combination``),
+        # so its reference is that sum over the whole, unblocked grid.  The
+        # truncated level-1 grid of the first probe (864 rows, 65536 // 165 =
+        # 397 per block) ends in a partial block, asserted below;
+        # Chentsov(1.0, 0.5) covers alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
         def reference(kernel, combos, level):
             key, values = object(), []
             for c in combos:
@@ -161,9 +166,12 @@ class TestCfExponents:
                     key = kernel.cf_grid_key(c.times)
                     (pts, masses), fields = kernel.cf_cells(c.times, level), {}
                 acc = None
-                for theta, t in c.terms:
-                    if theta == 0.0:
-                        continue
+                terms = [(theta, t) for theta, t in c.terms if theta != 0.0]
+                if isinstance(kernel, ss.RotatingAverage):
+                    acc = np.empty(masses.shape)
+                    kernel.combination(terms, pts, acc)
+                    terms = []
+                for theta, t in terms:
                     if t not in fields:
                         fields[t] = kernel.eval(t, pts)
                     v = fields[t]
@@ -197,9 +205,10 @@ class TestCfExponents:
         rot = ss.catalog_specs()[-1]
         combos = [ss.combo((1.0, 1.0)), ss.combo((1.0, 2.0), (-1.0, 1.0)),
                   ss.combo((0.0, 3.0))]
-        # the rotating grid ignores the probe times: one grid, K(1, .) reused
+        # the rotating grid ignores the probe times: one grid; every
+        # nonzero-theta term of every combo is evaluated
         batch = ss.cf_exponents(rot, combos, 1)
-        assert (batch.grids, batch.kernel_evals) == (1, 2)
+        assert (batch.grids, batch.kernel_evals) == (1, 3)
         # moving-average grids are graded at the probe times: one per time set
         batch = ss.cf_exponents(ss.Lfsm(1.5, 0.7), combos, 1)
         assert (batch.grids, batch.kernel_evals) == (3, 3)
@@ -207,6 +216,27 @@ class TestCfExponents:
     def test_zero_combo_is_zero(self):
         batch = ss.cf_exponents(ss.catalog_specs()[4], [ss.combo((0.0, 1.0))], 1)
         assert batch.values == (0.0,) and batch.kernel_evals == 0
+
+    def test_rotating_values_do_not_depend_on_blas_threads(self):
+        # the rotating combination is a matrix product; OpenBLAS must give the
+        # same oracle values with one thread and with two, for the catalog
+        # series and for a three-harmonic one (six inner terms per product)
+        script = ("import stablesim as ss\n"
+                  "from stablesim.verify import default_probes\n"
+                  "probes = [c.shifted_increments(h) for c in default_probes()\n"
+                  "          for h in (0.0, 0.5, 1.0, 2.0, 5.0)]\n"
+                  "series = ss.FourierSeries(((1, 0.7, -0.4), (2, 0.0, 1.3), (5, -0.25, 0.6)), 0.9)\n"
+                  "for k in (ss.catalog_specs()[-1], ss.RotatingAverage(1.5, 0.8, series)):\n"
+                  "    print(repr(ss.cf_exponents(k, probes, 1).values))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count(",") == 2 * 39
 
 
 class TestMeasureGrid:
@@ -299,6 +329,16 @@ class TestPrunedSimulation:
         ref = np.einsum("pc,tc->pt", np.array(draws), kmat, optimize=False)
         got = ss.simulate(k, times, n_paths, seed=seed).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestPathEnsemble:
+    @pytest.mark.parametrize("shape", ((20, 3), (20, 1), (2,), (20,), (2, 2, 2)))
+    def test_values_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="values must have shape"):
+            ss.PathEnsemble(np.array([0.5, 1.0]), np.zeros(shape), 0, "x")
+
+    def test_no_paths_accepted(self):
+        assert ss.PathEnsemble(np.array([0.5, 1.0]), np.zeros((0, 2)), 0, "x").n_paths == 0
 
 
 class TestEmpiricalCf:
