@@ -315,7 +315,10 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
 
 
 def empirical_cf(ensemble: PathEnsemble, combo: LinearCombo) -> complex:
-    """Monte Carlo estimate of E exp(i sum_j theta_j X_{t_j}); modulus <= 1."""
+    """Monte Carlo estimate of E exp(i sum_j theta_j X_{t_j}); modulus <= 1.
+    An ensemble without paths estimates nothing and raises ValueError."""
+    if ensemble.n_paths < 1:
+        raise ValueError(f"empirical_cf needs n_paths >= 1, got {ensemble.n_paths}")
     phase = np.zeros(ensemble.n_paths)
     for theta, t in combo.terms:
         if theta == 0.0:

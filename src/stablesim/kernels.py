@@ -8,9 +8,8 @@ dataclass deriving from ``Kernel``: its fields are the parameters, and it
 carries the admissibility inequalities (``violations``), the Hurst exponent,
 the field of its kernel (``field``), the control-measure discretizations
 used for quadrature (``cf_cells``) and path simulation (``sim_cells``), its
-JSON document (``to_doc`` / ``from_doc``) and, where the family declares
-them, the scaling maps of its lag kernel.  ``FAMILIES`` registers every
-family by name.
+JSON document (``to_doc`` / ``from_doc``) and the scaling flow of its lag
+kernel (``scaling_maps``).  ``FAMILIES`` registers every family by name.
 
 Every family's kernel has the Masani form K(t, .) = F(t, .) - F(0, .) of a
 stationary-increment process: the family implements the field F(t, .) once,
@@ -176,9 +175,12 @@ class Kernel(ABC):
         return _flat_cells(*self.sim_cells(t_lo, t_hi, level))
 
     def scaling_maps(self) -> tuple | None:
-        """Declared scaling maps (xs, radial_exponent, beta1, beta2) of the lag
-        kernel f_T(x, s) = K(T, (x, -s)), or None; ``verify.check_scaling_maps``
-        states them.  radial_exponent None marks an unscaled radial coordinate."""
+        """The scaling flow psi_c(x, s) = (c^g x, c^h s) of the lag kernel
+        f_T(x, s) = K(T, (x, -s)) as (xs, radial_exponent, g, h), or None if the
+        family declares none.  xs are test points of the radial or atom
+        coordinate (None without one) and radial_exponent the exponent e of the
+        radial density x**e (None for an atomic or absent coordinate).
+        ``verify.check_scaling_maps`` derives beta1 and beta2 from them."""
         return None
 
     def to_doc(self) -> dict:
@@ -191,22 +193,31 @@ class Kernel(ABC):
 
         Outside input is checked here, once: besides "family", every value must
         be a finite number (JSON integers are kept as given, so digests do not
-        change).  Anything else raises InvalidSpecError naming the field."""
+        change), and every field must also be one of the spec's own ``to_doc``,
+        so that loading drops nothing.  Anything else raises InvalidSpecError
+        naming the field."""
         if not isinstance(doc, dict):
             raise InvalidSpecError(f"spec document must be a JSON object, got {type(doc).__name__}")
         name = doc.get("family")
         family = FAMILIES.get(name) if isinstance(name, str) else None
         if family is None or not issubclass(family, cls):
             raise InvalidSpecError(f"unknown family {name!r}")
-        for key, value in doc.items():
-            if key != "family":
-                _check_numbers(value, key)
+        for path, value in _doc_fields(doc):
+            if path != "family" and not isinstance(value, (dict, list, tuple)) and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise InvalidSpecError(f"spec field {path!r} must be a finite number, got {value!r}")
         try:
-            return family(**family._fields_from_doc(doc))
+            spec = family(**family._fields_from_doc(doc))
         except KeyError as exc:
             raise InvalidSpecError(f"spec document missing field {exc}") from exc
         except (TypeError, IndexError) as exc:
             raise InvalidSpecError(f"malformed {name} spec document: {exc}") from exc
+        known = dict(_doc_fields(spec.to_doc()))
+        for path, _ in _doc_fields(doc):
+            if path not in known:
+                raise InvalidSpecError(f"unknown spec field {path!r}")
+        return spec
 
     @classmethod
     def _fields_from_doc(cls, doc: dict) -> dict:
@@ -214,15 +225,18 @@ class Kernel(ABC):
                 for f in fields(cls)}
 
 
-def _check_numbers(value, path: str) -> None:
+def _doc_fields(value, path: str = "") -> Iterator[tuple[str, object]]:
+    """(path, value) of every field below the root of a JSON document, depth
+    first, with paths like 'atoms[0].b[1]'."""
     if isinstance(value, dict):
-        for key, v in value.items():
-            _check_numbers(v, f"{path}.{key}")
+        items = [(f"{path}.{key}" if path else key, v) for key, v in value.items()]
     elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _check_numbers(v, f"{path}[{i}]")
-    elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InvalidSpecError(f"spec field {path!r} must be a finite number, got {value!r}")
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        items = []
+    for sub, v in items:
+        yield sub, v
+        yield from _doc_fields(v, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +308,9 @@ def _flat_cells(points, masses) -> tuple[np.ndarray, np.ndarray]:
             masses.ravel())
 
 
+_RADIAL_TEST_POINTS = tuple(np.geomspace(0.05, 20.0, 8))  # radial points of scaling_maps
+
+
 # -- moving-average families (state space R, Lebesgue control measure) -----
 
 class _ShiftFamily(Kernel):
@@ -307,6 +324,9 @@ class _ShiftFamily(Kernel):
 
     def sim_cells(self, t_lo, t_hi, level):
         return cells_from_edges(_shift_sim_edges(t_lo, t_hi, level))
+
+    def scaling_maps(self):
+        return None, None, 0.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -436,7 +456,7 @@ class MixedLfsm(Kernel):
         return self._atom_cells(_shift_sim_edges(t_lo, t_hi, level))
 
     def scaling_maps(self):
-        return tuple(range(len(self.atoms))), None, self.hurst - 1.0 / self.alpha, 0.0
+        return tuple(range(len(self.atoms))), None, 0.0, 1.0
 
     def to_doc(self):
         return {**super().to_doc(),
@@ -509,7 +529,7 @@ class TruncatedFractional(Kernel):
         return _product_cells(radial, edges)
 
     def scaling_maps(self):
-        return tuple(np.geomspace(0.05, 20.0, 8)), -1.0 - self.b, self.a, -self.b
+        return _RADIAL_TEST_POINTS, -1.0 - self.b, 1.0, 1.0
 
 
 def _chentsov_cells(times: Sequence[float], x_nodes: np.ndarray, x_mass: np.ndarray):
@@ -560,7 +580,7 @@ class Chentsov(Kernel):
         return _product_cells((x_nodes, x_mass), edges)
 
     def scaling_maps(self):
-        return tuple(np.geomspace(0.05, 20.0, 8)), self.beta - 2.0, 0.0, self.beta - 1.0
+        return _RADIAL_TEST_POINTS, self.beta - 2.0, 1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -620,6 +640,10 @@ class RotatingAverage(Kernel):
 
     def cf_grid_key(self, times):
         return None  # one grid for every probe
+
+    def scaling_maps(self):
+        # x -> x / c keeps t x, and so the kernel, fixed; the circle does not scale
+        return _RADIAL_TEST_POINTS, -1.0 - self.beta, -1.0, 0.0
 
     def cf_cells(self, times, level):
         # radial sub-sampling beats plain refinement here: the shift-averaged

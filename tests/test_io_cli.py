@@ -42,7 +42,15 @@ class TestSpecJson:
           "atoms": [{"b": [1.0, -math.inf], "weight": 1.0}]}, "'atoms[0].b[1]'"),
         ({"family": "rotating_average", "alpha": 1.5, "beta": 0.8,
           "harmonics": [{"k": 1, "cos": "1"}]}, "'harmonics[0].cos'"),
-    ], ids=["list", "string", "bool", "nan", "inf", "nested-minus-inf", "nested-string"])
+        ({"family": "lfsm", "alpha": 1.5, "hurst": 0.7, "cplus": 0.5}, "'cplus'"),
+        ({"family": "rotating_average", "alpha": 1.5, "beta": 0.8,
+          "harmonics": [{"k": 1, "cos": 1.0, "sine": 2.0}]}, "'harmonics[0].sine'"),
+        ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
+          "atoms": [{"b": [1.0, 0.0], "wieght": 2.0, "weight": 1.0}]}, "'atoms[0].wieght'"),
+        ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
+          "atoms": [{"b": [1.0, 0.0, 3.0], "weight": 1.0}]}, "'atoms[0].b[2]'"),
+    ], ids=["list", "string", "bool", "nan", "inf", "nested-minus-inf", "nested-string",
+            "unknown-key", "nested-unknown-key", "misspelt-atom-key", "long-atom-b"])
     def test_outside_input_rejected(self, doc, field, tmp_path, capsys):
         with pytest.raises(ss.InvalidSpecError, match=re.escape(field)):
             sio.spec_from_dict(doc)
@@ -366,10 +374,18 @@ class TestCli:
         assert all(r["passed"] for r in doc["reports"])
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec", ss.catalog_specs(), ids=repr)
+    def test_verify_scaling_passes_on_every_catalog_spec(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(sio.spec_to_dict(spec)))
+        rc = main(["verify", "--spec", str(path), "--checks", "scaling"])
+        assert rc == 0
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert line.startswith("PASS scaling_maps: max residual ")
+
     @pytest.mark.parametrize("spec, check, name", [
-        ("lfsm", "scaling", "scaling_maps"),
         ("q1", "kernel-identity", "kernel_identity"),
-    ], ids=["scaling-undeclared", "kernel-identity-no-fixture"])
+    ], ids=["kernel-identity-no-fixture"])
     def test_verify_skipped_check_prints_skip(self, specdir, capsys, spec, check, name):
         # a skipped check computed nothing: it prints SKIP with its reason, and
         # keeps exit 0 and its passed report

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,13 @@ class TestEmpiricalCf:
     def test_zero_paths_give_one(self):
         ens = ss.PathEnsemble(np.array([0.5, 1.0]), np.zeros((20, 2)), 0, "x")
         assert ss.empirical_cf(ens, ss.combo((2.0, 0.5), (-1.0, 1.0))) == 1.0
+
+    def test_empty_ensemble_rejected(self):
+        ens = ss.simulate(ss.LinearMotion(1.5), [1, 2], 0, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_paths"):
+                ss.empirical_cf(ens, ss.combo((1.0, 1.0)))
 
     def test_linear_motion_value(self):
         # sigma^alpha = 1 at t=1, so CF target is e^-1

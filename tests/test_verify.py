@@ -6,6 +6,8 @@ import pytest
 
 import stablesim as ss
 from stablesim import verify as verify_module
+from stablesim.flows import circle_scaling_flow, dilation_flow
+from stablesim.transforms import increment_process
 from stablesim.verify import (
     VerificationReport,
     check_kernel_identity,
@@ -103,7 +105,25 @@ class TestSelfSimilar:
         assert not rep.passed
 
 
+_EXTRA_MAP_SPECS = (
+    ss.Lfsm(1.5, 0.3),
+    ss.Lfsm(1.2, 0.9),
+    ss.LogFractional(1.8, scale=-2.0),
+    ss.TruncatedFractional(1.5, -0.5, -0.2),
+    ss.TruncatedFractional(1.5, 0.5, 0.6),
+    ss.RotatingAverage(1.5, 0.8, ss.FourierSeries(((1, 1.0, 0.5), (2, -0.3, 0.0), (5, 0.0, 0.7)),
+                                                  0.4)),
+)
+
+
 class TestScalingMaps:
+    @pytest.mark.parametrize("spec", ss.catalog_specs() + _EXTRA_MAP_SPECS, ids=repr)
+    def test_every_family_passes(self, spec):
+        rep = check_scaling_maps(spec)
+        kernel_res, hurst_res = rep.residuals
+        assert rep.passed
+        assert kernel_res < 1e-12 and hurst_res < 1e-9
+
     def test_mixed_lfsm_exponents(self):
         rep = check_scaling_maps(ss.MixedLfsm(1.5, 0.7, (((1.0, 0.0), 1.0), ((0.0, 1.0), 0.5))))
         assert rep.passed
@@ -114,13 +134,13 @@ class TestScalingMaps:
         rep = check_scaling_maps(ss.TruncatedFractional(1.5, 0.5, 0.5))
         assert rep.passed
         assert rep.details["beta1_hat"] == pytest.approx(0.5, abs=1e-9)
-        assert rep.details["beta2_hat"] == pytest.approx(-0.5, abs=1e-9)
+        assert rep.details["beta2"] == -0.5
 
     def test_chentsov_exponents(self):
         rep = check_scaling_maps(ss.Chentsov(1.25, 0.5))
         assert rep.passed
         assert rep.details["beta1_hat"] == pytest.approx(0.0, abs=1e-12)
-        assert rep.details["beta2_hat"] == pytest.approx(0.5 - 1.0, abs=1e-9)
+        assert rep.details["beta2"] == -0.5
 
     def test_hurst_reconciliation(self):
         for spec in (ss.MixedLfsm(1.5, 0.7, (((1.0, 0.0), 1.0),)),
@@ -128,9 +148,55 @@ class TestScalingMaps:
             rep = check_scaling_maps(spec)
             assert rep.details["hurst_from_maps"] == pytest.approx(spec.hurst_exponent(), rel=1e-9)
 
+    def test_log_fractional_needs_the_kink_skip(self):
+        # f(cu) = log c + f(u) fails only at u = 0, where the profile is
+        # assigned 0; s = -T puts u = T + s there, and the grid skips it
+        rep = check_scaling_maps(ss.LogFractional(1.5))
+        assert rep.residuals[0] < 1e-15
+
+    def test_wrong_flow_fails(self):
+        class Misdeclared(ss.TruncatedFractional):
+            def scaling_maps(self):
+                xs, exponent, g, h = super().scaling_maps()
+                return xs, exponent, 0.5 * g, h
+
+        rep = check_scaling_maps(Misdeclared(1.5, 0.5, 0.5))
+        assert not rep.passed
+        assert rep.residuals[0] > 1e-3
+
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):
-            check_scaling_maps(ss.LogFractional(1.5))
+            check_scaling_maps(increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+
+
+class TestScalingFlowsAreLampertiFlows:
+    """Each declared scaling map is one of ``flows``' Lamperti-side flows at
+    t = -log c."""
+
+    @pytest.mark.parametrize("spec", [s for s in ss.catalog_specs()
+                                      if not isinstance(s, ss.RotatingAverage)], ids=repr)
+    def test_shifts_dilate(self, spec):
+        flow = dilation_flow()
+        h = spec.scaling_maps()[3]
+        s = np.linspace(-4.0, 4.0, 17)
+        for c in verify_module._MAP_SCALES:
+            t = -math.log(c)
+            np.testing.assert_allclose(flow.apply(t, s), c ** h * s, rtol=1e-15)
+            np.testing.assert_allclose(flow.rn_derivative(t, s), c ** h, rtol=1e-15)
+
+    def test_rotating_scales_its_radius(self):
+        spec = ss.catalog_specs()[-1]
+        xs = spec.scaling_maps()[0]
+        details = check_scaling_maps(spec).details
+        g, beta2 = details["g"], details["beta2"]
+        flow = circle_scaling_flow(spec.beta)
+        pts = np.column_stack([np.linspace(0.0, 6.0, len(xs)), xs])
+        for c in verify_module._MAP_SCALES:
+            t = -math.log(c)
+            moved = flow.apply(t, pts)
+            np.testing.assert_array_equal(moved[:, 0], pts[:, 0])
+            np.testing.assert_allclose(moved[:, 1], c ** g * pts[:, 1], rtol=1e-15)
+            np.testing.assert_allclose(flow.rn_derivative(t, pts), c ** beta2, rtol=1e-15)
 
 
 class TestKernelIdentity:
@@ -182,7 +248,7 @@ class TestRunSuite:
         assert all(r.passed for r in reports)
 
     def test_scaling_skipped_for_undeclared_family(self):
-        reports = run_suite(ss.LogFractional(1.5), ("scaling",))
+        reports = run_suite(increment_process(ss.Lfsm(1.5, 0.7), 1.0), ("scaling",))
         assert reports[0].passed and "skipped" in reports[0].details
 
     def test_unknown_check_rejected(self):

@@ -9,11 +9,14 @@ and 5), the self-similarity probes (each default probe scaled by 0.25,
 the first 16 hex digits of the SHA-256 of the comma-joined ``repr`` of
 those values, in that order.  A line does the same for the values and
 verdicts of ``region_map(1.5)`` on an 11 x 11 grid over [-1, 1]^2.  Two
-last lines digest the verdicts and then the (window, value) traces of
+more lines digest the verdicts and then the (window, value) traces of
 ``hopf_classify`` on 8 points drawn from ``philox(5)``: on the translation
 flow with g0 = K(1, .) for lfsm(1.5, 0.7), lfsm(1.5, 0.3), lfsm(1.2, 0.9),
 linear_motion(1.5) and log_fractional(1.5) in turn, and on the rotation
-flow with g0 = cos s; each line also counts the verdicts.  Only public
+flow with g0 = cos s; each line also counts the verdicts.  The last line
+digests ``check_scaling_maps`` on every ``catalog_specs()`` entry: per spec
+its ``passed``, residuals and ``beta1_hat``, or "unsupported" where the check
+raises ``UnsupportedFamilyError``, and it counts the outcomes.  Only public
 calls are used, so the script runs on older trees too.
 
 With ``--values FILE`` it also writes the raw values as JSON, one list of
@@ -106,6 +109,23 @@ def hopf_lines(ss) -> list[str]:
     return lines
 
 
+def scaling_maps_line(ss) -> str:
+    from stablesim.verify import UnsupportedFamilyError, check_scaling_maps
+
+    items, outcomes = [], []
+    for spec in ss.catalog_specs():
+        try:
+            rep = check_scaling_maps(spec)
+        except UnsupportedFamilyError:
+            items.append("unsupported")
+            outcomes.append("unsupported")
+            continue
+        items.extend([rep.passed, *rep.residuals, rep.details["beta1_hat"]])
+        outcomes.append("passed" if rep.passed else "failed")
+    return (f"{digest(items)}  check_scaling_maps({len(outcomes)} catalog specs) "
+            f"{dict(Counter(outcomes))}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Digest the quadrature oracle's values.")
     parser.add_argument("--values", metavar="FILE",
@@ -137,6 +157,7 @@ def main() -> int:
           f"{rm.values.size} values and verdicts  region_map(1.5, 11x11 over [-1, 1]^2)")
     for line in hopf_lines(ss):
         print(line)
+    print(scaling_maps_line(ss))
     return 0
 
 
