@@ -18,7 +18,7 @@ import numpy as np
 from . import io as sio
 from .core import philox, simulate
 from .flows import hopf_classify, rotation_flow, translation_flow
-from .kernels import InvalidSpecError, RotatingAverage, region_map, validate
+from .kernels import build, region_map
 from .transforms import (
     PathFunction,
     lamperti_from_stationary,
@@ -70,14 +70,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"--alpha must lie in (0, 2), got {alpha}")
 
 
-def _load_spec(path: str):
-    spec = sio.load_spec(path)
-    rep = validate(spec)
-    if not rep.ok:
-        raise InvalidSpecError("inadmissible spec: " + "; ".join(rep.violations))
-    return spec
-
-
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -85,7 +77,7 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = build(sio.load_spec(args.spec))
     times = _parse_grid(args.t)
     ens = simulate(spec, times, args.n_paths, args.seed,
                    level=args.level, threads=args.threads)
@@ -100,7 +92,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = build(sio.load_spec(args.spec))
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     reports = run_suite(spec, checks, n_paths=args.n_paths, seed=args.seed)
     doc = {"schema_version": sio.SCHEMA_VERSION, "spec": sio.spec_to_dict(spec),
@@ -109,11 +101,8 @@ def cmd_verify(args) -> int:
         _write_json(args.out, doc)
     all_pass = all(r.passed for r in reports)
     for r in reports:
-        if "skipped" in r.details:
-            print(f"SKIP {r.name}: {r.details['skipped']}")
-        else:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: max residual "
-                  f"{r.max_residual:.3g} (tol {r.tolerance:g})")
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: max residual "
+              f"{r.max_residual:.3g} (tol {r.tolerance:g})")
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
@@ -163,33 +152,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    s1 = _load_spec(args.spec1)
-    s2 = _load_spec(args.spec2)
-    from .identify import match_rotating, mixing_measure, ray_test, same_mixed_lfsm
-    from .kernels import MixedLfsm
-
-    if isinstance(s1, MixedLfsm) and isinstance(s2, MixedLfsm):
-        if abs(s1.alpha - s2.alpha) > 1e-12 or abs(s1.hurst - s2.hurst) > 1e-12:
-            equal = False
-        else:
-            equal = same_mixed_lfsm(s1.atoms, s2.atoms, s1.alpha)
-        doc = {"kind": "mixed_lfsm", "equal_in_law": equal,
-               "sphere_measure_1": [{"direction": list(o), "weight": w}
-                                    for o, w in mixing_measure(s1.atoms, s1.alpha).atoms],
-               "sphere_measure_2": [{"direction": list(o), "weight": w}
-                                    for o, w in mixing_measure(s2.atoms, s2.alpha).atoms],
-               "ray_1": ray_test(s1.atoms), "ray_2": ray_test(s2.atoms)}
-    elif isinstance(s1, RotatingAverage) and isinstance(s2, RotatingAverage):
-        if abs(s1.alpha - s2.alpha) > 1e-12:
-            witness = None
-        else:
-            witness = match_rotating(s1.series, s1.beta, s2.series, s2.beta)
-        doc = {"kind": "rotating_average", "equal_in_law": witness is not None}
-        if witness is not None:
-            doc["witness"] = {"epsilon": witness.epsilon, "shift": witness.shift,
-                              "offset": witness.offset}
-    else:
-        raise ValueError("identify supports two mixed_lfsm specs or two rotating_average specs")
+    s1 = build(sio.load_spec(args.spec1))
+    doc = s1.same_law(build(sio.load_spec(args.spec2)))
     doc["schema_version"] = sio.SCHEMA_VERSION
     if args.out:
         _write_json(args.out, doc)

@@ -8,11 +8,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .kernels import FourierSeries
+if TYPE_CHECKING:  # kernels imports this module in same_law
+    from .kernels import FourierSeries
 
 TWO_PI = 2.0 * math.pi
 

@@ -105,16 +105,13 @@ def read_ensemble_csv(fh: IO[str]) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
-def ensemble_metadata(ensemble, spec_doc: dict | None, grid: dict, extra: dict | None = None) -> dict:
-    doc = {
+def ensemble_metadata(ensemble, spec_doc: dict, grid: dict, extra: dict) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "seed": int(ensemble.seed),
         "n_paths": int(ensemble.values.shape[0]),
         "digest": ensemble.spec_digest,
         "grid": grid,
+        "spec": spec_doc,
+        **extra,
     }
-    if spec_doc is not None:
-        doc["spec"] = spec_doc
-    if extra:
-        doc.update(extra)
-    return doc

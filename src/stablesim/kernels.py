@@ -8,8 +8,11 @@ dataclass deriving from ``Kernel``: its fields are the parameters, and it
 carries the admissibility inequalities (``violations``), the Hurst exponent,
 the field of its kernel (``field``), the control-measure discretizations
 used for quadrature (``cf_cells``) and path simulation (``sim_cells``), its
-JSON document (``to_doc`` / ``from_doc``) and the scaling flow of its lag
-kernel (``scaling_maps``).  ``FAMILIES`` registers every family by name.
+JSON document (``to_doc`` / ``from_doc``), the stationary flow of its
+Masani form (``flow``), the scaling flow of its lag kernel
+(``scaling_maps``) and, where the family has one, its test of equality in
+law with another spec (``same_law``).  ``FAMILIES`` registers every family
+by name.
 
 Every family's kernel has the Masani form K(t, .) = F(t, .) - F(0, .) of a
 stationary-increment process: the family implements the field F(t, .) once,
@@ -174,6 +177,23 @@ class Kernel(ABC):
         ``core.simulate``."""
         return _flat_cells(*self.sim_cells(t_lo, t_hi, level))
 
+    def flow(self, t: float, points):
+        """phi_t(points), the stationary flow of the Masani form:
+        F(t, p) = F(0, phi_t p), with unit cocycle and unit Radon-Nikodym
+        derivative.  Defined on the ``cf_cells`` layout; the default
+        translates the shift coordinate by -t.  ``verify.flow_identity_fixture``
+        checks it."""
+        if isinstance(points, tuple):
+            x, s = points
+            return x, s - t
+        return points - t
+
+    def same_law(self, other: Kernel) -> dict:
+        """The ``identify`` document comparing this spec with ``other`` in
+        law: "kind", "equal_in_law" and the family's evidence.  Raises
+        ValueError for a pair of families with no comparison."""
+        raise ValueError("identify supports two mixed_lfsm specs or two rotating_average specs")
+
     def scaling_maps(self) -> tuple | None:
         """The scaling flow psi_c(x, s) = (c^g x, c^h s) of the lag kernel
         f_T(x, s) = K(T, (x, -s)) as (xs, radial_exponent, g, h), or None if the
@@ -193,9 +213,10 @@ class Kernel(ABC):
 
         Outside input is checked here, once: besides "family", every value must
         be a finite number (JSON integers are kept as given, so digests do not
-        change), and every field must also be one of the spec's own ``to_doc``,
-        so that loading drops nothing.  Anything else raises InvalidSpecError
-        naming the field."""
+        change), every ``float`` field of the spec must have been given one
+        rather than a list or object of them, and every field must also be one
+        of the spec's own ``to_doc``, so that loading drops nothing.  Anything
+        else raises InvalidSpecError naming the field."""
         if not isinstance(doc, dict):
             raise InvalidSpecError(f"spec document must be a JSON object, got {type(doc).__name__}")
         name = doc.get("family")
@@ -213,6 +234,11 @@ class Kernel(ABC):
             raise InvalidSpecError(f"spec document missing field {exc}") from exc
         except (TypeError, IndexError) as exc:
             raise InvalidSpecError(f"malformed {name} spec document: {exc}") from exc
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            if f.type in (float, "float") and not isinstance(value, numbers.Real):
+                raise InvalidSpecError(f"spec field {f.name!r} must be a finite number, "
+                                       f"got {value!r}")
         known = dict(_doc_fields(spec.to_doc()))
         for path, _ in _doc_fields(doc):
             if path not in known:
@@ -458,6 +484,23 @@ class MixedLfsm(Kernel):
     def scaling_maps(self):
         return tuple(range(len(self.atoms))), None, 0.0, 1.0
 
+    def same_law(self, other):
+        if not isinstance(other, MixedLfsm):
+            return super().same_law(other)
+        # imported on use: loading a spec need not pay for identify's import
+        from .identify import mixing_measure, ray_test, same_mixed_lfsm
+
+        if abs(self.alpha - other.alpha) > 1e-12 or abs(self.hurst - other.hurst) > 1e-12:
+            equal = False
+        else:
+            equal = same_mixed_lfsm(self.atoms, other.atoms, self.alpha)
+        return {"kind": "mixed_lfsm", "equal_in_law": equal,
+                "sphere_measure_1": [{"direction": list(o), "weight": w}
+                                     for o, w in mixing_measure(self.atoms, self.alpha).atoms],
+                "sphere_measure_2": [{"direction": list(o), "weight": w}
+                                     for o, w in mixing_measure(other.atoms, other.alpha).atoms],
+                "ray_1": ray_test(self.atoms), "ray_2": ray_test(other.atoms)}
+
     def to_doc(self):
         return {**super().to_doc(),
                 "atoms": [{"b": [b1, b2], "weight": w} for (b1, b2), w in self.atoms]}
@@ -640,6 +683,26 @@ class RotatingAverage(Kernel):
 
     def cf_grid_key(self, times):
         return None  # one grid for every probe
+
+    def flow(self, t, points):
+        # the circle rotation s -> s + t x at the speed x of each radial node
+        x, s = points
+        return x, s + t * x
+
+    def same_law(self, other):
+        if not isinstance(other, RotatingAverage):
+            return super().same_law(other)
+        from .identify import match_rotating
+
+        if abs(self.alpha - other.alpha) > 1e-12:
+            witness = None
+        else:
+            witness = match_rotating(self.series, self.beta, other.series, other.beta)
+        doc = {"kind": "rotating_average", "equal_in_law": witness is not None}
+        if witness is not None:
+            doc["witness"] = {"epsilon": witness.epsilon, "shift": witness.shift,
+                              "offset": witness.offset}
+        return doc
 
     def scaling_maps(self):
         # x -> x / c keeps t x, and so the kernel, fixed; the circle does not scale

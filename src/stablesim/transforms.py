@@ -154,6 +154,9 @@ class IncrementProcess(Kernel):
     def eval(self, t, pts):
         return self.field(t, pts)
 
+    def flow(self, t, pts):
+        return self.source.flow(t, pts)
+
     def evals(self, times, pts):
         # the source's K at t + lag and t for every t, from one source F(0, .)
         pairs = self.source.evals((u for t in times for u in (t + self.lag, t)), pts)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf, philox,
                    simulate)
-from .flows import dilation_flow, rotation_flow
+from .flows import dilation_flow
 from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build
 
 _FLOOR = 1e-12  # machine-level invariance floor for refinement comparisons
@@ -231,31 +231,34 @@ class KernelIdentityFixture:
     lhs: callable         # closed-form kernel (t, pts) -> values
     rhs: callable         # flow/cocycle form (t, pts) -> values
     times: tuple[float, ...]
-    points: np.ndarray
+    points: object        # an array, or a broadcastable pair of coordinate arrays
 
 
-_N_POINTS = 512  # random points of each kernel-identity fixture
+_N_POINTS = 512  # random points of the Lamperti fixture
+_FLOW_TIMES = (0.0, 0.25, 1.0, 2.5)  # times of flow_identity_fixture
+
+
+def flow_identity_fixture(spec: Kernel) -> KernelIdentityFixture:
+    """The spec's field in its stationary flow form F(t, .) = F(0, phi_t .),
+    with phi_t = ``spec.flow(t, .)``, unit cocycle and unit derivative.  Both
+    sides are taken relative to F(0, .), so they vanish at t = 0, and they
+    are evaluated on the spec's own level-1 ``cf_cells`` points."""
+    points = spec.cf_cells(_FLOW_TIMES, 1)[0]
+
+    def lhs(t, pts):
+        return spec.field(t, pts) - spec.field(0.0, pts)
+
+    def rhs(t, pts):
+        return spec.field(0.0, spec.flow(t, pts)) - spec.field(0.0, pts)
+
+    return KernelIdentityFixture(f"{spec.label}_flow_form", lhs, rhs, _FLOW_TIMES, points)
 
 
 def rotating_identity_fixture(series: FourierSeries) -> KernelIdentityFixture:
     """Rotating-average kernel as the stationary flow form
-    g o phi_t - g with unit cocycle and unit derivative."""
-    flow = rotation_flow()
-    rng = np.random.Generator(philox(7))
-    pts = np.column_stack([rng.uniform(0.0, 2.0 * math.pi, _N_POINTS),
-                           np.exp(rng.uniform(np.log(0.2), np.log(20.0), _N_POINTS))])
-
-    def lhs(t, pts):
-        s, x = pts[:, 0], pts[:, 1]
-        return series(s + t * x) - series(s)
-
-    def rhs(t, pts):
-        moved = flow.apply(t, pts)
-        rho = flow.rn_derivative(t, pts)
-        return rho ** 1.0 * series(moved[:, 0]) - series(pts[:, 0])
-
-    return KernelIdentityFixture("rotating_average_flow_form", lhs, rhs,
-                                 (0.0, 0.25, 1.0, 2.5), pts)
+    g o phi_t - g with unit cocycle and unit derivative (alpha and beta do
+    not enter the field)."""
+    return flow_identity_fixture(RotatingAverage(1.5, 0.8, series))
 
 
 def lamperti_identity_fixture(spec: Lfsm) -> KernelIdentityFixture:
@@ -354,13 +357,6 @@ def empirical_scaling_exponent(ensemble: PathEnsemble, theta: float, base_time: 
 # convenience suite
 # ---------------------------------------------------------------------------
 
-# kernel-form identity of each family that has one
-_IDENTITY_FIXTURES = {
-    RotatingAverage: lambda spec: rotating_identity_fixture(spec.series),
-    Lfsm: lamperti_identity_fixture,
-}
-
-
 _CHECK_NAMES = ("si", "ss", "scaling", "kernel-identity", "mc")
 
 
@@ -387,12 +383,7 @@ def run_suite(spec: Kernel, checks=("si", "ss"), n_paths: int = 2000,
                 reports.append(VerificationReport("scaling_maps", True, 0.0, (),
                                                   {"skipped": str(exc)}))
         elif name == "kernel-identity":
-            fixture = _IDENTITY_FIXTURES.get(type(spec))
-            if fixture is not None:
-                reports.append(check_kernel_identity(fixture(spec)))
-            else:
-                reports.append(VerificationReport("kernel_identity", True, 0.0, (),
-                                                  {"skipped": f"no fixture for {type(spec).__name__}"}))
+            reports.append(check_kernel_identity(flow_identity_fixture(kernel)))
         else:  # "mc"
             times = sorted({t for c in default_probes() for t in c.times})
             ens = simulate(kernel, times, n_paths, seed, level=1)

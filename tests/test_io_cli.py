@@ -49,8 +49,18 @@ class TestSpecJson:
           "atoms": [{"b": [1.0, 0.0], "wieght": 2.0, "weight": 1.0}]}, "'atoms[0].wieght'"),
         ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
           "atoms": [{"b": [1.0, 0.0, 3.0], "weight": 1.0}]}, "'atoms[0].b[2]'"),
+        ({"family": "lfsm", "alpha": [1.5], "hurst": 0.7}, "'alpha'"),
+        ({"family": "lfsm", "alpha": {"x": 1.5}, "hurst": 0.7}, "'alpha'"),
+        ({"family": "chentsov", "alpha": 1.25, "beta": [0.5]}, "'beta'"),
+        ({"family": "lfsm", "alpha": 1.5, "hurst": []}, "'hurst'"),
+        ({"family": "rotating_average", "alpha": [1.5], "beta": 0.8,
+          "harmonics": [{"k": 1, "cos": 1.0}]}, "'alpha'"),
+        ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": {"h": 0.7},
+          "atoms": [{"b": [1.0, 0.0], "weight": 1.0}]}, "'hurst'"),
     ], ids=["list", "string", "bool", "nan", "inf", "nested-minus-inf", "nested-string",
-            "unknown-key", "nested-unknown-key", "misspelt-atom-key", "long-atom-b"])
+            "unknown-key", "nested-unknown-key", "misspelt-atom-key", "long-atom-b",
+            "scalar-as-list", "scalar-as-object", "chentsov-beta-as-list", "scalar-as-empty-list",
+            "rotating-alpha-as-list", "mixed-hurst-as-object"])
     def test_outside_input_rejected(self, doc, field, tmp_path, capsys):
         with pytest.raises(ss.InvalidSpecError, match=re.escape(field)):
             sio.spec_from_dict(doc)
@@ -383,20 +393,6 @@ class TestCli:
         (line,) = capsys.readouterr().out.strip().splitlines()
         assert line.startswith("PASS scaling_maps: max residual ")
 
-    @pytest.mark.parametrize("spec, check, name", [
-        ("q1", "kernel-identity", "kernel_identity"),
-    ], ids=["kernel-identity-no-fixture"])
-    def test_verify_skipped_check_prints_skip(self, specdir, capsys, spec, check, name):
-        # a skipped check computed nothing: it prints SKIP with its reason, and
-        # keeps exit 0 and its passed report
-        rep = str(specdir["dir"] / "rep.json")
-        rc = main(["verify", "--spec", specdir[spec], "--checks", check, "--out", rep])
-        assert rc == 0
-        (line,) = capsys.readouterr().out.strip().splitlines()
-        (report,) = json.loads(open(rep).read())["reports"]
-        assert line == f"SKIP {name}: {report['details']['skipped']}"
-        assert report["name"] == name and report["passed"] and report["residuals"] == []
-
     def test_classify_rotation_conservative(self, specdir, capsys):
         rc = main(["classify", "--flow", "rotation", "--alpha", "1.5",
                    "--n-points", "6", "--out", str(specdir["dir"] / "c.json")])
@@ -427,6 +423,18 @@ class TestCli:
         assert rc == 0 and "equal in law" in capsys.readouterr().out
         rc = main(["identify", "--spec1", specdir["q1"], "--spec2", specdir["q3"]])
         assert rc == 0 and "distinct" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec1, spec2", [("lfsm", "lfsm"), ("q1", "rot1"), ("rot1", "q1")],
+                             ids=["lfsm-lfsm", "mixed-rotating", "rotating-mixed"])
+    def test_identify_unsupported_pair_exit_2(self, specdir, capsys, spec1, spec2):
+        out = specdir["dir"] / "w.json"
+        rc = main(["identify", "--spec1", specdir[spec1], "--spec2", specdir[spec2],
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        (line,) = captured.err.strip().splitlines()
+        assert line == ("stablesim identify: identify supports two mixed_lfsm specs "
+                        "or two rotating_average specs")
 
     def test_identify_rotating_witness(self, specdir):
         out = str(specdir["dir"] / "w.json")

@@ -15,6 +15,7 @@ from stablesim.verify import (
     check_self_similar,
     check_stationary_increments,
     default_probes,
+    flow_identity_fixture,
     lamperti_identity_fixture,
     mc_distribution_check,
     rotating_identity_fixture,
@@ -199,6 +200,27 @@ class TestScalingFlowsAreLampertiFlows:
             np.testing.assert_allclose(flow.rn_derivative(t, pts), c ** beta2, rtol=1e-15)
 
 
+FLOW_SPECS = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0),
+              increment_process(ss.catalog_specs()[-1], 1.0))
+
+
+class _ForwardShiftLfsm(ss.Lfsm):
+    def flow(self, t, points):
+        return points + t
+
+
+class _ForwardShiftChentsov(ss.Chentsov):
+    def flow(self, t, points):
+        x, s = points
+        return x, s + t
+
+
+class _BackwardRotating(ss.RotatingAverage):
+    def flow(self, t, points):
+        x, s = points
+        return x, s - t * x
+
+
 class TestKernelIdentity:
     def test_rotating_form_residual_zero(self):
         g = ss.FourierSeries(((1, 1.0, 0.0), (3, 0.4, -0.2)))
@@ -211,6 +233,23 @@ class TestKernelIdentity:
         fix = rotating_identity_fixture(g)
         assert np.max(np.abs(fix.lhs(0.0, fix.points))) == 0.0
         assert np.max(np.abs(fix.rhs(0.0, fix.points))) == 0.0
+
+    @pytest.mark.parametrize("spec", FLOW_SPECS, ids=repr)
+    def test_flow_form_of_every_spec(self, spec):
+        # the shift-coordinate flows move t into the field's own t - s
+        # exactly; the rotation goes through the field's angle addition
+        rep = check_kernel_identity(flow_identity_fixture(spec))
+        assert rep.passed and rep.name == f"kernel_identity[{spec.label}_flow_form]"
+        rotating = isinstance(getattr(spec, "source", spec), ss.RotatingAverage)
+        assert rep.max_residual < 1e-10 if rotating else rep.max_residual == 0.0
+
+    @pytest.mark.parametrize("spec", [_ForwardShiftLfsm(1.5, 0.7),
+                                      _ForwardShiftChentsov(1.25, 0.5),
+                                      _BackwardRotating(1.5, 0.8, ss.FourierSeries(((1, 1.0, 0.0),)))],
+                             ids=["lfsm", "chentsov", "rotating"])
+    def test_wrongly_declared_flow_fails(self, spec):
+        rep = check_kernel_identity(flow_identity_fixture(spec))
+        assert not rep.passed and rep.residuals[0] == 0.0 and rep.max_residual > 0.1
 
     def test_lamperti_form_residual(self):
         rep = check_kernel_identity(lamperti_identity_fixture(ss.Lfsm(1.5, 0.7, 1.0, 0.5)))
@@ -250,6 +289,12 @@ class TestRunSuite:
     def test_scaling_skipped_for_undeclared_family(self):
         reports = run_suite(increment_process(ss.Lfsm(1.5, 0.7), 1.0), ("scaling",))
         assert reports[0].passed and "skipped" in reports[0].details
+
+    @pytest.mark.parametrize("spec", ss.catalog_specs(), ids=repr)
+    def test_kernel_identity_on_every_catalog_spec(self, spec):
+        (rep,) = run_suite(spec, ("kernel-identity",))
+        assert rep.passed and rep.name == f"kernel_identity[{spec.label}_flow_form]"
+        assert len(rep.residuals) == 4 and "skipped" not in rep.details
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):

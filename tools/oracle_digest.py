@@ -13,10 +13,13 @@ more lines digest the verdicts and then the (window, value) traces of
 ``hopf_classify`` on 8 points drawn from ``philox(5)``: on the translation
 flow with g0 = K(1, .) for lfsm(1.5, 0.7), lfsm(1.5, 0.3), lfsm(1.2, 0.9),
 linear_motion(1.5) and log_fractional(1.5) in turn, and on the rotation
-flow with g0 = cos s; each line also counts the verdicts.  The last line
+flow with g0 = cos s; each line also counts the verdicts.  The 13th line
 digests ``check_scaling_maps`` on every ``catalog_specs()`` entry: per spec
 its ``passed``, residuals and ``beta1_hat``, or "unsupported" where the check
-raises ``UnsupportedFamilyError``, and it counts the outcomes.  Only public
+raises ``UnsupportedFamilyError``, and it counts the outcomes.  A 14th line
+digests ``check_kernel_identity(flow_identity_fixture(spec))`` on every
+``catalog_specs()`` entry the same way (``passed`` and residuals), or reads
+"unsupported" on a tree without ``flow_identity_fixture``.  Only public
 calls are used, so the script runs on older trees too.
 
 With ``--values FILE`` it also writes the raw values as JSON, one list of
@@ -126,6 +129,20 @@ def scaling_maps_line(ss) -> str:
             f"{dict(Counter(outcomes))}")
 
 
+def flow_identity_line(ss) -> str:
+    from stablesim import verify
+
+    if not hasattr(verify, "flow_identity_fixture"):
+        return "unsupported  check_kernel_identity(flow_identity_fixture)"
+    items, outcomes = [], []
+    for spec in ss.catalog_specs():
+        rep = verify.check_kernel_identity(verify.flow_identity_fixture(spec))
+        items.extend([rep.passed, *rep.residuals])
+        outcomes.append("passed" if rep.passed else "failed")
+    return (f"{digest(items)}  check_kernel_identity(flow_identity_fixture, "
+            f"{len(outcomes)} catalog specs) {dict(Counter(outcomes))}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Digest the quadrature oracle's values.")
     parser.add_argument("--values", metavar="FILE",
@@ -158,6 +175,7 @@ def main() -> int:
     for line in hopf_lines(ss):
         print(line)
     print(scaling_maps_line(ss))
+    print(flow_identity_line(ss))
     return 0
 
 
