@@ -168,10 +168,14 @@ def shell_tail(masses: np.ndarray, growth: float, floor: float) -> tuple[float, 
     "finite" below 1 - _RATIO_BAND or when the outer shell carries no more
     than ``floor``, "undecided" up to 0.999, and "divergent" above that
     (a flat ratio is a logarithmic divergence) or when the outer shell is
-    infinite.  ``remainder`` is the geometric extrapolation
-    edge * ratio / (1 - ratio) of the mass beyond the outer shell: 0 when
-    that shell is negligible, inf when the shells do not decay.
+    infinite.  A nan shell is no evidence either way: the verdict is
+    "undecided", with ratio and remainder nan.  ``remainder`` is the
+    geometric extrapolation edge * ratio / (1 - ratio) of the mass beyond
+    the outer shell: 0 when that shell is negligible, inf when the shells do
+    not decay.
     """
+    if np.isnan(masses).any():
+        return math.nan, "undecided", math.nan
     m = np.maximum(masses[-4:], 1e-300)
     with np.errstate(invalid="ignore"):  # inf / inf
         r = float(np.exp(np.mean(np.log(m[1:] / m[:-1]))))

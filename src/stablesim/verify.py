@@ -1,19 +1,18 @@
 """Verification harness: deterministic quadrature identities for stationary
-increments and self-similarity, scaling-map checks, kernel-form identities,
-and Monte Carlo distribution checks against the quadrature oracle."""
+increments and self-similarity, kernel-form identities (the stationary and
+the Lamperti flow form of each family), and Monte Carlo distribution checks
+against the quadrature oracle."""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf, philox,
-                   simulate)
-from .flows import dilation_flow
-from .kernels import FourierSeries, Kernel, Lfsm, RotatingAverage, build
+from .core import CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf, simulate
+from .kernels import FourierSeries, Kernel, RotatingAverage, build
 
 _FLOOR = 1e-12  # machine-level invariance floor for refinement comparisons
 _LEVEL = 2  # quadrature level of the self-similarity and Monte Carlo checks
@@ -150,80 +149,13 @@ def check_self_similar(kernel: Kernel, combos=None,
 
 
 # ---------------------------------------------------------------------------
-# scaling maps (the Lamperti scaling flow of each family)
+# kernel-form identities: the stationary flow form (Masani) and the scaling
+# flow form (Lamperti) of each family
 # ---------------------------------------------------------------------------
 
 class UnsupportedFamilyError(TypeError):
     pass
 
-
-_MAP_SCALES = (0.5, 2.0, 4.0)  # the scales c of check_scaling_maps
-_MAP_TOL = 1e-12  # kernel residual bound of check_scaling_maps
-
-
-def _lag_points(xs, s, x_scale=1.0):
-    """Points (x_scale * x, -s) of the lag kernel f_T(x, s) = K(T, (x, -s)) for
-    x in ``xs``: the shifts alone without a radial coordinate (``xs`` None),
-    else a broadcast pair, x down and s across."""
-    return -s if xs is None else (x_scale * np.asarray(xs, dtype=float)[:, None], -s[None, :])
-
-
-def check_scaling_maps(spec: Kernel) -> VerificationReport:
-    """Kernel homogeneity under the family's declared scaling flow, and the
-    Hurst exponent that flow implies.
-
-    ``spec.scaling_maps()`` declares psi_c(x, s) = (c^g x, c^h s) on the state
-    space of the lag kernel f_T(x, s) = K(T, (x, -s)).  On a radial density
-    x**e dx, psi_c maps a radial set A to c^g A of mass
-    int_{c^g A} x^e dx = c^{g(e + 1)} int_A x^e dx, so beta2 = g(e + 1) (0 for
-    an atomic or absent radial coordinate), and it multiplies Lebesgue shift
-    mass by c^h: mu o psi_c = c^{beta2 + h} mu.  If f_{cT} o psi_c =
-    c^{beta1} f_T, the substitution u = psi_c v in X_{cT} = int K(cT, u) M(du)
-    (psi_c commutes with the reflection s -> -s) and M o psi_c =
-    c^{(beta2 + h)/alpha} M in law give X_{cT} = c^{beta1 + (beta2 + h)/alpha} X_T
-    in law, jointly in T, so an H-self-similar family has
-    beta1 = H - (beta2 + h) / alpha.
-
-    Both sides of f_{cT}(psi_c(x, s)) = c^{beta1} f_T(x, s) are evaluated on
-    the whole (x, s) grid for each scale c of ``_MAP_SCALES`` and lag T in
-    (0.5, 1, 2).  beta1_hat, inferred from the ratios of the nonzero values,
-    is reconciled with H through beta1_hat + (beta2 + h) / alpha.  The shift
-    grid skips s = 0 and s = -T, where f_T evaluates a profile at 0: an
-    assigned value there (log_fractional's f(0) := 0) breaks homogeneity on
-    a null set, which no integral sees."""
-    maps = spec.scaling_maps()
-    if maps is None:
-        raise UnsupportedFamilyError(f"{type(spec).__name__} declares no scaling flow")
-    xs, exponent, g, h = maps
-    alpha, hurst = spec.alpha, spec.hurst_exponent()
-    beta2 = 0.0 if exponent is None else g * (exponent + 1.0)
-    beta1 = hurst - (beta2 + h) / alpha
-    grid = np.linspace(-4.0, 4.0, 17)
-    kernel_res, logs = 0.0, []
-    for T in (0.5, 1.0, 2.0):
-        s = grid[(grid != 0.0) & (grid != -T)]
-        base = spec.eval(T, _lag_points(xs, s))
-        for c in _MAP_SCALES:
-            moved = spec.eval(c * T, _lag_points(xs, c ** h * s, c ** g))
-            rhs = c ** beta1 * base
-            kernel_res = max(kernel_res, float(np.max(np.abs(moved - rhs) /
-                                                      np.maximum(np.abs(rhs), 1.0))))
-            live = np.abs(rhs) > 1e-9
-            ratio = moved[live] / base[live]
-            logs.append(np.log(ratio[ratio > 0]) / math.log(c))
-    beta1_hat = float(np.mean(np.concatenate(logs)))
-    hurst_from_maps = beta1_hat + (beta2 + h) / alpha
-    hurst_res = abs(hurst_from_maps - hurst) / abs(hurst)
-    passed = kernel_res < _MAP_TOL and hurst_res < 1e-9
-    return VerificationReport(
-        "scaling_maps", passed, _MAP_TOL, (kernel_res, hurst_res),
-        {"g": g, "h": h, "beta1": beta1, "beta2": beta2, "beta1_hat": beta1_hat,
-         "hurst_from_maps": hurst_from_maps, "hurst": hurst})
-
-
-# ---------------------------------------------------------------------------
-# kernel-form identities (flow/cocycle representations)
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class KernelIdentityFixture:
@@ -234,8 +166,9 @@ class KernelIdentityFixture:
     points: object        # an array, or a broadcastable pair of coordinate arrays
 
 
-_N_POINTS = 512  # random points of the Lamperti fixture
 _FLOW_TIMES = (0.0, 0.25, 1.0, 2.5)  # times of flow_identity_fixture
+_LAMPERTI_TIMES = (0.25, 0.5, 1.0, 2.0, 4.0)  # powers of two: psi_{1/t} is exact in binary
+_MAP_TOL = 1e-12  # residual bound of check_scaling_maps
 
 
 def flow_identity_fixture(spec: Kernel) -> KernelIdentityFixture:
@@ -261,32 +194,84 @@ def rotating_identity_fixture(series: FourierSeries) -> KernelIdentityFixture:
     return flow_identity_fixture(RotatingAverage(1.5, 0.8, series))
 
 
-def lamperti_identity_fixture(spec: Lfsm) -> KernelIdentityFixture:
-    """Self-similar kernel as t^H rho^{1/alpha} g0 o dilation_{log t} with g0 = f_1."""
-    flow = dilation_flow()
-    rng = np.random.Generator(philox(11))
-    pts = np.exp(rng.uniform(-2.0, 2.0, _N_POINTS)) * rng.choice([-1.0, 1.0], _N_POINTS)
+def _lamperti_flow(spec: Kernel):
+    """The Lamperti flow of the spec's declared scaling flow
+    psi_c(x, s) = (c^g x, c^h s), as (xs, phi, rho, exponents): the flow
+    phi(t, p) = psi_{1/t}(p) and its derivative rho(t) = t^{-(beta2 + h)} at
+    u = log t, the radial test points xs of ``scaling_maps`` and the
+    exponents g, h, beta1, beta2 and H.
 
-    def rhs(t, s):
-        u = math.log(t)
-        moved = flow.apply(u, s)
-        rho = flow.rn_derivative(u, s)
-        return t ** spec.hurst * rho ** (1.0 / spec.alpha) * spec.eval(1.0, moved)
+    On a radial density x**e dx, psi_c maps a radial set A to c^g A of mass
+    int_{c^g A} x^e dx = c^{g(e + 1)} int_A x^e dx, so beta2 = g(e + 1) (0 for
+    an atomic or absent radial coordinate), and it multiplies Lebesgue shift
+    mass by c^h: mu o psi_c = c^{beta2 + h} mu, and phi_u = psi_{e^{-u}} has
+    derivative e^{-u(beta2 + h)}.  If K(cT, psi_c p) = c^{beta1} K(T, p),
+    the substitution p = psi_c q in X_{cT} = int K(cT, p) M(dp) and
+    M o psi_c = c^{(beta2 + h)/alpha} M in law give
+    X_{cT} = c^{beta1 + (beta2 + h)/alpha} X_T in law, jointly in T, so an
+    H-self-similar family has beta1 = H - (beta2 + h) / alpha.  Raises
+    UnsupportedFamilyError for a spec that declares no scaling flow."""
+    maps = spec.scaling_maps()
+    if maps is None:
+        raise UnsupportedFamilyError(f"{type(spec).__name__} declares no scaling flow")
+    xs, exponent, g, h = maps
+    beta2 = 0.0 if exponent is None else g * (exponent + 1.0)
+    hurst = spec.hurst_exponent()
 
-    return KernelIdentityFixture("lfsm_lamperti_form", spec.eval, rhs,
-                                 (0.25, 0.5, 1.0, 2.0, 4.0), pts)
+    def phi(t, pts):
+        c = 1.0 / t
+        return c ** h * pts if xs is None else (c ** g * pts[0], c ** h * pts[1])
+
+    return xs, phi, lambda t: t ** -(beta2 + h), {
+        "g": g, "h": h, "beta1": hurst - (beta2 + h) / spec.alpha, "beta2": beta2, "hurst": hurst}
+
+
+def lamperti_identity_fixture(spec: Kernel) -> KernelIdentityFixture:
+    """The spec's kernel in the Lamperti form of its declared scaling flow,
+    K(t, p) = t^H rho_{log t}^{1/alpha} g0(phi_{log t} p) with g0 = K(1, .) and
+    phi, rho from ``_lamperti_flow``: K(t, psi_t q) = t^{beta1} K(1, q) at
+    q = psi_{1/t} p, with t^{beta1} = t^H rho^{1/alpha}.  So the stationary
+    Y(u) = e^{-Hu} X(e^u) is int rho_u^{1/alpha} g0 o phi_u dM.
+
+    The times are powers of two and the points are the declared radial test
+    points times the shifts linspace(-4, 4, 17) + 0.125, which avoid s = 0
+    and s = t: there a profile is evaluated at 0, where an assigned value
+    (log_fractional's f(0) := 0) breaks homogeneity on a null set, which no
+    integral sees.  Raises UnsupportedFamilyError for a spec that declares
+    no scaling flow."""
+    xs, phi, rho, exponents = _lamperti_flow(spec)
+    hurst, s = exponents["hurst"], np.linspace(-4.0, 4.0, 17) + 0.125
+    points = s if xs is None else (np.asarray(xs, dtype=float)[:, None], s[None, :])
+
+    def rhs(t, pts):
+        return t ** hurst * rho(t) ** (1.0 / spec.alpha) * spec.eval(1.0, phi(t, pts))
+
+    return KernelIdentityFixture(f"{spec.label}_lamperti_form", spec.eval, rhs,
+                                 _LAMPERTI_TIMES, points)
 
 
 def check_kernel_identity(fixture: KernelIdentityFixture, tol: float = 1e-10) -> VerificationReport:
-    residuals = []
+    """One residual per time, max over the points of |lhs - rhs| / max(|rhs|, 1).
+    Passes when every residual is below tol and lhs is nonzero at some point
+    and time: an identity between zeros shows nothing."""
+    residuals, live = [], False
     for t in fixture.times:
         a = fixture.lhs(t, fixture.points)
         b = fixture.rhs(t, fixture.points)
-        scale = max(float(np.max(np.abs(a))), 1.0)
-        residuals.append(float(np.max(np.abs(a - b))) / scale)
+        residuals.append(float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0))))
+        live = live or bool(np.any(a != 0.0))
     return VerificationReport(f"kernel_identity[{fixture.label}]",
-                              max(residuals) < tol, tol, tuple(residuals),
+                              live and all(r < tol for r in residuals), tol, tuple(residuals),
                               {"times": list(fixture.times)})
+
+
+def check_scaling_maps(spec: Kernel) -> VerificationReport:
+    """``check_kernel_identity`` of the spec's ``lamperti_identity_fixture`` at
+    tolerance 1e-12, reported as "scaling_maps" with the flow's exponents
+    g, h, beta1, beta2 and H: one residual per time, and a wrong flow, a
+    wrong Hurst exponent or a kernel that is 0 everywhere fails."""
+    rep = check_kernel_identity(lamperti_identity_fixture(spec), _MAP_TOL)
+    return replace(rep, name="scaling_maps", details={**_lamperti_flow(spec)[3], **rep.details})
 
 
 # ---------------------------------------------------------------------------

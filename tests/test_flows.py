@@ -206,6 +206,28 @@ class TestHopf:
         verdict = hopf_classify(flow, g0, 1.5, flow.sample_points(rng, 40))
         assert set(verdict.verdicts) == {"conservative"}
 
+    def test_nan_g0_never_conservative(self):
+        # g0 unknown (nan) far out: the outer shells are nan, which is no
+        # evidence of divergence
+        flow = translation_flow()
+
+        def g0(s):
+            s = np.asarray(s)
+            return np.where(np.abs(s) > 1000.0, np.nan, ((s >= 0.0) & (s <= 1.0)).astype(float))
+
+        verdict = hopf_classify(flow, g0, 1.5, np.array([0.5, -0.7]))
+        assert verdict.verdicts == ("undecided", "undecided")
+
+    def test_lamperti_lfsm_never_conservative(self):
+        # g0 = K(1, .) of lfsm(1.5, 0.7) on the dilation flow: the orbit of
+        # s < 0 reaches K(1, -inf) = inf - inf = nan, which must not read as
+        # a divergent orbit integral
+        spec = Lfsm(1.5, 0.7)
+        verdict = hopf_classify(dilation_flow(), lambda s: spec.eval(1.0, np.asarray(s, dtype=float)),
+                                spec.alpha, np.array([0.5, -0.7, 2.0]))
+        assert "conservative" not in verdict.verdicts
+        assert verdict.verdicts[0] == verdict.verdicts[2] == "dissipative"
+
     def test_zero_g0_degenerate(self):
         flow = translation_flow()
         g0 = lambda s: np.zeros(len(np.atleast_1d(s)))

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -81,6 +81,94 @@ class TestSpecJson:
         d2 = sio.spec_digest(sio.spec_to_dict(ss.Lfsm(1.5, 0.7)))
         d3 = sio.spec_digest(sio.spec_to_dict(ss.Lfsm(1.5, 0.71)))
         assert d1 == d2 != d3
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(sorted(ss.FAMILIES)),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(("family", "alpha")) | st.text(max_size=3), kids, max_size=3),
+    max_leaves=8)
+_TEMPLATES = tuple({s.label: s.to_doc() for s in ss.catalog_specs()}.values())
+
+
+@st.composite
+def _perturbed_docs(draw):
+    """A family's catalog document with every number redrawn (a float, often
+    in [-2, 2], an integer or any JSON value), every list 0 to 3 entries
+    long, and maybe a top-level key dropped or an unknown one added."""
+    def redraw(value):
+        if isinstance(value, dict):
+            return {k: redraw(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [redraw(value[0]) for _ in range(draw(st.integers(0, 3)))]
+        if isinstance(value, str):
+            return value
+        return draw(st.floats(-2.0, 2.0) | st.floats() | st.integers(-10 ** 6, 10 ** 6) | _JSON)
+
+    doc = redraw(draw(st.sampled_from(_TEMPLATES)))
+    edit = draw(st.sampled_from(("none", "drop", "add")))
+    if edit == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif edit == "add":
+        doc[draw(st.text(max_size=3))] = draw(_JSON)
+    return doc
+
+
+_DOCS = _JSON | _perturbed_docs()
+
+
+@st.composite
+def _admissible_docs(draw):
+    """A document of any family with every parameter drawn from a bounded
+    admissible range (the truncated b inside its region)."""
+    def num(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    family = draw(st.sampled_from(sorted(ss.FAMILIES)))
+    wide = family not in ("log_fractional", "truncated_fractional")
+    doc = {"family": family, "alpha": num(0.3 if wide else 1.05, 1.95)}
+    alpha = doc["alpha"]
+    if family in ("lfsm", "mixed_lfsm"):
+        doc["hurst"] = num(0.05, 0.95)
+    if family in ("lfsm", "linear_motion"):
+        doc["c_plus"], doc["c_minus"] = num(-2.0, 2.0), num(-2.0, 2.0)
+    if family == "log_fractional":
+        doc["scale"] = num(-2.0, 2.0)
+    if family == "mixed_lfsm":
+        doc["atoms"] = [{"b": [num(-2.0, 2.0), num(-2.0, 2.0)], "weight": num(0.1, 2.0)}
+                        for _ in range(draw(st.integers(1, 3)))]
+    if family == "truncated_fractional":
+        a = num(0.05, 1.0) * draw(st.sampled_from((-1.0, 1.0)))
+        lo, hi = (max(0.0, alpha * a - alpha + 1.0), alpha * a) if a > 0 else \
+            (alpha * a, min(0.0, alpha * a + 1.0))
+        doc["a"], doc["b"] = a, lo + num(0.05, 0.95) * (hi - lo)
+    if family in ("chentsov", "rotating_average"):
+        doc["beta"] = num(0.05, 0.95) * (alpha if family == "rotating_average" else 1.0)
+    if family == "rotating_average":
+        doc["harmonics"] = [{"k": draw(st.integers(1, 5)), "cos": num(-1.0, 1.0),
+                             "sin": num(-1.0, 1.0)} for _ in range(draw(st.integers(1, 3)))]
+    return doc
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    def test_only_invalid_spec_error_escapes(self, doc):
+        try:
+            ss.build(ss.Kernel.from_doc(doc))
+        except ss.InvalidSpecError:
+            pass
+
+    @settings(max_examples=30, deadline=None)
+    @given(_admissible_docs(), st.integers(0, 2 ** 32 - 1))
+    def test_admissible_documents_simulate_finite(self, doc, seed):
+        spec = ss.Kernel.from_doc(doc)
+        assume(ss.validate(spec).ok)  # H = 1/alpha, c_plus = c_minus or a zero profile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = ss.simulate(ss.build(spec), [0.5, 1.0, 2.0], 3, seed, level=0)
+        assert ens.values.shape == (3, 3) and np.all(np.isfinite(ens.values))
 
 
 class TestEnsembleCsv:

@@ -485,6 +485,12 @@ class TestShellTail:
         _, verdict, _ = shell_tail(np.array([1.0, 2.0, math.inf, math.inf]), 2.0, 1e-9 * math.inf)
         assert verdict == "divergent"
 
+    @pytest.mark.parametrize("masses", [[1.0, 0.5, 0.25, math.nan], [math.nan, 1.0, 0.5, 0.25],
+                                        [1.0, math.inf, math.nan, 2.0]])
+    def test_nan_shell_undecided(self, masses):
+        r, verdict, remainder = shell_tail(np.array(masses), 2.0, 1e-9)
+        assert verdict == "undecided" and math.isnan(r) and math.isnan(remainder)
+
 
 class TestRegionMap:
     def test_small_grid_interior_and_exterior(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -117,13 +118,24 @@ _EXTRA_MAP_SPECS = (
 )
 
 
+class _OffHurstLfsm(ss.Lfsm):
+    def hurst_exponent(self):
+        return self.hurst + 0.01
+
+
+class _ZeroLfsm(ss.Lfsm):
+    def field(self, t, s):
+        return np.zeros(np.shape(s))
+
+
 class TestScalingMaps:
     @pytest.mark.parametrize("spec", ss.catalog_specs() + _EXTRA_MAP_SPECS, ids=repr)
     def test_every_family_passes(self, spec):
         rep = check_scaling_maps(spec)
-        kernel_res, hurst_res = rep.residuals
-        assert rep.passed
-        assert kernel_res < 1e-12 and hurst_res < 1e-9
+        assert rep.passed and rep.name == "scaling_maps"
+        assert rep.details["times"] == list(verify_module._LAMPERTI_TIMES)
+        assert len(rep.residuals) == len(verify_module._LAMPERTI_TIMES)
+        assert rep.max_residual < 1e-12
 
     def test_mixed_lfsm_exponents(self):
         rep = check_scaling_maps(ss.MixedLfsm(1.5, 0.7, (((1.0, 0.0), 1.0), ((0.0, 1.0), 0.5))))
@@ -134,26 +146,30 @@ class TestScalingMaps:
     def test_truncated_exponents(self):
         rep = check_scaling_maps(ss.TruncatedFractional(1.5, 0.5, 0.5))
         assert rep.passed
-        assert rep.details["beta1_hat"] == pytest.approx(0.5, abs=1e-9)
+        assert rep.details["beta1"] == pytest.approx(0.5, abs=1e-12)
         assert rep.details["beta2"] == -0.5
 
     def test_chentsov_exponents(self):
         rep = check_scaling_maps(ss.Chentsov(1.25, 0.5))
         assert rep.passed
-        assert rep.details["beta1_hat"] == pytest.approx(0.0, abs=1e-12)
+        assert rep.details["beta1"] == pytest.approx(0.0, abs=1e-12)
         assert rep.details["beta2"] == -0.5
 
-    def test_hurst_reconciliation(self):
+    def test_exponents_reported(self):
         for spec in (ss.MixedLfsm(1.5, 0.7, (((1.0, 0.0), 1.0),)),
                      ss.TruncatedFractional(1.5, 0.5, 0.5), ss.Chentsov(1.25, 0.5)):
-            rep = check_scaling_maps(spec)
-            assert rep.details["hurst_from_maps"] == pytest.approx(spec.hurst_exponent(), rel=1e-9)
+            d = check_scaling_maps(spec).details
+            assert d["hurst"] == spec.hurst_exponent()
+            assert (d["g"], d["h"]) == spec.scaling_maps()[2:]
 
-    def test_log_fractional_needs_the_kink_skip(self):
+    def test_log_fractional_needs_the_shifted_grid(self):
         # f(cu) = log c + f(u) fails only at u = 0, where the profile is
-        # assigned 0; s = -T puts u = T + s there, and the grid skips it
-        rep = check_scaling_maps(ss.LogFractional(1.5))
-        assert rep.residuals[0] < 1e-15
+        # assigned 0; the fixture's shifts never put t - s or -s there, and
+        # the unshifted grid, which holds s = 0 and s = t, breaks the identity
+        fix = lamperti_identity_fixture(ss.LogFractional(1.5))
+        assert check_kernel_identity(fix).max_residual < 1e-15
+        on_kink = check_kernel_identity(dataclasses.replace(fix, points=fix.points - 0.125))
+        assert on_kink.max_residual == pytest.approx(math.log(4.0))
 
     def test_wrong_flow_fails(self):
         class Misdeclared(ss.TruncatedFractional):
@@ -163,41 +179,59 @@ class TestScalingMaps:
 
         rep = check_scaling_maps(Misdeclared(1.5, 0.5, 0.5))
         assert not rep.passed
-        assert rep.residuals[0] > 1e-3
+        # psi_1 is the identity, so only t = 1 agrees
+        assert rep.residuals[2] == 0.0 and min(rep.residuals[:2] + rep.residuals[3:]) > 0.1
+
+    def test_wrong_hurst_fails(self):
+        rep = check_scaling_maps(_OffHurstLfsm(1.5, 0.7))
+        assert not rep.passed
+        assert rep.residuals[2] == 0.0 and rep.max_residual > 1e-2
+
+    def test_zero_kernel_fails(self):
+        rep = check_scaling_maps(_ZeroLfsm(1.5, 0.7))
+        assert not rep.passed and rep.max_residual == 0.0
 
     def test_unsupported_family(self):
+        spec = increment_process(ss.Lfsm(1.5, 0.7), 1.0)
         with pytest.raises(UnsupportedFamilyError):
-            check_scaling_maps(increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+            check_scaling_maps(spec)
+        with pytest.raises(UnsupportedFamilyError):
+            lamperti_identity_fixture(spec)
 
 
 class TestScalingFlowsAreLampertiFlows:
-    """Each declared scaling map is one of ``flows``' Lamperti-side flows at
-    t = -log c."""
+    """Each declared scaling flow, in the Lamperti form of
+    ``lamperti_identity_fixture``, is one of ``flows``' Lamperti-side flows
+    at u = log t: phi_{log t} = psi_{1/t} with derivative rho_{log t}."""
 
     @pytest.mark.parametrize("spec", [s for s in ss.catalog_specs()
                                       if not isinstance(s, ss.RotatingAverage)], ids=repr)
     def test_shifts_dilate(self, spec):
         flow = dilation_flow()
-        h = spec.scaling_maps()[3]
-        s = np.linspace(-4.0, 4.0, 17)
-        for c in verify_module._MAP_SCALES:
-            t = -math.log(c)
-            np.testing.assert_allclose(flow.apply(t, s), c ** h * s, rtol=1e-15)
-            np.testing.assert_allclose(flow.rn_derivative(t, s), c ** h, rtol=1e-15)
+        xs, phi, rho, exponents = verify_module._lamperti_flow(spec)
+        s = np.linspace(-4.0, 4.0, 17) + 0.125
+        for t in verify_module._LAMPERTI_TIMES:
+            moved = phi(t, s if xs is None else (np.asarray(xs, dtype=float)[:, None], s))
+            np.testing.assert_allclose(flow.apply(math.log(t), s),
+                                       moved if xs is None else moved[1], rtol=1e-15)
+            if xs is not None:  # the radial coordinate dilates at rate g
+                np.testing.assert_allclose(moved[0][:, 0], flow.apply(exponents["g"] * math.log(t), xs),
+                                           rtol=1e-15)
+            # the radial density x^e contributes t^-beta2 to the derivative
+            np.testing.assert_allclose(flow.rn_derivative(math.log(t), s) * t ** -exponents["beta2"],
+                                       rho(t), rtol=1e-15)
 
     def test_rotating_scales_its_radius(self):
         spec = ss.catalog_specs()[-1]
-        xs = spec.scaling_maps()[0]
-        details = check_scaling_maps(spec).details
-        g, beta2 = details["g"], details["beta2"]
+        xs, phi, rho, _ = verify_module._lamperti_flow(spec)
         flow = circle_scaling_flow(spec.beta)
-        pts = np.column_stack([np.linspace(0.0, 6.0, len(xs)), xs])
-        for c in verify_module._MAP_SCALES:
-            t = -math.log(c)
-            moved = flow.apply(t, pts)
-            np.testing.assert_array_equal(moved[:, 0], pts[:, 0])
-            np.testing.assert_allclose(moved[:, 1], c ** g * pts[:, 1], rtol=1e-15)
-            np.testing.assert_allclose(flow.rn_derivative(t, pts), c ** beta2, rtol=1e-15)
+        angles = np.linspace(0.0, 6.0, len(xs))
+        for t in verify_module._LAMPERTI_TIMES:
+            x, s = phi(t, (np.asarray(xs), angles))
+            moved = flow.apply(math.log(t), np.column_stack([angles, xs]))
+            np.testing.assert_array_equal(moved[:, 0], s)
+            np.testing.assert_allclose(moved[:, 1], x, rtol=1e-15)
+            np.testing.assert_allclose(flow.rn_derivative(math.log(t), moved), rho(t), rtol=1e-15)
 
 
 FLOW_SPECS = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0),
@@ -253,8 +287,8 @@ class TestKernelIdentity:
 
     def test_lamperti_form_residual(self):
         rep = check_kernel_identity(lamperti_identity_fixture(ss.Lfsm(1.5, 0.7, 1.0, 0.5)))
-        assert rep.passed
-        assert rep.max_residual < 1e-10
+        assert rep.passed and rep.name == "kernel_identity[lfsm_lamperti_form]"
+        assert rep.max_residual < 1e-12
 
 
 class TestMcCheck:

@@ -15,8 +15,8 @@ flow with g0 = K(1, .) for lfsm(1.5, 0.7), lfsm(1.5, 0.3), lfsm(1.2, 0.9),
 linear_motion(1.5) and log_fractional(1.5) in turn, and on the rotation
 flow with g0 = cos s; each line also counts the verdicts.  The 13th line
 digests ``check_scaling_maps`` on every ``catalog_specs()`` entry: per spec
-its ``passed``, residuals and ``beta1_hat``, or "unsupported" where the check
-raises ``UnsupportedFamilyError``, and it counts the outcomes.  A 14th line
+its ``passed`` and residuals, or "unsupported" where the check raises
+``UnsupportedFamilyError``, and it counts the outcomes.  A 14th line
 digests ``check_kernel_identity(flow_identity_fixture(spec))`` on every
 ``catalog_specs()`` entry the same way (``passed`` and residuals), or reads
 "unsupported" on a tree without ``flow_identity_fixture``.  Only public
@@ -123,7 +123,7 @@ def scaling_maps_line(ss) -> str:
             items.append("unsupported")
             outcomes.append("unsupported")
             continue
-        items.extend([rep.passed, *rep.residuals, rep.details["beta1_hat"]])
+        items.extend([rep.passed, *rep.residuals])
         outcomes.append("passed" if rep.passed else "failed")
     return (f"{digest(items)}  check_scaling_maps({len(outcomes)} catalog specs) "
             f"{dict(Counter(outcomes))}")
