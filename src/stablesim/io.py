@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import sys
+import threading
 from typing import IO
 
 import numpy as np
@@ -13,6 +16,14 @@ from . import kernels as K
 
 SCHEMA_VERSION = 1
 _CSV_BLOCK_ROWS = 64  # rows per parse block of read_ensemble_csv
+_CSV_SPAN_ROWS = 8  # rows per task of write_ensemble_csv's worker processes
+# values below which write_ensemble_csv formats in-process: on 2 CPUs the
+# pool's import, fork and round trips (about 30 ms) broke even near 65k values
+# with the second CPU idle, and later with it busy
+_CSV_POOL_MIN_VALUES = 1 << 17
+
+# a write worker's (times, values), set by its initializer
+_worker_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def spec_to_dict(spec: K.Kernel) -> dict:
@@ -38,7 +49,11 @@ def spec_digest(descriptor: dict) -> str:
 def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> None:
     """CSV with header time,path_0,... and round-trip decimal formatting.
     ``values`` is (paths, times); a ``times`` of another length raises
-    ValueError before anything is written."""
+    ValueError before anything is written.  The rows are formatted in spans
+    of ``_CSV_SPAN_ROWS``, on forked worker processes, one per CPU of the
+    affinity mask (see ``_span_pool`` for when they run in this process),
+    and written in order, so the bytes do not depend on where they were
+    formatted."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or times.shape != values.shape[1:]:
@@ -46,10 +61,73 @@ def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> No
                          f"{values.shape[-1] if values.ndim else 0} columns")
     n_paths = values.shape[0]
     fh.write(",".join(["time", *(f"path_{i}" for i in range(n_paths))]) + "\n")
-    # one column at a time: the whole matrix as Python floats would hold
-    # about 32 bytes per value
-    for j, t in enumerate(times.tolist()):
-        fh.write(",".join(map(repr, [t, *values[:, j].tolist()])) + "\n")
+    spans = [(r0, min(r0 + _CSV_SPAN_ROWS, times.size))
+             for r0 in range(0, times.size, _CSV_SPAN_ROWS)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pool = _span_pool(min(cpus, len(spans)), times, values)
+    try:
+        texts = (map(_rows_text, spans, itertools.repeat((times, values)))
+                 if pool is None else _in_order(pool, spans, cpus + 1))
+        for text in texts:
+            fh.write(text)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _rows_text(span: tuple[int, int], arrays=None) -> str:
+    """CSV rows span[0] .. span[1] - 1 of ``arrays`` = (times, values), or of
+    a write worker's arrays.  One column at a time: the whole matrix as
+    Python floats would hold about 32 bytes per value."""
+    times, values = arrays or _worker_arrays
+    r0, r1 = span
+    return "".join(",".join(map(repr, [t, *values[:, j].tolist()])) + "\n"
+                   for j, t in enumerate(times[r0:r1].tolist(), start=r0))
+
+
+def _hold_arrays(parent: int, times: np.ndarray, values: np.ndarray) -> None:
+    """Write-worker initializer.  Under fork the arrays are inherited, not
+    pickled.  Ctrl-C is left to the parent, which cancels the write.  A
+    worker idle on its task queue would outlive a parent killed by its pid,
+    so on Linux it asks for SIGTERM when the parent dies."""
+    global _worker_arrays
+    import signal  # only workers need it, and multiprocessing has loaded it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if sys.platform.startswith("linux"):
+        import ctypes
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGTERM)  # 1 = PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # it died before the prctl
+            os._exit(1)
+    _worker_arrays = times, values
+
+
+def _span_pool(workers: int, times: np.ndarray, values: np.ndarray):
+    """A pool of ``workers`` forked processes that hold (times, values), or
+    None where the spans are formatted in this process instead: fewer than
+    two workers, fewer than ``_CSV_POOL_MIN_VALUES`` values, another live
+    thread (fork is unsafe then), no fork start method, or a daemonic
+    process (it may not have children)."""
+    if workers < 2 or values.size < _CSV_POOL_MIN_VALUES or threading.active_count() > 1:
+        return None
+    # imported here: about 25 ms, which a small write does not pay
+    import multiprocessing as mp
+    if "fork" not in mp.get_all_start_methods() or mp.current_process().daemon:
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers, mp.get_context("fork"), _hold_arrays,
+                               (os.getpid(), times, values))
+
+
+def _in_order(pool, spans, depth: int):
+    """The texts of ``spans`` from the pool, in order, with at most
+    ``depth`` spans in flight."""
+    futures = (pool.submit(_rows_text, span) for span in spans)
+    pending = list(itertools.islice(futures, depth))
+    while pending:
+        yield pending.pop(0).result()
+        pending.extend(itertools.islice(futures, 1))
 
 
 class _RowError(ValueError):

@@ -60,9 +60,10 @@ class FourierSeries:
     constant: float = 0.0
 
     def __post_init__(self):
-        for k, _, _ in self.terms:
+        for i, (k, _, _) in enumerate(self.terms):
             if int(k) != k or k < 1:
-                raise InvalidSpecError(f"harmonic index must be a positive integer, got {k}")
+                raise InvalidSpecError(f"spec field 'harmonics[{i}].k' must be a positive "
+                                       f"integer, got {k!r}")
 
     def active_harmonics(self) -> tuple[int, ...]:
         return tuple(int(k) for k, a, b in self.terms if a != 0.0 or b != 0.0)
@@ -733,8 +734,9 @@ class RotatingAverage(Kernel):
 
     @classmethod
     def _fields_from_doc(cls, doc):
-        terms = tuple((int(h["k"]), float(h.get("cos", 0.0)), float(h.get("sin", 0.0)))
-                      for h in doc["harmonics"])
+        # int() only where it is exact: FourierSeries must see a 2.5, not a 2
+        terms = tuple((int(k) if int(k) == k else k, float(h.get("cos", 0.0)),
+                       float(h.get("sin", 0.0))) for h in doc["harmonics"] for k in [h["k"]])
         return {"alpha": doc["alpha"], "beta": doc["beta"],
                 "series": FourierSeries(terms, float(doc.get("constant", 0.0)))}
 

@@ -2,8 +2,16 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -70,6 +78,20 @@ class TestSpecJson:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [2.5, 0, -1])
+    def test_harmonic_index_checked_before_conversion(self, k, tmp_path, capsys):
+        # int() would load 2.5 as harmonic 2
+        doc = {"family": "rotating_average", "alpha": 1.5, "beta": 0.8,
+               "harmonics": [{"k": 1, "cos": 1.0}, {"k": k, "cos": 0.5}]}
+        with pytest.raises(ss.InvalidSpecError, match=re.escape("'harmonics[1].k'")):
+            sio.spec_from_dict(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--spec", str(path)]) == 2
+        assert "'harmonics[1].k' must be a positive integer" in capsys.readouterr().err
+        doc["harmonics"][1]["k"] = 2.0
+        assert sio.spec_from_dict(doc).series.terms[1][0] == 2
 
     def test_json_integers_kept_as_given(self):
         spec = sio.spec_from_dict({"family": "chentsov", "alpha": 1, "beta": 0.5})
@@ -318,6 +340,169 @@ class TestEnsembleCsv:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def _csv_text(times, values) -> str:
+    buf = io.StringIO()
+    sio.write_ensemble_csv(buf, times, values)
+    return buf.getvalue()
+
+
+def _write_csv_file(path, times, values):
+    with open(path, "w") as fh:
+        sio.write_ensemble_csv(fh, times, values)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestPooledCsvWriter:
+    """Spans of rows are formatted on forked worker processes; the text must
+    be the in-process text, and no worker may outlive the write."""
+
+    SPECIAL = (-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.1)
+
+    @pytest.fixture
+    def ensemble(self):
+        # five and a half spans, just enough values for the pool; special
+        # values in the first span and in the last
+        n_times = 5 * sio._CSV_SPAN_ROWS + sio._CSV_SPAN_ROWS // 2
+        n_paths = -(-sio._CSV_POOL_MIN_VALUES // n_times)
+        values = np.random.default_rng(9).standard_normal((n_paths, n_times))
+        values[0, :len(self.SPECIAL)] = self.SPECIAL
+        values[-1, -len(self.SPECIAL):] = self.SPECIAL[::-1]
+        return np.linspace(0.0, 1.0, n_times), values
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The pools the writer makes, on two CPUs whatever the machine has."""
+        # the writer makes no pool beside another thread (of a plugin, say)
+        assert threading.active_count() == 1
+        made = []
+        real_init = ProcessPoolExecutor.__init__
+
+        def init(pool, *args, **kwargs):
+            made.append(pool)
+            real_init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", init)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return made
+
+    def test_pool_text_is_in_process_text(self, ensemble, pools, monkeypatch):
+        times, values = ensemble
+        pooled = _csv_text(times, values)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _csv_text(times, values) == pooled
+        assert len(pools) == 1
+        t_back, v_back = sio.read_ensemble_csv(io.StringIO(pooled))
+        assert np.array_equal(t_back, times)
+        nan = np.isnan(values)
+        assert np.array_equal(np.isnan(v_back), nan)
+        assert np.array_equal(v_back.view(np.uint64)[~nan], values.view(np.uint64)[~nan])
+
+    def test_small_write_formats_in_process(self, ensemble, pools):
+        # several spans, but too few values to pay for the workers
+        times, values = ensemble
+        _csv_text(times, values[:-sio._CSV_SPAN_ROWS])
+        assert pools == []
+
+    def test_failed_handle_leaves_no_child(self, ensemble, pools):
+        error = OSError(28, "No space left on device")
+
+        class FullDisk(io.StringIO):
+            n_writes = 0
+
+            def write(self, text):
+                self.n_writes += 1
+                if self.n_writes == 3:  # the header, one span, then the failure
+                    raise error
+                return super().write(text)
+
+        with pytest.raises(OSError) as info:
+            sio.write_ensemble_csv(FullDisk(), *ensemble)
+        assert info.value is error
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the workers ask Linux for a signal on their parent's death")
+    def test_killed_writer_leaves_no_worker(self):
+        # SIGTERM by pid reaches the writer alone, not its workers
+        code = ("import io, multiprocessing, os, time, numpy as np\n"
+                "from stablesim import io as sio\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "class Stalled(io.StringIO):\n"
+                "    def write(self, text):\n"
+                "        if not text.startswith('time'):\n"
+                "            print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+                "            time.sleep(600)\n"
+                "n = 4 * sio._CSV_SPAN_ROWS\n"
+                "values = np.ones((sio._CSV_POOL_MIN_VALUES // n + 1, n))\n"
+                "sio.write_ensemble_csv(Stalled(), np.arange(n, dtype=float), values)\n")
+        writer = subprocess.Popen([sys.executable, "-c", code], env=_src_env(),
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            workers = [int(pid) for pid in writer.stdout.readline().split()]
+            writer.terminate()
+            writer.wait(timeout=60)
+        finally:
+            writer.kill()
+            writer.wait()
+            writer.stdout.close()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if _running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+
+    def test_daemonic_caller_writes_in_process(self, ensemble, pools, tmp_path):
+        # a daemonic process may not have children
+        path = tmp_path / "daemon.csv"
+        proc = multiprocessing.get_context("fork").Process(
+            target=_write_csv_file, args=(path, *ensemble), daemon=True)
+        proc.start()
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        assert path.read_text() == _csv_text(*ensemble)
+
+    def test_caller_with_another_thread_writes_in_process(self, ensemble, pools):
+        # fork is unsafe while another thread runs
+        texts = []
+        thread = threading.Thread(target=lambda: texts.append(_csv_text(*ensemble)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert pools == []
+        assert texts == [_csv_text(*ensemble)]
+
+    def test_small_write_imports_no_multiprocessing(self):
+        code = ("import sys, io, numpy as np\n"
+                "from stablesim import io as sio\n"
+                "sio.write_ensemble_csv(io.StringIO(), np.arange(30.0), np.ones((2, 30)))\n"
+                "print('multiprocessing' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "False"
+
+
+def _src_env() -> dict:
+    """The environment, with this package's source first on the import path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -260,6 +261,17 @@ class TestSimulate:
         e1 = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=1)
         e4 = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=4)
         assert np.array_equal(e1.values, e4.values)
+
+    def test_one_thread_runs_inline(self, monkeypatch):
+        k = ss.build(ss.Lfsm(1.5, 0.7))
+        pooled = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=2)
+
+        def start(thread):
+            raise AssertionError("threads=1 started a worker thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        inline = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=1)
+        assert inline.values.tobytes() == pooled.values.tobytes()
 
     def test_rows_depend_only_on_seed_and_index(self):
         k = ss.build(ss.LinearMotion(1.5))

@@ -6,6 +6,13 @@ sorted times of the default probes and writes them with
 ``write_ensemble_csv``.  One line per spec gives the first 16 hex digits of
 the SHA-256 of that text.  A last line does the same for a small matrix of
 special values (-0.0, +-inf, nan, the smallest subnormal, 1e308, 0.1).
+Each of those texts is a single span of rows.  The line before the last,
+1024 standard normal paths from ``default_rng(0)`` on 200 times, spans many
+and holds enough values, so on more than one CPU the writer formats its
+rows on worker processes.
+Under ``taskset -c 0`` it formats them in-process, and that line must not
+change.  (The simulated lines may: with one CPU OpenBLAS runs one thread,
+and simulate's matrix products then round differently.)
 Only public calls are used, so the script runs on older trees too.
 
 usage: python tools/csv_digest.py   (imports the package from src/ next to tools/)
@@ -40,6 +47,9 @@ def main() -> int:
     for spec in ss.catalog_specs():
         ens = ss.simulate(ss.build(spec), probe_times, 37, seed=0)
         print(f"{digest(ens.times, ens.values)}  37 x {len(probe_times)}  {spec!r}")
+    normal = np.random.default_rng(0).standard_normal((1024, 200))
+    print(f"{digest(np.linspace(0.0, 1.0, 201)[1:], normal)}  1024 x 200  "
+          "standard normal, several spans of rows")
     special = np.array([_SPECIAL, _SPECIAL[::-1]])
     print(f"{digest(np.arange(len(_SPECIAL), dtype=float), special)}  "
           f"2 x {len(_SPECIAL)}  special values {_SPECIAL!r}")
