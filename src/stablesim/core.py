@@ -10,7 +10,6 @@ ensembles are reproducible bit-for-bit regardless of worker threads.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -312,6 +311,9 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
         for chunk in chunks:
             fill(chunk)
     else:
+        # imported here: concurrent.futures loads logging, about 11 ms that
+        # `import stablesim` would otherwise pay
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(fill, chunks))
 

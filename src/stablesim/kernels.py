@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Iterable, Iterator, Sequence
@@ -96,6 +97,9 @@ class Kernel(ABC):
     two-coordinate state spaces."""
 
     label: ClassVar[str]  # family name: the "family" of its JSON document
+    # the paths of its JSON document that hold a list or object, with each
+    # list index written "[]"; every other field holds a number
+    doc_containers: ClassVar[frozenset[str]] = frozenset()
     alpha: float
 
     def violations(self) -> Iterator[str]:
@@ -212,12 +216,11 @@ class Kernel(ABC):
     def from_doc(cls, doc) -> Kernel:
         """Spec of a JSON document; ``Kernel.from_doc`` reads any registered family.
 
-        Outside input is checked here, once: besides "family", every value must
-        be a finite number (JSON integers are kept as given, so digests do not
-        change), every ``float`` field of the spec must have been given one
-        rather than a list or object of them, and every field must also be one
-        of the spec's own ``to_doc``, so that loading drops nothing.  Anything
-        else raises InvalidSpecError naming the field."""
+        Outside input is checked here, once: besides "family" and the
+        family's ``doc_containers``, every value must be a finite number (JSON
+        integers are kept as given, so digests do not change), and every field
+        must also be one of the spec's own ``to_doc``, so that loading drops
+        nothing.  Anything else raises InvalidSpecError naming the field."""
         if not isinstance(doc, dict):
             raise InvalidSpecError(f"spec document must be a JSON object, got {type(doc).__name__}")
         name = doc.get("family")
@@ -225,21 +228,20 @@ class Kernel(ABC):
         if family is None or not issubclass(family, cls):
             raise InvalidSpecError(f"unknown family {name!r}")
         for path, value in _doc_fields(doc):
-            if path != "family" and not isinstance(value, (dict, list, tuple)) and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise InvalidSpecError(f"spec field {path!r} must be a finite number, got {value!r}")
+            if isinstance(value, (dict, list, tuple)):
+                if re.sub(r"\[\d+\]", "[]", path) in family.doc_containers:
+                    continue
+            elif path == "family" or (not isinstance(value, bool)
+                                      and isinstance(value, numbers.Real)
+                                      and math.isfinite(value)):
+                continue
+            raise InvalidSpecError(f"spec field {path!r} must be a finite number, got {value!r}")
         try:
             spec = family(**family._fields_from_doc(doc))
         except KeyError as exc:
             raise InvalidSpecError(f"spec document missing field {exc}") from exc
         except (TypeError, IndexError) as exc:
             raise InvalidSpecError(f"malformed {name} spec document: {exc}") from exc
-        for f in fields(spec):
-            value = getattr(spec, f.name)
-            if f.type in (float, "float") and not isinstance(value, numbers.Real):
-                raise InvalidSpecError(f"spec field {f.name!r} must be a finite number, "
-                                       f"got {value!r}")
         known = dict(_doc_fields(spec.to_doc()))
         for path, _ in _doc_fields(doc):
             if path not in known:
@@ -445,6 +447,7 @@ class MixedLfsm(Kernel):
     """Mixture of LFSM kernels over a finite atomic mixing measure on R^2."""
 
     label = "mixed_lfsm"
+    doc_containers = frozenset({"atoms", "atoms[]", "atoms[].b"})
     alpha: float
     hurst: float
     atoms: tuple[tuple[tuple[float, float], float], ...]  # ((b1, b2), weight)
@@ -632,6 +635,7 @@ class RotatingAverage(Kernel):
     """Circle-rotation family driven by a finite Fourier profile; H = beta/alpha."""
 
     label = "rotating_average"
+    doc_containers = frozenset({"harmonics", "harmonics[]"})
     alpha: float
     beta: float
     series: FourierSeries

@@ -10,8 +10,10 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,10 +67,17 @@ class TestSpecJson:
           "harmonics": [{"k": 1, "cos": 1.0}]}, "'alpha'"),
         ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": {"h": 0.7},
           "atoms": [{"b": [1.0, 0.0], "weight": 1.0}]}, "'hurst'"),
+        ({"family": "rotating_average", "alpha": 1.5, "beta": 0.8,
+          "harmonics": [{"k": 1, "cos": [1.0]}]}, "'harmonics[0].cos'"),
+        ({"family": "rotating_average", "alpha": 1.5, "beta": 0.8,
+          "harmonics": [{"k": 1, "cos": 1.0}], "constant": [0.5]}, "'constant'"),
+        ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
+          "atoms": [{"b": [1.0, 0.0], "weight": [1.0]}]}, "'atoms[0].weight'"),
     ], ids=["list", "string", "bool", "nan", "inf", "nested-minus-inf", "nested-string",
             "unknown-key", "nested-unknown-key", "misspelt-atom-key", "long-atom-b",
             "scalar-as-list", "scalar-as-object", "chentsov-beta-as-list", "scalar-as-empty-list",
-            "rotating-alpha-as-list", "mixed-hurst-as-object"])
+            "rotating-alpha-as-list", "mixed-hurst-as-object", "nested-cos-as-list",
+            "constant-as-list", "atom-weight-as-list"])
     def test_outside_input_rejected(self, doc, field, tmp_path, capsys):
         with pytest.raises(ss.InvalidSpecError, match=re.escape(field)):
             sio.spec_from_dict(doc)
@@ -353,6 +362,24 @@ def _write_csv_file(path, times, values):
         sio.write_ensemble_csv(fh, times, values)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools the CSV writer and reader make, on two CPUs whatever the
+    machine has."""
+    # they make no pool beside another thread (of a plugin, say)
+    assert threading.active_count() == 1
+    made = []
+    real_init = ProcessPoolExecutor.__init__
+
+    def init(pool, *args, **kwargs):
+        made.append(pool)
+        real_init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", init)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return made
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 class TestPooledCsvWriter:
@@ -371,22 +398,6 @@ class TestPooledCsvWriter:
         values[0, :len(self.SPECIAL)] = self.SPECIAL
         values[-1, -len(self.SPECIAL):] = self.SPECIAL[::-1]
         return np.linspace(0.0, 1.0, n_times), values
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The pools the writer makes, on two CPUs whatever the machine has."""
-        # the writer makes no pool beside another thread (of a plugin, say)
-        assert threading.active_count() == 1
-        made = []
-        real_init = ProcessPoolExecutor.__init__
-
-        def init(pool, *args, **kwargs):
-            made.append(pool)
-            real_init(pool, *args, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "__init__", init)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        return made
 
     def test_pool_text_is_in_process_text(self, ensemble, pools, monkeypatch):
         times, values = ensemble
@@ -490,6 +501,227 @@ class TestPooledCsvWriter:
         assert run.stdout.strip() == "False"
 
 
+def _stream_read(text: str):
+    """The stream path's (times, values), or its ValueError message."""
+    try:
+        return sio.read_ensemble_csv(io.StringIO(text, newline=None))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _file_read(path):
+    try:
+        with open(path) as fh:
+            return sio.read_ensemble_csv(fh)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_read(a, b) -> bool:
+    """Equal messages, or bit-equal (times, values)."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestSpanCsvReader:
+    """A regular file is read by byte spans of whole lines, on forked workers
+    or in-process, into one output; the arrays and the first error must be
+    the stream path's, which is the reader as it was before spans."""
+
+    @pytest.fixture(params=["pool", "in-process"])
+    def mode(self, request, pools, monkeypatch):
+        """Spans of about 200 bytes, on two workers or in this process; the
+        spans this process parses are counted in mode.spans."""
+        monkeypatch.setattr(sio, "_CSV_SPAN_BYTES", 200)
+        spans = []
+        if request.param == "pool":
+            monkeypatch.setattr(sio, "_CSV_READ_POOL_MIN_VALUES", 0)
+        else:  # a closure cannot be pickled for a worker
+            real = sio._read_span
+
+            def read_span(span, held):
+                spans.append(span)
+                return real(span, held)
+
+            monkeypatch.setattr(sio, "_read_span", read_span)
+        return types.SimpleNamespace(name=request.param, pools=pools, spans=spans)
+
+    def _check_path(self, mode):
+        """The file went through spans, on the pool or in this process."""
+        if mode.name == "pool":
+            assert len(mode.pools) == 1
+            assert multiprocessing.active_children() == []
+        else:
+            assert mode.pools == [] and len(mode.spans) > 2
+
+    def test_special_values_equal_stream_read(self, mode, tmp_path):
+        values = np.random.default_rng(4).standard_normal((3, 40))
+        values[0, :len(TestPooledCsvWriter.SPECIAL)] = TestPooledCsvWriter.SPECIAL
+        values[2, -len(TestPooledCsvWriter.SPECIAL):] = TestPooledCsvWriter.SPECIAL
+        times = np.linspace(0.0, 1.0, 40)
+        path = tmp_path / "special.csv"
+        _write_csv_file(path, times, values)
+        back = _file_read(path)
+        self._check_path(mode)
+        assert _same_read(back, _stream_read(path.read_text()))
+        assert _same_read(back, (times, values))
+        assert back[1].flags.c_contiguous and back[1].shape == (3, 40)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5,1.0", "2 fields, the header has 3"),
+        ("0.5,abc,1.0", "non-numeric field"),
+    ], ids=["field-count", "non-numeric"])
+    def test_first_error_is_stream_error(self, mode, tmp_path, where, bad, message):
+        rows = [f"{j},1.5,-2.5e-3" for j in range(60)]
+        index = {"first": 1, "middle": 30, "last": 58}[where]
+        rows[index] = bad
+        rows[59] = "9,1.5"  # a later error, in the last span, must not win
+        text = "time,path_0,path_1\n" + "".join(r + "\n" for r in rows)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        got = _file_read(path)
+        assert got == _stream_read(text)
+        assert got.startswith(f"line {index + 2}: {message}")
+        if mode.name == "in-process":  # the spans after the error are not parsed
+            assert mode.spans[-1][0] <= text.index(bad) < sum(mode.spans[-1][:2])
+
+    def test_blank_lines_and_crlf(self, pools, tmp_path, monkeypatch):
+        rows = [f"{j / 4},{j}.5" for j in range(24)]
+        for j in (0, 5, 6, 13, 23):  # blank lines, and a run of two
+            rows[j] = rows[j] + "\n" + ["", "   ", "\t", "\xa0"][j % 4]
+        for ending in ("\n", "\r\n", "\r"):
+            text = "time,path_0" + ending + ending.join(rows) + ending + ending
+            path = tmp_path / "blank.csv"
+            path.write_bytes(text.encode())
+            expected = _stream_read(text)
+            assert len(expected[0]) == 24
+            # every span size puts a blank line at a span boundary somewhere
+            for span_bytes in range(8, 120, 7):
+                monkeypatch.setattr(sio, "_CSV_SPAN_BYTES", span_bytes)
+                assert _same_read(_file_read(path), expected)
+                bad = text.replace("23.5", "abc")
+                path.write_bytes(bad.encode())
+                assert _file_read(path) == _stream_read(bad)
+                assert _file_read(path).startswith("line 29: non-numeric field")
+                path.write_bytes(text.encode())
+            with monkeypatch.context() as pooled:
+                pooled.setattr(sio, "_CSV_READ_POOL_MIN_VALUES", 0)
+                assert _same_read(_file_read(path), expected)
+        # with lone CRs the first LF ends a blank line, not the header, so
+        # that file is read as a stream
+        assert len(pools) == 2
+
+    def test_other_handles_take_the_stream_path(self, tmp_path, monkeypatch):
+        def no_spans(*args):
+            raise AssertionError("read by spans")
+
+        monkeypatch.setattr(sio, "_read_by_spans", no_spans)
+        text = "time,path_0\n0.25,1.5\n0.5,2.5\n"
+        expected = _stream_read(text)
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w") as fh:
+            fh.write(text)
+        with os.fdopen(read_fd) as fh:
+            assert _same_read(sio.read_ensemble_csv(fh), expected)
+        path = tmp_path / "preamble.csv"
+        path.write_text("# written by a test\n" + text)
+        with open(path) as fh:
+            fh.readline()
+            assert _same_read(sio.read_ensemble_csv(fh), expected)
+        with open(path, "rb") as fh:  # a binary handle reads as before: not at all
+            with pytest.raises(TypeError):
+                sio.read_ensemble_csv(fh)
+
+    def test_file_cut_while_read_raises(self, mode, tmp_path, monkeypatch):
+        path = tmp_path / "cut.csv"
+        _write_csv_file(path, np.arange(64.0), np.ones((3, 64)))
+        text = path.read_text()
+        real = sio._span_results
+
+        def cut_then_parse(*args):  # after the count pass, before the parse
+            os.truncate(path, text.index("\n", len(text) // 2) + 1)
+            return real(*args)
+
+        monkeypatch.setattr(sio, "_span_results", cut_then_parse)
+        assert _file_read(path) == "the ensemble CSV changed while it was read"
+
+    def test_file_read_leaves_handle_at_end(self, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text("time,path_0\n0.25,1.5\n")
+        with open(path) as fh:
+            sio.read_ensemble_csv(fh)
+            assert fh.read() == ""
+
+    def test_small_read_imports_no_multiprocessing(self, tmp_path):
+        path = tmp_path / "small.csv"
+        _write_csv_file(path, np.arange(30.0), np.ones((2, 30)))
+        code = ("import sys, numpy as np\n"
+                "from stablesim import io as sio\n"
+                f"with open({str(path)!r}) as fh:\n"
+                "    times, values = sio.read_ensemble_csv(fh)\n"
+                "assert values.shape == (2, 30)\n"
+                "print('multiprocessing' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "False"
+
+    def test_stdin_file_read_on_workers(self, tmp_path):
+        # a worker's multiprocessing start closes its sys.stdin, but not
+        # descriptor 0, which the workers read
+        path = tmp_path / "stdin.csv"
+        times, values = np.arange(64.0), np.random.default_rng(8).standard_normal((4, 64))
+        _write_csv_file(path, times, values)
+        code = ("import os, sys, numpy as np\n"
+                "from stablesim import io as sio\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "sio._CSV_SPAN_BYTES, sio._CSV_READ_POOL_MIN_VALUES = 256, 0\n"
+                "times, values = sio.read_ensemble_csv(sys.stdin)\n"
+                "sys.stdout.buffer.write(times.tobytes() + values.tobytes())\n")
+        with open(path) as stdin:
+            run = subprocess.run([sys.executable, "-c", code], env=_src_env(), stdin=stdin,
+                                 capture_output=True, timeout=120, check=True)
+        assert run.stdout == times.tobytes() + values.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the workers ask Linux for a signal on their parent's death")
+    def test_killed_reader_leaves_no_worker(self, tmp_path):
+        # SIGTERM by pid reaches the reader alone, not its workers
+        path = tmp_path / "stall.csv"
+        _write_csv_file(path, np.arange(64.0), np.ones((4, 64)))
+        code = ("import os, time\n"
+                "from stablesim import io as sio\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "sio._CSV_SPAN_BYTES, sio._CSV_READ_POOL_MIN_VALUES = 256, 0\n"
+                "def stall(span, held):\n"
+                "    print(os.getpid(), flush=True)\n"
+                "    time.sleep(600)\n"
+                "sio._read_span = stall\n"
+                f"with open({str(path)!r}) as fh:\n"
+                "    sio.read_ensemble_csv(fh)\n")
+        reader = subprocess.Popen([sys.executable, "-c", code], env=_src_env(),
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            workers = {int(reader.stdout.readline()) for _ in range(2)}
+            reader.terminate()
+            reader.wait(timeout=60)
+        finally:
+            reader.kill()
+            reader.wait()
+            reader.stdout.close()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if _running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+
+
 def _src_env() -> dict:
     """The environment, with this package's source first on the import path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
@@ -541,7 +773,7 @@ class TestCli:
         with open(out) as fh:
             times, values = sio.read_ensemble_csv(fh)
         assert times.size == 17 and values.shape == (20, 17)
-        meta = json.loads(open(out + ".meta.json").read())
+        meta = json.loads(Path(out + ".meta.json").read_text())
         assert meta["seed"] == 42 and meta["schema_version"] == 1
         assert meta["spec"]["family"] == "lfsm"
 
@@ -551,7 +783,7 @@ class TestCli:
         for out in (out1, out2):
             assert main(["simulate", "--spec", specdir["lfsm"], "--n-paths", "10",
                          "--t", "0:1:9", "--seed", "7", "--out", out]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_inadmissible_spec_exit_2(self, specdir, capsys):
         rc = main(["simulate", "--spec", specdir["bad"], "--n-paths", "5",
@@ -653,7 +885,7 @@ class TestCli:
         rc = main(["verify", "--spec", specdir["lfsm"], "--checks", "ss,kernel-identity",
                    "--out", rep])
         assert rc == 0
-        doc = json.loads(open(rep).read())
+        doc = json.loads(Path(rep).read_text())
         assert all(r["passed"] for r in doc["reports"])
         assert "PASS" in capsys.readouterr().out
 
@@ -671,7 +903,7 @@ class TestCli:
                    "--n-points", "6", "--out", str(specdir["dir"] / "c.json")])
         assert rc == 0
         assert "conservative" in capsys.readouterr().out
-        doc = json.loads(open(str(specdir["dir"] / "c.json")).read())
+        doc = json.loads((specdir["dir"] / "c.json").read_text())
         assert doc["counts"] == {"conservative": 6}
         assert all("trace" in p for p in doc["points"])
 
@@ -680,7 +912,7 @@ class TestCli:
         rc = main(["region", "--alpha", "1.5", "--a", "0.3:0.7:3",
                    "--b", "0.2:0.9:3", "--out", out])
         assert rc == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "a,b,verdict,value"
         assert len(lines) == 10
 
@@ -689,7 +921,7 @@ class TestCli:
         rc = main(["region", "--alpha", "1.5", "--a", "-0.7:-0.3:3",
                    "--b", "-0.6:-0.3:3", "--out", out])
         assert rc == 0
-        assert open(out).read().startswith("a,b,verdict,value")
+        assert Path(out).read_text().startswith("a,b,verdict,value")
 
     def test_identify_mixed_equal_and_distinct(self, specdir, capsys):
         rc = main(["identify", "--spec1", specdir["q1"], "--spec2", specdir["q2"]])
@@ -714,7 +946,7 @@ class TestCli:
         rc = main(["identify", "--spec1", specdir["rot1"], "--spec2", specdir["rot2"],
                    "--out", out])
         assert rc == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["equal_in_law"] and "witness" in doc
 
     def test_transform_round_trip(self, specdir):

@@ -273,6 +273,16 @@ class TestSimulate:
         inline = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=1)
         assert inline.values.tobytes() == pooled.values.tobytes()
 
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures loads logging: about 11 ms that only threads > 1 pays
+        script = ("import sys, stablesim\n"
+                  "print('concurrent.futures' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "False"
+
     def test_rows_depend_only_on_seed_and_index(self):
         k = ss.build(ss.LinearMotion(1.5))
         small = ss.simulate(k, [1.0, 2.0], 10, seed=5)

@@ -13,6 +13,11 @@ rows on worker processes.
 Under ``taskset -c 0`` it formats them in-process, and that line must not
 change.  (The simulated lines may: with one CPU OpenBLAS runs one thread,
 and simulate's matrix products then round differently.)
+The read-back line writes 1024 standard normal paths on 600 times (enough
+values for the reader's worker processes on more than one CPU) to a
+temporary regular file, reads it back with ``read_ensemble_csv`` and
+digests ``times.tobytes() + values.tobytes()``; it too must not change
+under ``taskset -c 0``, where the file is parsed in-process.
 Only public calls are used, so the script runs on older trees too.
 
 usage: python tools/csv_digest.py   (imports the package from src/ next to tools/)
@@ -22,7 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +45,21 @@ def digest(times, values) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16]
 
 
+def read_back_digest(values) -> str:
+    from stablesim.io import read_ensemble_csv, write_ensemble_csv
+
+    times = np.linspace(0.0, 1.0, values.shape[1] + 1)[1:]
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            write_ensemble_csv(fh, times, values)
+        with open(path) as fh:
+            t_back, v_back = read_ensemble_csv(fh)
+    finally:
+        os.remove(path)
+    return hashlib.sha256(t_back.tobytes() + v_back.tobytes()).hexdigest()[:16]
+
+
 def main() -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import stablesim as ss
@@ -50,6 +72,8 @@ def main() -> int:
     normal = np.random.default_rng(0).standard_normal((1024, 200))
     print(f"{digest(np.linspace(0.0, 1.0, 201)[1:], normal)}  1024 x 200  "
           "standard normal, several spans of rows")
+    print(f"{read_back_digest(np.random.default_rng(0).standard_normal((1024, 600)))}  "
+          "1024 x 600  standard normal, written to a file and read back")
     special = np.array([_SPECIAL, _SPECIAL[::-1]])
     print(f"{digest(np.arange(len(_SPECIAL), dtype=float), special)}  "
           f"2 x {len(_SPECIAL)}  special values {_SPECIAL!r}")
