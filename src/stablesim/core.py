@@ -4,7 +4,9 @@ characteristic-function machinery.
 The sampler follows Chambers, Mallows & Stuck (1976) in the symmetric case,
 normalized so that the characteristic function is exp(-|theta|^alpha).
 Simulation draws one counter-based random stream per path (Philox), so
-ensembles are reproducible bit-for-bit regardless of worker threads.
+ensembles are reproducible bit-for-bit regardless of worker threads, for a
+given OpenBLAS thread count: with one BLAS thread the chunk products of some
+kernels round differently, by about 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -255,7 +257,8 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     K(t, cell) * mass^{1/alpha} * S_cell with i.i.d. standard SaS weights
     S_cell drawn from a per-path counter-based stream; the joint CF of the
     output converges to exp(-cf_exponent) as n_paths grows and the cell grid
-    refines.  Row i depends only on (seed, i), never on thread scheduling.
+    refines.  Row i depends only on (seed, i), never on thread scheduling,
+    for a given OpenBLAS thread count (see the module docstring).
 
     The cells are ``kernel.sim_cells`` over the window of the grid.  Each
     K(t_j, .) is evaluated on their factored points (``kernel.evals``, one

@@ -128,26 +128,12 @@ def catalog_flows() -> tuple[FlowSpec, ...]:
     return (translation_flow(), rotation_flow(), circle_scaling_flow(0.8), dilation_flow())
 
 
-def constant_cocycle() -> CocycleSpec:
-    return CocycleSpec("constant", lambda t, pts: np.ones(len(np.atleast_1d(pts))))
-
-
-def coboundary_cocycle(b: Callable[[np.ndarray], np.ndarray], flow: FlowSpec,
-                       label: str = "coboundary") -> CocycleSpec:
+def coboundary_cocycle(b: Callable[[np.ndarray], np.ndarray], flow: FlowSpec) -> CocycleSpec:
     """a_t(s) = b(phi_t(s)) * b(s); telescopes exactly for sign-valued b."""
     def apply(t, pts):
         return b(flow.apply(t, pts)) * b(pts)
 
-    return CocycleSpec(label, apply)
-
-
-def broken_cocycle() -> CocycleSpec:
-    """sign(sin(s + t)) under translation: violates the cocycle identity."""
-    def apply(t, pts):
-        v = np.sign(np.sin(np.asarray(pts) + t))
-        return np.where(v == 0.0, 1.0, v)
-
-    return CocycleSpec("broken", apply)
+    return CocycleSpec("coboundary", apply)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Distributional-equality machinery: mixing-measure pushforwards onto the
-unit alpha-sphere, ray concentration, periodic minimality, matching of
-rotating-average profiles up to sign/shift/constant, and the sign-and-shift
-equivalence of sampled kernels."""
+unit alpha-sphere, ray concentration, periodic minimality and matching of
+rotating-average profiles up to sign/shift/constant."""
 
 from __future__ import annotations
 
@@ -21,19 +20,10 @@ Atoms = Sequence[tuple[tuple[float, float], float]]
 
 
 @dataclass(frozen=True)
-class SphereMeasure:
-    """Atomic measure on the unit alpha-sphere of R^2; optionally symmetrized."""
-
-    atoms: tuple[tuple[tuple[float, float], float], ...]
-    alpha: float
-    symmetrized: bool
-
-
-@dataclass(frozen=True)
 class EquivalenceWitness:
     epsilon: int          # +1 or -1
     shift: float
-    offset: float = 0.0   # additive constant, used by profile matching
+    offset: float         # additive constant
 
 
 def _alpha_norm(b1: float, b2: float, alpha: float) -> float:
@@ -60,8 +50,9 @@ def _merge_atoms(atoms: list[tuple[tuple[float, float], float]]
     return tuple(((o[0], o[1]), w) for _, o, w in merged)
 
 
-def mixing_measure(atoms: Atoms, alpha: float) -> SphereMeasure:
-    """Symmetrized pushforward of an atomic mixing measure onto the alpha-sphere.
+def mixing_measure(atoms: Atoms, alpha: float) -> tuple[tuple[tuple[float, float], float], ...]:
+    """Atoms (direction, weight) of the symmetrized pushforward of an atomic
+    mixing measure onto the alpha-sphere.
 
     An atom (b, w) lands at direction b/|b|_alpha with weight w * |b|_alpha^alpha;
     symmetrization places the combined weight of each +-direction pair on both.
@@ -73,9 +64,8 @@ def mixing_measure(atoms: Atoms, alpha: float) -> SphereMeasure:
             raise ValueError("mixing atoms must be nonzero")
         raw.append(((b1 / r, b2 / r), w * r ** alpha))
     one_sided = _merge_atoms(raw)
-    sym = _merge_atoms([(o, w) for o, w in one_sided] +
-                       [((-o[0], -o[1]), w) for o, w in one_sided])
-    return SphereMeasure(sym, alpha, True)
+    return _merge_atoms([(o, w) for o, w in one_sided] +
+                        [((-o[0], -o[1]), w) for o, w in one_sided])
 
 
 _SPHERE_TOL = 1e-9  # angular and relative weight tolerance of same_mixed_lfsm
@@ -85,8 +75,8 @@ def same_mixed_lfsm(q1: Atoms, q2: Atoms, alpha: float) -> bool:
     """Equality in law of two mixed-LFSM mixing measures: equal symmetrized
     sphere measures (directions within _SPHERE_TOL radians, weights within
     _SPHERE_TOL relative)."""
-    m1 = mixing_measure(q1, alpha).atoms
-    m2 = mixing_measure(q2, alpha).atoms
+    m1 = mixing_measure(q1, alpha)
+    m2 = mixing_measure(q2, alpha)
     if len(m1) != len(m2):
         return False
     for (o1, w1), (o2, w2) in zip(m1, m2):
@@ -113,14 +103,6 @@ def ray_test(atoms: Atoms) -> bool:
         if abs(cross) > 1e-12 * scale * math.hypot(c1, c2):
             return False
     return True
-
-
-def minimal_period(series: FourierSeries) -> float:
-    """Minimal period of a finite Fourier series: 2pi / gcd(active harmonics)."""
-    ks = series.active_harmonics()
-    if not ks:
-        raise ValueError("series has no active harmonic")
-    return TWO_PI / reduce(math.gcd, ks)
 
 
 def is_periodically_minimal(series: FourierSeries) -> bool:
@@ -167,35 +149,3 @@ def match_rotating(g1: FourierSeries, beta1: float, g2: FourierSeries, beta2: fl
                 return EquivalenceWitness(eps, float(tau), float(c))
     return None
 
-
-def shift_sign_equivalent(times: np.ndarray, y1: np.ndarray, y2: np.ndarray,
-                          alpha: float, tol: float = 1e-3) -> EquivalenceWitness | None:
-    """Search for eps in {-1, +1} and a real shift u with y2(t) = eps * y1(t - u).
-
-    Inputs are sampled on one uniform grid covering the declared support
-    window (zero-padded outside); the aligned relative L^alpha distance must
-    fall below tol.  Returns the witness of the best alignment, or None.
-    """
-    t = np.asarray(times, dtype=float)
-    dt = float(t[1] - t[0])
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
-        raise ValueError("sampling grid must be uniform")
-    a = np.asarray(y1, dtype=float)
-    b = np.asarray(y2, dtype=float)
-    norm = float(np.sum(np.abs(a) ** alpha) * dt) ** (1.0 / alpha)
-    if norm == 0.0:
-        raise ValueError("y1 is identically zero on the window")
-    best: tuple[float, int, int] | None = None
-    for k in range(1 - a.size, a.size):
-        shifted = np.zeros_like(a)
-        if k >= 0:
-            shifted[k:] = a[: a.size - k]
-        else:
-            shifted[:k] = a[-k:]
-        for eps in (1, -1):
-            d = float(np.sum(np.abs(b - eps * shifted) ** alpha) * dt) ** (1.0 / alpha) / norm
-            if best is None or d < best[0]:
-                best = (d, eps, k)
-    if best is not None and best[0] < tol:
-        return EquivalenceWitness(best[1], best[2] * dt)
-    return None

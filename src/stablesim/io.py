@@ -96,8 +96,8 @@ def _span_results(fn, spans: list, held: tuple, big: bool):
     work is ``big`` they run on forked worker processes, one per CPU of the
     affinity mask and at most one per span, which inherit ``held`` and keep
     at most CPUs + 1 spans in flight; else, or as ``_span_pool`` says, in
-    this process.  On leaving the block, pending spans are cancelled and the
-    workers joined."""
+    this process.  On leaving the block, no more spans are started, those
+    in flight are finished and the workers joined."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     pool = _span_pool(min(cpus, len(spans)) if big else 0, held)
     try:
@@ -105,12 +105,14 @@ def _span_results(fn, spans: list, held: tuple, big: bool):
                else _in_order(pool, fn, spans, cpus + 1))
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            # not cancel_futures=True: the pool can then lose a span whose
+            # pickling failed, and wait for it forever
+            pool.shutdown()
 
 
 def _hold(parent: int, held: tuple) -> None:
     """Span-worker initializer.  Under fork ``held`` is inherited, not
-    pickled.  Ctrl-C is left to the parent, which cancels the spans.  A
+    pickled.  Ctrl-C is left to the parent, which stops the spans.  A
     worker idle on its task queue would outlive a parent killed by its pid,
     so on Linux it asks for SIGTERM when the parent dies."""
     global _worker_held

@@ -33,6 +33,7 @@ import functools
 import math
 import numbers
 import re
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Iterable, Iterator, Sequence
@@ -233,7 +234,8 @@ class Kernel(ABC):
                     continue
             elif path == "family" or (not isinstance(value, bool)
                                       and isinstance(value, numbers.Real)
-                                      and math.isfinite(value)):
+                                      # finite as a float: no nan, inf or int past 1.8e308
+                                      and abs(value) <= sys.float_info.max):
                 continue
             raise InvalidSpecError(f"spec field {path!r} must be a finite number, got {value!r}")
         try:
@@ -500,9 +502,9 @@ class MixedLfsm(Kernel):
             equal = same_mixed_lfsm(self.atoms, other.atoms, self.alpha)
         return {"kind": "mixed_lfsm", "equal_in_law": equal,
                 "sphere_measure_1": [{"direction": list(o), "weight": w}
-                                     for o, w in mixing_measure(self.atoms, self.alpha).atoms],
+                                     for o, w in mixing_measure(self.atoms, self.alpha)],
                 "sphere_measure_2": [{"direction": list(o), "weight": w}
-                                     for o, w in mixing_measure(other.atoms, other.alpha).atoms],
+                                     for o, w in mixing_measure(other.atoms, other.alpha)],
                 "ray_1": ray_test(self.atoms), "ray_2": ray_test(other.atoms)}
 
     def to_doc(self):

@@ -120,8 +120,10 @@ def check_stationary_increments(kernel: Kernel, combos=None,
 # self-similarity exponent
 # ---------------------------------------------------------------------------
 
-def check_self_similar(kernel: Kernel, combos=None,
-                       scales=(0.25, 0.5, 1.0, 2.0, 4.0), tol: float = 0.01,
+_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)  # time scales c of check_self_similar
+
+
+def check_self_similar(kernel: Kernel, combos=None, tol: float = 0.01,
                        target_hurst: float | None = None) -> VerificationReport:
     """Fit the scaling slope of log sigma^alpha against log c per probe.
 
@@ -134,18 +136,18 @@ def check_self_similar(kernel: Kernel, combos=None,
     if target is None:
         raise ValueError("kernel has no Hurst exponent; pass target_hurst")
     batch, seconds = _timed_batch(
-        kernel, [c.scaled_times(sc) for c in combos for sc in scales], _LEVEL)
+        kernel, [c.scaled_times(sc) for c in combos for sc in _SCALES], _LEVEL)
+    n, log_scales = len(_SCALES), np.log(np.asarray(_SCALES))
     slopes = []
     for j in range(len(combos)):
-        logs = [math.log(v) for v in batch.values[j * len(scales):(j + 1) * len(scales)]]
-        slope = float(np.polyfit(np.log(np.asarray(scales)), np.asarray(logs), 1)[0])
-        slopes.append(slope)
+        logs = [math.log(v) for v in batch.values[j * n:(j + 1) * n]]
+        slopes.append(float(np.polyfit(log_scales, np.asarray(logs), 1)[0]))
     fitted = [s / kernel.alpha for s in slopes]
     residuals = tuple(abs(f - target) / abs(target) for f in fitted)
     passed = max(residuals) < tol
     return VerificationReport("self_similarity", passed, tol, residuals,
                               {"fitted_hurst": fitted, "target_hurst": target,
-                               "scales": list(scales), **_work([(batch, seconds)])})
+                               "scales": list(_SCALES), **_work([(batch, seconds)])})
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +280,6 @@ def check_scaling_maps(spec: Kernel) -> VerificationReport:
 # Monte Carlo distribution check
 # ---------------------------------------------------------------------------
 
-def _require_paths(ensemble: PathEnsemble) -> None:
-    """Reject an empty ensemble, whose CLT tolerance 1/sqrt(n_paths) is undefined."""
-    if ensemble.n_paths < 1:
-        raise ValueError(f"a Monte Carlo check needs n_paths >= 1, got {ensemble.n_paths}")
-
-
 def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
                           tol: float | None = None) -> VerificationReport:
     """Max over probes of |empirical CF - exp(-sigma^alpha)|.
@@ -291,7 +287,8 @@ def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
     Default tolerance is the CLT scale 3/sqrt(n_paths) plus a 2% allowance
     for cell discretization bias.
     """
-    _require_paths(ensemble)
+    if ensemble.n_paths < 1:  # the CLT tolerance 1/sqrt(n_paths) is undefined
+        raise ValueError(f"a Monte Carlo check needs n_paths >= 1, got {ensemble.n_paths}")
     combos = combos or default_probes()
     tol = tol if tol is not None else 3.0 / math.sqrt(ensemble.n_paths) + 0.02
     batch, seconds = _timed_batch(kernel, combos, _LEVEL)
@@ -300,42 +297,6 @@ def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
     return VerificationReport("mc_distribution", max(residuals) < tol, tol,
                               tuple(residuals), {"n_paths": ensemble.n_paths,
                                                  **_work([(batch, seconds)])})
-
-
-def mc_stationary_increments(ensemble: PathEnsemble, combos=None,
-                             shifts=(0.5, 1.0, 2.0), tol: float | None = None) -> VerificationReport:
-    """Monte Carlo form of the stationary-increment check.
-
-    Compares the empirical CF of shifted increment probes against the
-    unshifted one; all probe times (shifted and base) must lie on the
-    ensemble grid.  Default tolerance is twice the CLT scale.
-    """
-    _require_paths(ensemble)
-    combos = combos or (combo((1.0, 1.0)), combo((0.7, 0.5), (-0.7, 1.5)))
-    tol = tol if tol is not None else 6.0 / math.sqrt(ensemble.n_paths) + 0.02
-    residuals = []
-    for c in combos:
-        base = empirical_cf(ensemble, c.shifted_increments(0.0))
-        worst = 0.0
-        for h in shifts:
-            est = empirical_cf(ensemble, c.shifted_increments(h))
-            worst = max(worst, abs(est - base))
-        residuals.append(worst)
-    return VerificationReport("mc_stationary_increments", max(residuals) < tol, tol,
-                              tuple(residuals), {"shifts": list(shifts),
-                                                 "n_paths": ensemble.n_paths})
-
-
-def empirical_scaling_exponent(ensemble: PathEnsemble, theta: float, base_time: float,
-                               scales) -> float:
-    """Slope of log(-log |empirical CF|) against log c: estimates alpha * H
-    for an H-self-similar ensemble.  Monte Carlo oracle, no quadrature."""
-    logs = []
-    for c in scales:
-        z = empirical_cf(ensemble, combo((theta, c * base_time)))
-        mag = min(max(abs(z), 1e-12), 1.0 - 1e-12)
-        logs.append(math.log(-math.log(mag)))
-    return float(np.polyfit(np.log(np.asarray(scales, dtype=float)), np.asarray(logs), 1)[0])
 
 
 # ---------------------------------------------------------------------------

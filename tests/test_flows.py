@@ -7,13 +7,12 @@ from stablesim import LinearMotion, Lfsm, LogFractional
 from stablesim.core import philox
 from stablesim.flows import (
     _HOPF_WINDOWS,
-    broken_cocycle,
+    CocycleSpec,
     catalog_flows,
     check_cocycle,
     check_flow_laws,
     circle_scaling_flow,
     coboundary_cocycle,
-    constant_cocycle,
     dilation_flow,
     hopf_classify,
     rotation_flow,
@@ -67,11 +66,6 @@ class TestFlowLaws:
 
 
 class TestCocycles:
-    def test_constant_cocycle_holds(self):
-        flow = translation_flow()
-        rep = check_cocycle(constant_cocycle(), flow, T_PAIRS, flow.sample_points(rng(), 500))
-        assert rep.passed and rep.max_residual == 0.0
-
     def test_coboundary_holds_exactly(self):
         flow = translation_flow()
         b = lambda s: np.where(np.sin(np.asarray(s)) >= 0.0, 1.0, -1.0)
@@ -87,8 +81,14 @@ class TestCocycles:
         assert rep.passed
 
     def test_broken_cocycle_reported(self):
+        # sign(sin(s + t)) under translation violates the cocycle identity
+        def apply(t, pts):
+            v = np.sign(np.sin(np.asarray(pts) + t))
+            return np.where(v == 0.0, 1.0, v)
+
         flow = translation_flow()
-        rep = check_cocycle(broken_cocycle(), flow, T_PAIRS, flow.sample_points(rng(), 500))
+        rep = check_cocycle(CocycleSpec("broken", apply), flow, T_PAIRS,
+                            flow.sample_points(rng(), 500))
         assert not rep.passed
         assert rep.failures > 0
 

@@ -73,11 +73,17 @@ class TestSpecJson:
           "harmonics": [{"k": 1, "cos": 1.0}], "constant": [0.5]}, "'constant'"),
         ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
           "atoms": [{"b": [1.0, 0.0], "weight": [1.0]}]}, "'atoms[0].weight'"),
+        ({"family": "lfsm", "alpha": 10 ** 400, "hurst": 0.7}, "'alpha'"),
+        ({"family": "rotating_average", "alpha": 1.5, "beta": 0.8,
+          "harmonics": [{"k": 10 ** 400, "cos": 1.0}]}, "'harmonics[0].k'"),
+        ({"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
+          "atoms": [{"b": [1.0, 0.0], "weight": -10 ** 400}]}, "'atoms[0].weight'"),
     ], ids=["list", "string", "bool", "nan", "inf", "nested-minus-inf", "nested-string",
             "unknown-key", "nested-unknown-key", "misspelt-atom-key", "long-atom-b",
             "scalar-as-list", "scalar-as-object", "chentsov-beta-as-list", "scalar-as-empty-list",
             "rotating-alpha-as-list", "mixed-hurst-as-object", "nested-cos-as-list",
-            "constant-as-list", "atom-weight-as-list"])
+            "constant-as-list", "atom-weight-as-list", "int-past-float-alpha",
+            "int-past-float-harmonic", "int-past-float-atom-weight"])
     def test_outside_input_rejected(self, doc, field, tmp_path, capsys):
         with pytest.raises(ss.InvalidSpecError, match=re.escape(field)):
             sio.spec_from_dict(doc)
@@ -470,6 +476,26 @@ class TestPooledCsvWriter:
         for pid in left:
             os.kill(pid, signal.SIGKILL)
         assert left == []
+
+    @pytest.mark.parametrize("where", ["task", "result"])
+    def test_unpicklable_span_raises(self, where):
+        # the pickling error reaches the caller and no worker is left; in a
+        # child interpreter, so that a hang fails this test, not the suite
+        code = ("import multiprocessing, os\n"
+                "from stablesim import io as sio\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "square = lambda x: x * x\n"
+                "def task(span, held):\n"
+                "    return square\n"
+                f"fn = {'square' if where == 'task' else 'task'}\n"
+                "try:\n"
+                "    with sio._span_results(fn, list(range(8)), (), True) as results:\n"
+                "        list(results)\n"
+                "except Exception as exc:\n"
+                "    print(type(exc).__name__, len(multiprocessing.active_children()))\n")
+        run = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert run.stdout.split() == ["PicklingError", "0"]
 
     def test_daemonic_caller_writes_in_process(self, ensemble, pools, tmp_path):
         # a daemonic process may not have children
@@ -928,6 +954,20 @@ class TestCli:
         assert rc == 0 and "equal in law" in capsys.readouterr().out
         rc = main(["identify", "--spec1", specdir["q1"], "--spec2", specdir["q3"]])
         assert rc == 0 and "distinct" in capsys.readouterr().out
+
+    def test_identify_mixed_sphere_measures(self, specdir):
+        # b = (2, 0) of weight 1 and b = (1, 0) of weight 2^1.5 both land on
+        # the directions (+-1, 0) with weight 2^1.5 each
+        out = str(specdir["dir"] / "m.json")
+        rc = main(["identify", "--spec1", specdir["q1"], "--spec2", specdir["q2"],
+                   "--out", out])
+        assert rc == 0
+        doc = json.loads(Path(out).read_text())
+        for key in ("sphere_measure_1", "sphere_measure_2"):
+            atoms = sorted((a["direction"], a["weight"]) for a in doc[key])
+            assert [d for d, _ in atoms] == [[-1.0, 0.0], [1.0, 0.0]]
+            assert [w for _, w in atoms] == pytest.approx([2.0 ** 1.5] * 2, rel=1e-12)
+        assert doc["equal_in_law"] and doc["ray_1"] and doc["ray_2"]
 
     @pytest.mark.parametrize("spec1, spec2", [("lfsm", "lfsm"), ("q1", "rot1"), ("rot1", "q1")],
                              ids=["lfsm-lfsm", "mixed-rotating", "rotating-mixed"])
