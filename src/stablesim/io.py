@@ -1,4 +1,6 @@
-"""JSON family-spec documents, ensemble CSV files and report serialization."""
+"""JSON family-spec documents, ensemble CSV files and report serialization,
+and the forked span workers (``_span_results``) that the CSV writer and
+reader and the quadrature oracle (``core.cf_exponents``) share."""
 
 from __future__ import annotations
 
@@ -98,7 +100,7 @@ def _span_results(fn, spans: list, held: tuple, big: bool):
     at most CPUs + 1 spans in flight; else, or as ``_span_pool`` says, in
     this process.  On leaving the block, no more spans are started, those
     in flight are finished and the workers joined."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = _cpus()
     pool = _span_pool(min(cpus, len(spans)) if big else 0, held)
     try:
         yield (map(fn, spans, itertools.repeat(held)) if pool is None
@@ -108,6 +110,11 @@ def _span_results(fn, spans: list, held: tuple, big: bool):
             # not cancel_futures=True: the pool can then lose a span whose
             # pickling failed, and wait for it forever
             pool.shutdown()
+
+
+def _cpus() -> int:
+    """The CPUs of this process's affinity mask (1 where it has none)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _hold(parent: int, held: tuple) -> None:

@@ -57,10 +57,12 @@ def _timed_batch(kernel: Kernel, combos, level: int) -> tuple[CfBatch, float]:
 
 def _work(timed: list[tuple[CfBatch, float]]) -> dict:
     """Quadrature work behind a report: grids built, (probe, nonzero-theta
-    term) kernel evaluations and wall seconds, summed over its timed batches."""
+    term) kernel evaluations and wall seconds, summed over its timed batches,
+    and the most processes that computed one of them (1: all in-process)."""
     return {"grids": sum(b.grids for b, _ in timed),
             "kernel_evals": sum(b.kernel_evals for b, _ in timed),
-            "wall_s": sum(s for _, s in timed)}
+            "wall_s": sum(s for _, s in timed),
+            "workers": max(b.workers for b, _ in timed)}
 
 
 def default_probes() -> tuple[LinearCombo, ...]:

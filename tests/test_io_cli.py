@@ -12,7 +12,6 @@ import threading
 import time
 import types
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -366,24 +365,6 @@ def _csv_text(times, values) -> str:
 def _write_csv_file(path, times, values):
     with open(path, "w") as fh:
         sio.write_ensemble_csv(fh, times, values)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The pools the CSV writer and reader make, on two CPUs whatever the
-    machine has."""
-    # they make no pool beside another thread (of a plugin, say)
-    assert threading.active_count() == 1
-    made = []
-    real_init = ProcessPoolExecutor.__init__
-
-    def init(pool, *args, **kwargs):
-        made.append(pool)
-        real_init(pool, *args, **kwargs)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__", init)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return made
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesim as ss
+from stablesim import core
 from stablesim.core import _BLOCK_CELLS, _cms
 from stablesim.quadrature import Certificate, pairwise_sum
 from stablesim.transforms import increment_process
-from stablesim.verify import default_probes
+from stablesim.verify import check_stationary_increments, default_probes
 
 
 def ecf(samples, theta):
@@ -239,6 +241,121 @@ class TestCfExponents:
                                  text=True, check=True)
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1] and outputs[0].count(",") == 2 * 39
+
+
+_SI_SHIFTS = (0.0, 0.5, 1.0, 2.0, 5.0)
+_SS_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def _check_batches():
+    """(level, probes) of the default stationary-increment check at levels
+    1 and 2 and of the default self-similarity check (level 2)."""
+    si = [c.shifted_increments(h) for c in default_probes() for h in _SI_SHIFTS]
+    return ((1, si), (2, si), (2, [c.scaled_times(sc) for c in default_probes()
+                                   for sc in _SS_SCALES]))
+
+
+def _heavy(kernel, level, combos) -> bool:
+    first = kernel.cf_cells(combos[0].times, level)[1].size
+    terms = sum(theta != 0.0 for c in combos for theta, _ in c.terms)
+    return first * terms >= core._ORACLE_POOL_MIN_WORK
+
+
+class _FailingRotating(ss.RotatingAverage):
+    """The catalog rotating spec, whose combination fails on a probe at t = 5."""
+
+    def combination(self, terms, points, out):
+        if any(t == 5.0 for _, t in terms):
+            raise ArithmeticError("no field at t = 5")
+        super().combination(terms, points, out)
+
+
+def _in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestPooledOracle:
+    """Heavy batches run on the forked workers of ``io._span_results``; the
+    values must be the in-process values, and no worker may outlive a batch."""
+
+    @pytest.mark.parametrize("spec", ss.catalog_specs(), ids=lambda s: f"{s.label}-{s.alpha}")
+    def test_pooled_values_are_in_process_values(self, spec, pools, monkeypatch):
+        pooled = [ss.cf_exponents(spec, combos, level) for level, combos in _check_batches()]
+        heavy = [_heavy(spec, level, combos) for level, combos in _check_batches()]
+        assert len(pools) == sum(heavy)
+        assert [b.workers for b in pooled] == [2 if h else 1 for h in heavy]
+        assert multiprocessing.active_children() == []
+        _in_process(monkeypatch)
+        for b, (level, combos) in zip(pooled, _check_batches()):
+            alone = ss.cf_exponents(spec, combos, level)
+            assert np.array(b.values).tobytes() == np.array(alone.values).tobytes()
+            assert (b.grids, b.kernel_evals) == (alone.grids, alone.kernel_evals)
+            assert alone.workers == 1
+        assert len(pools) == sum(heavy)
+
+    def test_heavy_batch_makes_one_pool(self, pools):
+        # the rotating grid is one for every probe: cut by probes, held by the workers
+        rot = ss.catalog_specs()[-1]
+        level, combos = _check_batches()[1]
+        assert _heavy(rot, level, combos)
+        batch = ss.cf_exponents(rot, combos, level)
+        assert (len(pools), batch.workers, batch.grids) == (1, 2, 1)
+        assert multiprocessing.active_children() == []
+        report = check_stationary_increments(rot)
+        assert (len(pools), report.details["workers"]) == (3, 2)
+
+    def test_light_and_empty_batches_make_no_pool(self, pools, monkeypatch):
+        lfsm = ss.catalog_specs()[0]
+        level, combos = _check_batches()[1]
+        assert not _heavy(lfsm, level, combos)
+        assert ss.cf_exponents(lfsm, combos, level).workers == 1
+        assert check_stationary_increments(lfsm).details["workers"] == 1
+        # with no gate, one probe is still one span, and the empty batch builds no grid
+        monkeypatch.setattr(core, "_ORACLE_POOL_MIN_WORK", 0)
+        rot = ss.catalog_specs()[-1]
+        assert ss.cf_exponent(rot, ss.combo((1.0, 1.0), (-0.5, 2.0))).status == "converged"
+        monkeypatch.setattr(ss.RotatingAverage, "cf_cells", None)
+        assert ss.cf_exponents(rot, [], 2) == ss.CfBatch((), 0, 0, 1)
+        assert pools == []
+
+    def test_light_batch_imports_no_multiprocessing(self):
+        code = ("import sys, stablesim as ss\n"
+                "from stablesim.verify import check_stationary_increments\n"
+                "check_stationary_increments(ss.catalog_specs()[0])\n"
+                "ss.cf_exponent(ss.catalog_specs()[-1], ss.combo((1.0, 1.0)), level=1)\n"
+                "print('multiprocessing' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "False"
+
+    def test_worker_error_propagates(self, pools, monkeypatch):
+        failing = _FailingRotating(**vars(ss.catalog_specs()[-1]))
+        level, combos = _check_batches()[1]
+        with pytest.raises(ArithmeticError, match="^no field at t = 5$"):
+            ss.cf_exponents(failing, combos, level)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        _in_process(monkeypatch)
+        with pytest.raises(ArithmeticError, match="^no field at t = 5$"):
+            ss.cf_exponents(failing, combos, level)
+        assert len(pools) == 1
+
+    def test_caller_with_another_thread_computes_in_process(self, pools):
+        # fork is unsafe while another thread runs
+        rot = ss.catalog_specs()[-1]
+        level, combos = _check_batches()[1]
+        batches = []
+        thread = threading.Thread(target=lambda: batches.append(ss.cf_exponents(rot, combos, level)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert pools == [] and batches[0].workers == 1
+        assert batches[0].values == ss.cf_exponents(rot, combos, level).values
+        assert len(pools) == 1
 
 
 class TestMeasureGrid:
