@@ -185,9 +185,9 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     The groups of combos are the spans of ``io._span_results``: a batch with
     at least ``_ORACLE_POOL_MIN_WORK`` integrand work runs on its forked
     workers, any other in this process.  The first grid is built here, to
-    size that work, and the workers inherit it; a pooled batch with fewer
-    groups than CPUs has every grid built here instead, and each group's
-    combos are dealt round-robin into two spans per CPU.
+    size that work, and the workers inherit it; a worker builds any other
+    group's grid itself.  A pooled group's combos are dealt round-robin into
+    at most two spans per CPU.
     """
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
@@ -199,14 +199,11 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     n_evals = sum(theta != 0.0 for c in combos for theta, _ in c.terms)
     grids = [kernel.cf_cells(combos[g[0]].times, level) for g in groups[:1]]
     big = bool(grids) and grids[0][1].size * n_evals >= _ORACLE_POOL_MIN_WORK
-    cpus = _cpus()
-    if big and len(groups) < cpus:
-        grids += [kernel.cf_cells(combos[g[0]].times, level) for g in groups[1:]]
-        # two spans per CPU: one span per combo took about 10 % longer
-        step = 2 * cpus
-        spans = [(k, g[j::step]) for k, g in enumerate(groups) for j in range(min(step, len(g)))]
-    else:
-        spans = list(enumerate(groups))
+    # a pooled group's combos are dealt round-robin into at most two spans
+    # per CPU: one span per combo took about 10 % longer
+    step = 2 * _cpus()
+    spans = ([(k, g[j::step]) for k, g in enumerate(groups) for j in range(min(step, len(g)))]
+             if big else list(enumerate(groups)))
     values = [0.0] * len(combos)
     pids = set()
     with _span_results(_group_values, spans, (kernel, combos, level, grids), big) as results:
