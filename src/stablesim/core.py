@@ -136,8 +136,8 @@ _BLOCK_CELLS = 1 << 16  # cells per row block of the oracle integrand
 # integrand work (the first grid's cells times the batch's nonzero-theta
 # terms) below which cf_exponents runs in-process: on 2 CPUs the pool (about
 # 10 ms to fork and join, 0.13 ms a span) won most runs from 3.4M cell-terms
-# on the truncated grids, but on the rotating grids lost 5 of 7 at 7.2M and
-# won 6 of 7 only at 11.4M
+# on the truncated grids, but on the rotating shift grids (multi-harmonic
+# profiles only) lost 5 of 7 at 7.2M and won 6 of 7 only at 11.4M
 _ORACLE_POOL_MIN_WORK = 1 << 23
 
 

@@ -141,7 +141,9 @@ class Kernel(ABC):
         """sum_j theta_j K(t_j, .) over the (theta, t) ``terms`` on a row block
         of ``cf_cells`` points, written into ``out`` (shaped like the block's
         masses; 0 for no terms).  The fields come from one ``evals`` call and
-        are scaled and added in the order of ``terms``."""
+        are scaled and added in the order of ``terms``.  A family whose
+        ``cf_cells`` integrate a coordinate in closed form writes instead what
+        its ``|.|^alpha`` times those masses integrates against."""
         if not terms:
             out.fill(0.0)
         for j, ((theta, _), v) in enumerate(zip(terms, self.evals([t for _, t in terms], points))):
@@ -186,7 +188,7 @@ class Kernel(ABC):
     def flow(self, t: float, points):
         """phi_t(points), the stationary flow of the Masani form:
         F(t, p) = F(0, phi_t p), with unit cocycle and unit Radon-Nikodym
-        derivative.  Defined on the ``cf_cells`` layout; the default
+        derivative.  Defined on the ``sim_cells`` layout; the default
         translates the shift coordinate by -t.  ``verify.flow_identity_fixture``
         checks it."""
         if isinstance(points, tuple):
@@ -312,6 +314,11 @@ def _shift_sim_edges(t_lo: float, t_hi: float, level: int) -> np.ndarray:
     left = core[0] - np.geomspace(reach, 0.25 * pad, ndec + 1) + 0.25 * pad
     right = core[-1] + np.geomspace(0.25 * pad, reach, ndec + 1) - 0.25 * pad
     return np.unique(np.concatenate([left, core, right]))
+
+
+def _circle_moment(alpha: float) -> float:
+    """c_alpha = int_0^{2 pi} |cos s|^alpha ds = 2 sqrt(pi) Gamma((alpha + 1)/2) / Gamma(alpha/2 + 1)."""
+    return 2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (alpha + 1.0)) / math.gamma(0.5 * alpha + 1.0)
 
 
 def _coords(points):
@@ -673,7 +680,9 @@ class RotatingAverage(Kernel):
         # by the angle addition of ``field``, with F(0, .) at c = 1, d = 0,
         #   sum_j theta_j K(t_j, .) = sum_k C_k(x) cos(k s) + S_k(x) sin(k s),
         #   C_k = sum_j theta_j ((a c_kj + b d_kj) - a), S_k = sum_j theta_j ((b c_kj - a d_kj) - b),
-        # so the block is one product of radial coefficients and shift harmonics
+        # so the block is one product of radial coefficients and shift harmonics;
+        # with one harmonic it is R(x) cos(k s - phi(x)), R = hypot(C, S), and
+        # the one shift node of ``cf_cells`` takes R(x)
         x, s = points[0][:, 0], points[1][0]
         theta = np.array([th for th, _ in terms])
         tx = np.multiply.outer(x, [t for _, t in terms])
@@ -686,7 +695,10 @@ class RotatingAverage(Kernel):
             coef[:, 2 * i] = (((a * c + b * d) - a) * theta).sum(axis=1)
             coef[:, 2 * i + 1] = (((b * c - a * d) - b) * theta).sum(axis=1)
             trig[2 * i], trig[2 * i + 1] = np.cos(k * s), np.sin(k * s)
-        np.matmul(coef, trig, out=out)
+        if len(harmonics) == 1:
+            np.hypot(coef[:, 0], coef[:, 1], out=out[:, 0])
+        else:
+            np.matmul(coef, trig, out=out)
 
     def cf_grid_key(self, times):
         return None  # one grid for every probe
@@ -722,6 +734,11 @@ class RotatingAverage(Kernel):
         x_hi = 1e3 * 8.0 ** level
         x_nodes, x_mass = subdivided_power_cells(x_lo, x_hi, 10 + 4 * level, -1.0 - self.beta,
                                                  subs=8)
+        if len(self.series.active_harmonics()) == 1:
+            # |R(x) cos(k s - phi(x))|^alpha integrates over the circle to
+            # R(x)^alpha c_alpha, c_alpha = int_0^{2 pi} |cos s|^alpha ds: one
+            # shift node, at 0, carries it (Samorodnitsky & Taqqu, 1994)
+            return (x_nodes[:, None], np.zeros((1, 1))), (x_mass * _circle_moment(self.alpha))[:, None]
         n_s = 128 * 2 ** level
         s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
         return _product_cells((x_nodes, x_mass), s_edges)

@@ -164,6 +164,12 @@ class IncrementProcess(Kernel):
             upper -= lower
             yield upper
 
+    def combination(self, terms, points, out):
+        # the source's own combination of K(t + lag, .) - K(t, .) per term, on
+        # the source's grid: a source may integrate a coordinate in closed form
+        self.source.combination([u for theta, t in terms
+                                 for u in ((theta, t + self.lag), (-theta, t))], points, out)
+
     def _widened(self, times):
         return tuple(sorted(set(times) | {t + self.lag for t in times}))
 

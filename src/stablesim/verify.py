@@ -179,8 +179,10 @@ def flow_identity_fixture(spec: Kernel) -> KernelIdentityFixture:
     """The spec's field in its stationary flow form F(t, .) = F(0, phi_t .),
     with phi_t = ``spec.flow(t, .)``, unit cocycle and unit derivative.  Both
     sides are taken relative to F(0, .), so they vanish at t = 0, and they
-    are evaluated on the spec's own level-1 ``cf_cells`` points."""
-    points = spec.cf_cells(_FLOW_TIMES, 1)[0]
+    are evaluated on the spec's own level-1 ``sim_cells`` points over
+    [0, 2.5], a full (radial, shift) product on the two-coordinate families
+    (``cf_cells`` may integrate the shift in closed form)."""
+    points = spec.sim_cells(0.0, max(_FLOW_TIMES), 1)[0]
 
     def lhs(t, pts):
         return spec.field(t, pts) - spec.field(0.0, pts)

@@ -159,7 +159,10 @@ class TestCfExponents:
         # give exactly the values of whole fields, accumulated term by term,
         # then abs, ** alpha and * masses over the full array.  The rotating
         # family sums its terms as radial coefficients (its ``combination``),
-        # so its reference is that sum over the whole, unblocked grid.  The
+        # so its reference is that sum over the whole, unblocked grid.  An
+        # increment process is its source's combination of each term's
+        # (theta, t + lag) and (-theta, t), so its reference takes the
+        # source's fields of those, in that order.  The
         # truncated level-1 grid of the first probe (864 rows, 65536 // 165 =
         # 397 per block) ends in a partial block, asserted below;
         # Chentsov(1.0, 0.5) covers alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
@@ -169,15 +172,18 @@ class TestCfExponents:
                 if kernel.cf_grid_key(c.times) != key:
                     key = kernel.cf_grid_key(c.times)
                     (pts, masses), fields = kernel.cf_cells(c.times, level), {}
-                acc = None
+                acc, source = None, getattr(kernel, "source", kernel)
                 terms = [(theta, t) for theta, t in c.terms if theta != 0.0]
-                if isinstance(kernel, ss.RotatingAverage):
+                if source is not kernel:
+                    terms = [u for theta, t in terms
+                             for u in ((theta, t + kernel.lag), (-theta, t))]
+                if isinstance(source, ss.RotatingAverage):
                     acc = np.empty(masses.shape)
-                    kernel.combination(terms, pts, acc)
+                    source.combination(terms, pts, acc)
                     terms = []
                 for theta, t in terms:
                     if t not in fields:
-                        fields[t] = kernel.eval(t, pts)
+                        fields[t] = source.eval(t, pts)
                     v = fields[t]
                     if acc is None:
                         acc = theta * v
@@ -261,8 +267,13 @@ def _heavy(kernel, level, combos) -> bool:
     return first * terms >= core._ORACLE_POOL_MIN_WORK
 
 
+# two harmonics: no closed-form shift integral, so the grid of each default
+# check batch is heavy, and one for every probe
+TWO_HARMONICS = ss.RotatingAverage(1.5, 0.8, ss.FourierSeries(((1, 1.0, 0.0), (2, 0.3, 0.1))))
+
+
 class _FailingRotating(ss.RotatingAverage):
-    """The catalog rotating spec, whose combination fails on a probe at t = 5."""
+    """The two-harmonic rotating spec, whose combination fails on a probe at t = 5."""
 
     def combination(self, terms, points, out):
         if any(t == 5.0 for _, t in terms):
@@ -280,7 +291,9 @@ class TestPooledOracle:
     """Heavy batches run on the forked workers of ``io._span_results``; the
     values must be the in-process values, and no worker may outlive a batch."""
 
-    @pytest.mark.parametrize("spec", ss.catalog_specs(), ids=lambda s: f"{s.label}-{s.alpha}")
+    @pytest.mark.parametrize("spec", (*ss.catalog_specs(),
+                                      pytest.param(TWO_HARMONICS, id="rotating_average-two-harmonics")),
+                             ids=lambda s: f"{s.label}-{s.alpha}")
     def test_pooled_values_are_in_process_values(self, spec, pools, monkeypatch):
         pooled = [ss.cf_exponents(spec, combos, level) for level, combos in _check_batches()]
         heavy = [_heavy(spec, level, combos) for level, combos in _check_batches()]
@@ -298,7 +311,7 @@ class TestPooledOracle:
 
     def test_heavy_batch_makes_one_pool(self, pools):
         # the rotating grid is one for every probe: cut by probes, held by the workers
-        rot = ss.catalog_specs()[-1]
+        rot = TWO_HARMONICS
         level, combos = _check_batches()[1]
         assert _heavy(rot, level, combos)
         batch = ss.cf_exponents(rot, combos, level)
@@ -358,7 +371,7 @@ class TestPooledOracle:
         assert run.stdout.strip() == "False"
 
     def test_worker_error_propagates(self, pools, monkeypatch):
-        failing = _FailingRotating(**vars(ss.catalog_specs()[-1]))
+        failing = _FailingRotating(**vars(TWO_HARMONICS))
         level, combos = _check_batches()[1]
         with pytest.raises(ArithmeticError, match="^no field at t = 5$"):
             ss.cf_exponents(failing, combos, level)
@@ -371,7 +384,7 @@ class TestPooledOracle:
 
     def test_caller_with_another_thread_computes_in_process(self, pools):
         # fork is unsafe while another thread runs
-        rot = ss.catalog_specs()[-1]
+        rot = TWO_HARMONICS
         level, combos = _check_batches()[1]
         batches = []
         thread = threading.Thread(target=lambda: batches.append(ss.cf_exponents(rot, combos, level)))

@@ -1,8 +1,10 @@
 """Print digests of the quadrature oracle's values, to show that a change
 kept every value bit-identical.
 
-For every ``catalog_specs()`` entry and ``increment_process(Lfsm(1.5, 0.7), 1.0)``
-it evaluates 176 ``cf_exponents`` values: at levels 1 and 2, the
+For every ``catalog_specs()`` entry, ``increment_process(Lfsm(1.5, 0.7), 1.0)``
+and the two-harmonic ``RotatingAverage(1.5, 0.8, FourierSeries(((1, 1.0, 0.0),
+(2, 0.3, 0.1))))``, whose shift integral has no closed form, it evaluates
+176 ``cf_exponents`` values: at levels 1 and 2, the
 stationary-increment probes (each default probe shifted by 0, 0.5, 1, 2
 and 5), the self-similarity probes (each default probe scaled by 0.25,
 0.5, 1, 2 and 4) and the eight default probes.  One line per spec gives
@@ -13,10 +15,10 @@ more lines digest the verdicts and then the (window, value) traces of
 ``hopf_classify`` on 8 points drawn from ``philox(5)``: on the translation
 flow with g0 = K(1, .) for lfsm(1.5, 0.7), lfsm(1.5, 0.3), lfsm(1.2, 0.9),
 linear_motion(1.5) and log_fractional(1.5) in turn, and on the rotation
-flow with g0 = cos s; each line also counts the verdicts.  The 13th line
+flow with g0 = cos s; each line also counts the verdicts.  The 14th line
 digests ``check_scaling_maps`` on every ``catalog_specs()`` entry: per spec
 its ``passed`` and residuals, or "unsupported" where the check raises
-``UnsupportedFamilyError``, and it counts the outcomes.  A 14th line
+``UnsupportedFamilyError``, and it counts the outcomes.  A 15th line
 digests ``check_kernel_identity(flow_identity_fixture(spec))`` on every
 ``catalog_specs()`` entry the same way (``passed`` and residuals), or reads
 "unsupported" on a tree without ``flow_identity_fixture``.  Only public
@@ -158,7 +160,9 @@ def main() -> int:
     import stablesim as ss
     from stablesim.transforms import increment_process
 
-    specs = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+    two_harmonics = ss.FourierSeries(((1, 1.0, 0.0), (2, 0.3, 0.1)))
+    specs = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0),
+             ss.RotatingAverage(1.5, 0.8, two_harmonics))
     raw = {}
     for spec in specs:
         values = raw[repr(spec)] = oracle_values(ss, ss.build(spec))
