@@ -5,8 +5,9 @@ The sampler follows Chambers, Mallows & Stuck (1976) in the symmetric case,
 normalized so that the characteristic function is exp(-|theta|^alpha).
 Simulation draws one counter-based random stream per path (Philox), so
 ensembles are reproducible bit-for-bit regardless of worker threads, for a
-given OpenBLAS thread count: with one BLAS thread the chunk products of some
-kernels round differently, by about 1e-14 relative.
+given OpenBLAS thread count: with one BLAS thread the chunk products of six
+of the eight catalog specs (all but linear_motion and rotating_average)
+round differently, by at most 2.5e-15 of a row's largest value.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ def philox(seed: int) -> np.random.Philox:
 
 def _cms(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
     """Chambers-Mallows-Stuck transform of uniforms u on [0, 1) and standard
-    exponentials w into standard SaS variables.  Elementwise, so a subset of
-    the inputs gives the same values as the matching subset of the output."""
+    exponentials w into standard SaS variables, elementwise."""
     u = (u - 0.5) * np.pi     # uniform on (-pi/2, pi/2)
     w = np.maximum(w, 1e-300)
     if alpha == 1.0:
@@ -299,11 +299,13 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     The cells are ``kernel.sim_cells`` over the window of the grid.  Each
     K(t_j, .) is evaluated on their factored points (``kernel.evals``, one
     F(0, .) for the grid) and raveled, with the masses, in C order: the cell
-    order of ``kernel.sim_grid``.  Path i takes one uniform and one
-    exponential per cell from ``philox(seed).jumped(i)``.  Cells whose
-    weighted kernel is 0 at every grid time are dead: they still consume
-    their draws, so every live cell keeps the draw it would have without
-    pruning, but are not transformed or summed.  Each chunk of
+    order of ``kernel.sim_grid``.  Cells whose weighted kernel is 0 at every
+    grid time are dead: they take no draws and are not transformed or
+    summed.  Path i takes one uniform per live cell, in cell order, then one
+    exponential per live cell, from ``philox(seed).jumped(i)``.  A cell's
+    draw thus depends on which cells are live, and ensembles of one seed on
+    two grids over the same window share one realization only when the
+    grids leave the same cells live.  Each chunk of
     ``_PATH_CHUNK`` paths is reduced by one matrix product of fixed shape,
     zero-padded past the last path, so a row's arithmetic does not depend on
     n_paths or on the worker count.  The chunks run on a pool of
@@ -336,12 +338,12 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
 
     def fill(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        S = np.zeros((_PATH_CHUNK, kT.shape[0]))
+        n_live = kT.shape[0]
+        S = np.zeros((_PATH_CHUNK, n_live))
         for i in range(lo, hi):
             gen = np.random.Generator(base.jumped(i))
-            u = gen.random(live.size)
-            w = gen.standard_exponential(live.size)
-            S[i - lo] = _cms(u[live], w[live], kernel.alpha)
+            u = gen.random(n_live)
+            S[i - lo] = _cms(u, gen.standard_exponential(n_live), kernel.alpha)
         # always the full chunk shape: a product with fewer rows may take
         # another BLAS kernel (one row goes through gemv) and round differently
         values[lo:hi] = (S @ kT)[:hi - lo]

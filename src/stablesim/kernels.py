@@ -175,9 +175,7 @@ class Kernel(ABC):
     def sim_cells(self, t_lo: float, t_hi: float, level: int) -> tuple:
         """Simulation cells (points, masses) covering the time window
         [min(t_lo, 0), max(t_hi, 0)], in the layout of ``cf_cells``.  They
-        depend on that window and the level only, so ensembles of one seed
-        whose time grids span the same window share one random measure
-        realization."""
+        depend on that window and the level only."""
 
     def sim_grid(self, t_lo: float, t_hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:
         """The cells of ``sim_cells`` flattened: one point (scalar shift or

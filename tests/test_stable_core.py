@@ -469,8 +469,8 @@ PRUNED_TIMES = [0.5, 1.0, 2.0]
 
 
 class TestPrunedSimulation:
-    """Dead cells (kernel 0 at every grid time) are skipped after their draws;
-    each path chunk is reduced by one fixed-shape matrix product."""
+    """Dead cells (kernel 0 at every grid time) take no draws; each path chunk
+    is reduced by one fixed-shape matrix product."""
 
     @pytest.mark.parametrize("spec", PRUNED_SPECS, ids=lambda s: s.label)
     def test_row_independent_of_n_paths(self, spec):
@@ -490,23 +490,46 @@ class TestPrunedSimulation:
     @pytest.mark.parametrize("spec", BATCH_SPECS,
                              ids=lambda s: f"{s.label}-{s.alpha}")
     def test_matches_unpruned_reference(self, spec):
-        # reference: every cell transformed, reduced with einsum over all
-        # cells; pruning may only drop zero columns and must keep each live
-        # cell's draw, so the two differ by reduction rounding alone
+        # reference: the live cells found from sim_grid and eval, n_live
+        # uniforms then n_live exponentials per path, reduced with einsum;
+        # the two differ by reduction rounding alone
         times = sorted({t for c in default_probes() for t in c.times})
         seed, n_paths = 17, 7
         k = ss.build(spec)
         pts, masses = k.sim_grid(times[0], times[-1], 1)
         kmat = np.array([k.eval(t, pts) for t in times]) * masses ** (1.0 / k.alpha)
+        live = np.any(kmat != 0.0, axis=0)
+        n_live = int(live.sum())
         base = np.random.Philox(key=np.uint64(seed))
         draws = []
         for i in range(n_paths):
             gen = np.random.Generator(base.jumped(i))
-            u = gen.random(masses.size)
-            draws.append(_cms(u, gen.standard_exponential(masses.size), k.alpha))
-        ref = np.einsum("pc,tc->pt", np.array(draws), kmat, optimize=False)
+            u = gen.random(n_live)
+            draws.append(_cms(u, gen.standard_exponential(n_live), k.alpha))
+        ref = np.einsum("pc,tc->pt", np.array(draws), kmat[:, live], optimize=False)
         got = ss.simulate(k, times, n_paths, seed=seed).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_dead_cells_take_no_draws(self, monkeypatch):
+        # lfsm's K(t, s) is 0 for s past every grid time; cells put there at
+        # the front, in the middle and at the back are dead and must leave
+        # every row bit for bit as it was
+        k = ss.build(ss.Lfsm(1.5, 0.7))
+        want = ss.simulate(k, PRUNED_TIMES, 300, seed=5).values
+        n_cells = k.sim_grid(PRUNED_TIMES[0], PRUNED_TIMES[-1], 1)[1].size
+        far = PRUNED_TIMES[-1] + np.arange(1.0, 13.0)
+        assert not any(np.any(k.eval(t, far)) for t in PRUNED_TIMES)
+        sim_cells = ss.Lfsm.sim_cells
+
+        def padded(self, t_lo, t_hi, level):
+            s, m = sim_cells(self, t_lo, t_hi, level)
+            at = np.repeat([0, s.size // 2, s.size], 4)
+            return np.insert(s, at, far), np.insert(m, at, 0.5)
+
+        monkeypatch.setattr(ss.Lfsm, "sim_cells", padded)
+        assert k.sim_grid(PRUNED_TIMES[0], PRUNED_TIMES[-1], 1)[1].size == n_cells + far.size
+        got = ss.simulate(k, PRUNED_TIMES, 300, seed=5).values
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPathEnsemble:
