@@ -72,11 +72,10 @@ def philox(seed: int) -> np.random.Philox:
 
 def _cms(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
     """Chambers-Mallows-Stuck transform of uniforms u on [0, 1) and standard
-    exponentials w into standard SaS variables, elementwise."""
+    exponentials w into standard SaS variables, elementwise.  At alpha = 1
+    the same formula gives sin(u) / cos(u) times 1, the Cauchy tan(u)."""
     u = (u - 0.5) * np.pi     # uniform on (-pi/2, pi/2)
     w = np.maximum(w, 1e-300)
-    if alpha == 1.0:
-        return np.tan(u)
     su = np.sin(alpha * u)
     cu = np.cos(u)
     t1 = su / cu ** (1.0 / alpha)
@@ -161,8 +160,6 @@ def _abs_power(o: np.ndarray, alpha: float) -> None:
     numpy's power is about 3x slower on exact zeros (which stay 0).  At
     alpha 0.5 ``**`` takes numpy's sqrt path, so this does too."""
     np.abs(o, out=o)
-    if alpha == 1.0:
-        return
     nonzero = o != 0.0
     if alpha == 0.5:
         np.sqrt(o, out=o, where=nonzero)

@@ -129,10 +129,8 @@ class Kernel(ABC):
     def evals(self, times: Iterable[float], points) -> Iterator[np.ndarray]:
         """K(t, .) on ``points`` for each of ``times`` in turn, bit for bit
         ``eval(t, points)``, with F(0, .) evaluated once for all of them."""
-        f0 = None
+        f0 = self.field(0.0, points)
         for t in times:
-            if f0 is None:
-                f0 = self.field(0.0, points)
             k_t = self.field(t, points)
             k_t -= f0
             yield k_t
@@ -298,7 +296,7 @@ def _power_hurst_violations(alpha: float, hurst: float) -> Iterator[str]:
 
 def _shift_cf_edges(times: Sequence[float], level: int) -> np.ndarray:
     """Shift partition of the moving-average families, graded at every probe time."""
-    return shift_partition(sorted(set(times) | {0.0}), level, tail_reach=1e3, tail_growth=10.0)
+    return shift_partition(sorted(set(times) | {0.0}), level, 1e3 * 10.0 ** level)
 
 
 def _shift_sim_edges(t_lo: float, t_hi: float, level: int) -> np.ndarray:
@@ -569,8 +567,7 @@ class TruncatedFractional(Kernel):
         # would add exact zeros only.
         radial = subdivided_power_cells(p_lo, p_hi, 8 + 4 * level, -1.0 - self.b, subs=4)
         bp = sorted(set(times) | {0.0})
-        edges = shift_partition(bp, level, tail_reach=4.0 * p_hi, tail_growth=1.0,
-                                nodes_per_decade=10)
+        edges = shift_partition(bp, level, 4.0 * p_hi, nodes_per_decade=10)
         end = int(np.searchsorted(edges, bp[-1]))
         return _product_cells(radial, edges[:end + 1])
 
@@ -578,9 +575,11 @@ class TruncatedFractional(Kernel):
         p_hi = 1e4 * 10.0 ** level
         radial = power_law_cells(1e-4 * 0.1 ** level, p_hi, 8 + 2 * level, -1.0 - self.b)[:2]
         lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
-        edges = shift_partition([lo, hi], level, base_nodes=64,
-                                tail_reach=4.0 * p_hi, tail_growth=1.0, nodes_per_decade=6)
-        return _product_cells(radial, edges)
+        edges = shift_partition([lo, hi], level, 4.0 * p_hi, base_nodes=64, nodes_per_decade=6)
+        # cut as in cf_cells: right of hi, K(t, .) is exactly 0 for every t
+        # of the window
+        end = int(np.searchsorted(edges, hi))
+        return _product_cells(radial, edges[:end + 1])
 
     def scaling_maps(self):
         return _RADIAL_TEST_POINTS, -1.0 - self.b, 1.0, 1.0
@@ -629,8 +628,7 @@ class Chentsov(Kernel):
         x_nodes, x_mass, _ = power_law_cells(1e-6 * scale, 1e6 * scale, 12 + 4 * level,
                                              self.beta - 2.0)
         lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
-        edges = shift_partition([lo, hi], level, base_nodes=48,
-                                tail_reach=4e6 * scale, tail_growth=1.0, nodes_per_decade=8)
+        edges = shift_partition([lo, hi], level, 4e6 * scale, base_nodes=48, nodes_per_decade=8)
         return _product_cells((x_nodes, x_mass), edges)
 
     def scaling_maps(self):
@@ -866,16 +864,14 @@ def _corner_cells(p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
     return cells
 
 
-def _check_integral_args(alpha: float, t: float, values: dict[str, float]) -> None:
-    """Reject an alpha outside (0, 2), a t that is not a finite positive
-    number, and any non-finite value of ``values``, naming the argument."""
-    for name, v in {"alpha": alpha, "t": t, **values}.items():
+def _check_integral_args(alpha: float, values: dict[str, float]) -> None:
+    """Reject a non-finite alpha or value of ``values``, naming the argument,
+    and an alpha outside (0, 2)."""
+    for name, v in {"alpha": alpha, **values}.items():
         if not math.isfinite(v):
             raise ValueError(f"{name} must be a finite number, got {v}")
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if t <= 0:
-        raise ValueError("t must be positive")
 
 
 def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerdict:
@@ -898,7 +894,9 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
     tried until two successive levels agree on "finite" or "divergent".
     alpha must lie in (0, 2), a and b must be finite and t finite and > 0.
     """
-    _check_integral_args(alpha, t, {"a": a, "b": b})
+    _check_integral_args(alpha, {"t": t, "a": a, "b": b})
+    if t <= 0:
+        raise ValueError("t must be positive")
     return _integral_I(alpha, a, b, t, {})
 
 
@@ -991,21 +989,22 @@ def _boundary_distance(alpha: float, a: float, b: float) -> float:
 
 
 def region_map(alpha: float, a_values: Sequence[float], b_values: Sequence[float],
-               t: float = 1.0, margin: float = 0.05) -> RegionMap:
-    """Classify the (a, b) grid by integral_I and score against the closed form.
+               margin: float = 0.05) -> RegionMap:
+    """Classify the (a, b) grid by integral_I at t = 1 and score against the
+    closed form.  The verdicts do not depend on t (see ``integral_I``).
 
     Points within ``margin`` of any region boundary line are reported but
-    excluded from the agreement score.  Within one call, the |K(t, .)|^alpha
+    excluded from the agreement score.  Within one call, the |K(1, .)|^alpha
     field of each a value is evaluated once per level and reused for all of
     its b values; every point's verdict and value equal those of its own
-    ``integral_I`` call bit for bit.
+    ``integral_I(alpha, a, b)`` call bit for bit.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be a finite number >= 0, got {margin}")
     a_values = tuple(float(x) for x in a_values)
     b_values = tuple(float(x) for x in b_values)
-    _check_integral_args(alpha, t, {**{f"a_values[{i}]": a for i, a in enumerate(a_values)},
-                                    **{f"b_values[{j}]": b for j, b in enumerate(b_values)}})
+    _check_integral_args(alpha, {**{f"a_values[{i}]": a for i, a in enumerate(a_values)},
+                                 **{f"b_values[{j}]": b for j, b in enumerate(b_values)}})
     verdicts = np.empty((len(a_values), len(b_values)), dtype=object)
     values = np.full((len(a_values), len(b_values)), np.nan)
     expected = np.zeros_like(values, dtype=bool)
@@ -1015,7 +1014,7 @@ def region_map(alpha: float, a_values: Sequence[float], b_values: Sequence[float
     for i, a in enumerate(a_values):
         weighted: dict = {}
         for j, b in enumerate(b_values):
-            res = _integral_I(alpha, a, b, t, weighted)
+            res = _integral_I(alpha, a, b, 1.0, weighted)
             verdicts[i, j] = res.verdict
             values[i, j] = res.value
             expected[i, j] = truncated_region(alpha, a, b)

@@ -67,8 +67,8 @@ def run_levels(eval_level: Callable[[int], float]) -> tuple[float | None, Certif
 _GRADE_POWER = 3.0
 
 
-def graded_edges(lo: float, hi: float, n: int,
-                 grade_lo: bool = True, grade_hi: bool = True) -> np.ndarray:
+def _graded_edges(lo: float, hi: float, n: int,
+                  grade_lo: bool = True, grade_hi: bool = True) -> np.ndarray:
     """Cell edges on [lo, hi] clustered toward graded endpoints; at least one
     of ``grade_lo`` and ``grade_hi`` is set.
 
@@ -126,15 +126,15 @@ def subdivided_power_cells(lo: float, hi: float, n_per_decade: int, exponent: fl
     return nodes, sub_masses
 
 
-def shift_partition(breakpoints, level: int, *, base_nodes: int = 8,
-                    tail_reach: float = 1e3, tail_growth: float = 10.0,
+def shift_partition(breakpoints, level: int, reach: float, *, base_nodes: int = 8,
                     nodes_per_decade: int = 8) -> np.ndarray:
     """Edges of a partition of an interval of the real shift coordinate.
 
     Panels between consecutive breakpoints are power-graded toward both ends
     (kernels have kinks or integrable singularities exactly there); beyond the
     extreme breakpoints the grid continues on a pad panel and then a geometric
-    tail out to ``tail_reach * tail_growth**level``.
+    tail out to distance ``reach`` from them.  The pad and the tail share
+    their common edge, so no cell there has zero width.
     """
     bp = np.unique(np.asarray(breakpoints, dtype=float))
     if bp.size == 0:
@@ -142,15 +142,14 @@ def shift_partition(breakpoints, level: int, *, base_nodes: int = 8,
     n = base_nodes * 2 ** level
     span = max(bp[-1] - bp[0], 1.0)
     pad = span
-    reach = tail_reach * tail_growth ** level
     ndec = max(2, int(np.ceil(np.log10(reach / pad) * (nodes_per_decade + 2 * level))))
     pieces = [bp[0] - np.geomspace(reach, pad, ndec + 1),
-              graded_edges(bp[0] - pad, bp[0], n, grade_lo=False)]
+              _graded_edges(bp[0] - pad, bp[0], n, grade_lo=False)[1:]]
     for a, b in zip(bp[:-1], bp[1:]):
         if b - a < 1e-14 * span:
             continue
-        pieces.append(graded_edges(a, b, n)[1:])
-    pieces.append(graded_edges(bp[-1], bp[-1] + pad, n, grade_hi=False)[1:])
+        pieces.append(_graded_edges(a, b, n)[1:])
+    pieces.append(_graded_edges(bp[-1], bp[-1] + pad, n, grade_hi=False)[1:])
     pieces.append((bp[-1] + np.geomspace(pad, reach, ndec + 1))[1:])
     return np.concatenate(pieces)
 

@@ -112,10 +112,13 @@ def _riemann_sum(curve: Curve, mult, a: float, b: float, n: int) -> np.ndarray:
     return np.tensordot(w, vals, axes=(0, 0))
 
 
-def integrate(curve: Curve, mult, interval: tuple[float, float], tol: float = 1e-8,
-              max_depth: int = 18) -> tuple[np.ndarray, ConvergenceCertificate]:
-    """Riemann integral over dyadic partitions, from 2**3 cells up, until
-    sums are F-norm Cauchy.
+_INTEGRATE_DEPTH = 18  # finest partition of integrate: 2**18 cells
+
+
+def integrate(curve: Curve, mult, interval: tuple[float, float],
+              tol: float = 1e-8) -> tuple[np.ndarray, ConvergenceCertificate]:
+    """Riemann integral over dyadic partitions, from 2**3 cells up to
+    2**18, until sums are F-norm Cauchy.
 
     Raises NotConvergedError with the certificate attached when the depth
     budget is exhausted before the Cauchy tolerance is met.
@@ -126,7 +129,7 @@ def integrate(curve: Curve, mult, interval: tuple[float, float], tol: float = 1e
     sizes: list[int] = []
     gaps: list[float] = []
     prev = None
-    for depth in range(3, max_depth + 1):
+    for depth in range(3, _INTEGRATE_DEPTH + 1):
         n = 2 ** depth
         s = _riemann_sum(curve, mult, a, b, n)
         sizes.append(n)
@@ -137,7 +140,7 @@ def integrate(curve: Curve, mult, interval: tuple[float, float], tol: float = 1e
                 return s, ConvergenceCertificate(tuple(sizes), tuple(gaps), True, tol)
         prev = s
     cert = ConvergenceCertificate(tuple(sizes), tuple(gaps), False, tol)
-    err = NotConvergedError(f"no Cauchy behavior within depth {max_depth}: gaps {gaps[-3:]}")
+    err = NotConvergedError(f"no Cauchy behavior within depth {_INTEGRATE_DEPTH}: gaps {gaps[-3:]}")
     err.certificate = cert
     raise err
 
@@ -181,28 +184,27 @@ class SemivariationEstimate:
 _SEMIVARIATION_DEPTH = 10  # finest partition of semivariation: 2**10 cells
 
 
-def semivariation(curve: Curve, delta: float, interval: tuple[float, float] = (0.0, 1.0),
-                  seed: int = 0) -> SemivariationEstimate:
-    """Lower-bound estimate of A(f, delta) = sup ||sum c_j (f(t_j)-f(t_j-1))||.
+def semivariation(curve: Curve, delta: float) -> SemivariationEstimate:
+    """Lower-bound estimate of A(f, delta) = sup ||sum c_j (f(t_j)-f(t_j-1))||
+    over partitions of [0, 1].
 
     For scalar curves the supremum over |c_j| <= delta is attained by
     c_j = delta * sign(increment), giving delta * total variation exactly on
     the sampled partition.  For vector values the search uses the
-    coordinate-optimal patterns plus 8 seeded random sign patterns, so the
+    coordinate-optimal patterns plus 8 random sign patterns (seed 0), so the
     result is a certified lower bound.  Computed as delta times the unit
     pattern supremum, hence exactly homogeneous in delta.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    a, b = float(interval[0]), float(interval[1])
     best_unit = 0.0
     sizes = []
     scalar = curve.space.label == "scalar"
-    rng = np.random.Generator(philox(seed))
+    rng = np.random.Generator(philox(0))
     for depth in range(2, _SEMIVARIATION_DEPTH + 1):
         n = 2 ** depth
         sizes.append(n)
-        ts = np.linspace(a, b, n + 1)
+        ts = np.linspace(0.0, 1.0, n + 1)
         vals = curve(ts)
         inc = np.diff(vals, axis=0)
         if scalar:

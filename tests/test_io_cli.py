@@ -707,7 +707,7 @@ class TestSpanCsvReader:
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "sio._CSV_SPAN_BYTES, sio._CSV_READ_POOL_MIN_VALUES = 256, 0\n"
                 "def stall(span, held):\n"
-                "    print(os.getpid(), flush=True)\n"
+                "    os.write(1, b'%d\\n' % os.getpid())\n"
                 "    time.sleep(600)\n"
                 "sio._read_span = stall\n"
                 f"with open({str(path)!r}) as fh:\n"

@@ -490,14 +490,68 @@ class TestTruncatedCfCells:
             for times in self.TIMES:
                 (r, s), _ = spec.cf_cells(times, level)
                 full = shift_partition(sorted(set(times) | {0.0}), level,
-                                       tail_reach=4.0 * 1e6 * 1e3 ** level, tail_growth=1.0,
-                                       nodes_per_decade=10)
+                                       4.0 * 1e6 * 1e3 ** level, nodes_per_decade=10)
                 kept = s.shape[1]
                 assert np.array_equal(cells_from_edges(full[:kept + 1])[0], s[0])
                 dropped = cells_from_edges(full[kept:])[0]
                 assert dropped.size > 0 and dropped.min() >= max(*times, 0.0)
                 for t in times:
                     assert not spec.eval(t, (r, dropped[None, :])).any()
+
+
+class TestTruncatedSimCells:
+    # windows (t_lo, t_hi): right of 0, across it, left of it
+    WINDOWS = ((0.05, 3.0), (0.5, 2.0), (-1.0, 0.5), (-3.0, -1.0))
+    SPECS = TestTruncatedCfCells.SPECS
+
+    @pytest.mark.parametrize("spec", SPECS, ids=("a>0", "a<0"))
+    def test_dropped_cells_are_exact_zeros(self, spec):
+        # the grid is the full partition cut at max(t_hi, 0); on every cell
+        # right of the cut, K(t, .) is exactly 0 for every time of the window
+        for level in (0, 1, 2):
+            for t_lo, t_hi in self.WINDOWS:
+                (r, s), _ = spec.sim_cells(t_lo, t_hi, level)
+                full = shift_partition([min(t_lo, 0.0), max(t_hi, 0.0)], level,
+                                       4.0 * 1e4 * 10.0 ** level, base_nodes=64,
+                                       nodes_per_decade=6)
+                kept = s.shape[1]
+                assert full[kept] == max(t_hi, 0.0)
+                assert np.array_equal(cells_from_edges(full[:kept + 1])[0], s[0])
+                dropped = cells_from_edges(full[kept:])[0]
+                assert dropped.size > 0 and dropped.min() >= max(t_hi, 0.0)
+                for t in np.linspace(t_lo, t_hi, 7):
+                    assert not spec.eval(t, (r, dropped[None, :])).any()
+
+
+def _probe_time_sets():
+    """The default probes' time sets: as they are, shifted by 5, and negated."""
+    sets = [tuple(c.times) for c in default_probes()]
+    return [tuple(sign * t + shift for t in ts)
+            for sign, shift in ((1.0, 0.0), (1.0, 5.0), (-1.0, 0.0)) for ts in sets]
+
+
+class TestCellMasses:
+    # every cell carries mass: a zero-mass cell adds nothing to an integral
+    # or a path, yet costs its kernel evaluations
+    SPECS = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+    IDS = (*CATALOG_IDS, "increment-Lfsm")
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_cf_cells_have_positive_masses(self, spec):
+        k = ss.build(spec)
+        for level in (0, 1, 2):
+            for times in _probe_time_sets():
+                _, masses = k.cf_cells(times, level)
+                assert masses.min() > 0.0, (level, times)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_sim_cells_have_positive_masses(self, spec):
+        k = ss.build(spec)
+        windows = {(min(ts), max(ts)) for ts in _probe_time_sets()} | {(-1.0, 0.5), (-3.0, 2.0)}
+        for level in (0, 1, 2):
+            for window in sorted(windows):
+                _, masses = k.sim_cells(*window, level)
+                assert masses.min() > 0.0, (level, window)
 
 
 class TestIntegralI:
@@ -626,22 +680,21 @@ class TestRegionMap:
     def test_matches_separate_integral_I_calls(self):
         # the per-a field shared across the b sweep changes no value or verdict
         a_grid, b_grid = (-1.0, -0.5, 0.0, 0.5), (-0.6, -0.2, 0.5)
-        rm = ss.region_map(1.5, a_grid, b_grid, t=2.0)
+        rm = ss.region_map(1.5, a_grid, b_grid)
         for i, a in enumerate(a_grid):
             for j, b in enumerate(b_grid):
-                r = integral_I(1.5, a, b, t=2.0)
+                r = integral_I(1.5, a, b)
                 assert ((rm.verdicts[i, j], repr(float(rm.values[i, j])))
                         == (r.verdict, repr(float(r.value))))
 
-    @pytest.mark.parametrize("alpha, a_values, b_values, t, message", [
-        (1.5, [0.5], [0.5], math.inf, "t must be a finite number"),
-        (1.5, [0.5, math.nan], [0.5], 1.0, r"a_values\[1\] must be a finite number"),
-        (1.5, [0.5], [math.inf], 1.0, r"b_values\[0\] must be a finite number"),
-        (2.5, [0.5], [0.5], 1.0, r"alpha must lie in \(0, 2\)"),
+    @pytest.mark.parametrize("alpha, a_values, b_values, message", [
+        (1.5, [0.5, math.nan], [0.5], r"a_values\[1\] must be a finite number"),
+        (1.5, [0.5], [math.inf], r"b_values\[0\] must be a finite number"),
+        (2.5, [0.5], [0.5], r"alpha must lie in \(0, 2\)"),
     ])
-    def test_bad_arguments_rejected(self, alpha, a_values, b_values, t, message):
+    def test_bad_arguments_rejected(self, alpha, a_values, b_values, message):
         with pytest.raises(ValueError, match=message):
-            ss.region_map(alpha, a_values, b_values, t=t)
+            ss.region_map(alpha, a_values, b_values)
 
     def test_boundary_points_excluded_from_scoring(self):
         # (0.5, 0.75) lies exactly on b = alpha a

@@ -132,7 +132,7 @@ class TestCfExponent:
         assert r.value is None
         assert r.certificate == Certificate(
             (1, 2, 3, 4),
-            (2.608949412922411, 3.0530620751517197, 3.4968957879617255, 3.9405794141019204),
+            (2.6089494129224104, 3.0530620751517197, 3.496895787961725, 3.9405794141019204),
             "diverged", 0.001)
 
 
