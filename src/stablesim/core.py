@@ -59,6 +59,19 @@ def combo(*terms: tuple[float, float]) -> LinearCombo:
     return LinearCombo(tuple((float(th), float(t)) for th, t in terms))
 
 
+def _grid(values, min_points: int, name: str = "times") -> np.ndarray:
+    """``values`` as floats, once they form a 1-d, strictly increasing grid of
+    at least ``min_points`` finite points; ValueError naming ``name`` otherwise.
+    Finiteness is its own test: ``diff(t) <= 0`` is False at a nan anywhere
+    and at a last point of +inf."""
+    t = np.asarray(values, dtype=float)
+    if (t.ndim != 1 or t.size < min_points or not np.isfinite(t).all()
+            or np.any(np.diff(t) <= 0)):
+        raise ValueError(f"{name} must be a strictly increasing 1-d grid of at least "
+                         f"{min_points} finite points")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -263,9 +276,7 @@ class PathEnsemble:
     spec_digest: str
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+        t = _grid(self.times, 0)
         shape = np.shape(self.values)
         if len(shape) != 2 or shape[1] != t.size:
             raise ValueError(f"values must have shape (n_paths, {t.size}), got {shape}")
@@ -308,9 +319,7 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     n_paths or on the worker count.  The chunks run on a pool of
     ``threads`` workers, or in the calling thread when ``threads`` is 1.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("times must be a strictly increasing 1-d grid")
+    t = _grid(times, 1)
     if n_paths < 0:
         raise ValueError(f"n_paths must be nonnegative, got {n_paths}")
     if threads < 1:

@@ -123,12 +123,13 @@ class Kernel(ABC):
 
     def eval(self, t: float, points) -> np.ndarray:
         """K(t, point) = F(t, point) - F(0, point) for every point, in the
-        layout of ``field``."""
-        return self.field(t, points) - self.field(0.0, points)
+        layout of ``field``: the one-time case of ``evals``."""
+        return next(self.evals((t,), points))
 
     def evals(self, times: Iterable[float], points) -> Iterator[np.ndarray]:
-        """K(t, .) on ``points`` for each of ``times`` in turn, bit for bit
-        ``eval(t, points)``, with F(0, .) evaluated once for all of them."""
+        """K(t, .) = F(t, .) - F(0, .) on ``points`` for each of ``times`` in
+        turn, with F(0, .) evaluated once for all of them and subtracted in
+        place."""
         f0 = self.field(0.0, points)
         for t in times:
             k_t = self.field(t, points)
@@ -280,6 +281,17 @@ def _power_plus(u: np.ndarray, g: float) -> np.ndarray:
     return out
 
 
+def _two_sided(u: np.ndarray, g: float, c_plus: float, c_minus: float) -> np.ndarray:
+    # c_plus u_+^g + c_minus u_-^g; a zero coefficient's term is skipped, not
+    # multiplied, since 0 * inf^g is nan at u = +-inf for g > 0
+    out = np.zeros_like(u)
+    if c_plus != 0.0:
+        out += c_plus * _power_plus(u, g)
+    if c_minus != 0.0:
+        out += c_minus * _power_plus(-u, g)
+    return out
+
+
 def _trunc_f(u: np.ndarray, p: np.ndarray, a: float) -> np.ndarray:
     # u_+^a ^ p^a with 0^a := 0, for either sign of a; the powers are taken on
     # u and p separately, so broadcast (radial, shift) factors stay cheap
@@ -309,6 +321,9 @@ def _shift_sim_edges(t_lo: float, t_hi: float, level: int) -> np.ndarray:
     ndec = max(2, int(np.ceil(np.log10(reach / (0.25 * pad)) * 8)))
     left = core[0] - np.geomspace(reach, 0.25 * pad, ndec + 1) + 0.25 * pad
     right = core[-1] + np.geomspace(0.25 * pad, reach, ndec + 1) - 0.25 * pad
+    # the tails' inner edges can miss the core's ends by an ulp, which would
+    # leave a sliver cell next to each end
+    left[-1], right[0] = core[0], core[-1]
     return np.unique(np.concatenate([left, core, right]))
 
 
@@ -383,13 +398,7 @@ class Lfsm(_ShiftFamily):
         return self.hurst
 
     def profile(self, u):
-        g = self.hurst - 1.0 / self.alpha
-        out = np.zeros_like(u)
-        if self.c_plus != 0.0:
-            out += self.c_plus * _power_plus(u, g)
-        if self.c_minus != 0.0:
-            out += self.c_minus * _power_plus(-u, g)
-        return out
+        return _two_sided(u, self.hurst - 1.0 / self.alpha, self.c_plus, self.c_minus)
 
 
 @dataclass(frozen=True)
@@ -411,12 +420,9 @@ class LinearMotion(_ShiftFamily):
         return 1.0 / self.alpha
 
     def profile(self, u):
-        out = np.zeros_like(u)
-        if self.c_plus != 0.0:
-            out += self.c_plus * (u > 0.0)
-        if self.c_minus != 0.0:
-            out += self.c_minus * (u < 0.0)
-        return out
+        """Lfsm's profile at H = 1/alpha, where g = 0: u_+^0 is the indicator
+        of u > 0, also at u = +inf."""
+        return _two_sided(u, 0.0, self.c_plus, self.c_minus)
 
 
 @dataclass(frozen=True)
@@ -537,15 +543,10 @@ class TruncatedFractional(Kernel):
         elif self.a > 0.0 and self.alpha <= 1.0:
             yield (f"a > 0 requires alpha > 1 (region max(0, alpha*a-alpha+1) < b < alpha*a "
                    f"is empty), got alpha={self.alpha}")
-        elif not truncated_region(self.alpha, self.a, self.b):
-            aa = self.alpha * self.a
-            if self.a > 0:
-                yield (f"requires max(0, alpha*a-alpha+1) < b < alpha*a, i.e. "
-                       f"{max(0.0, aa - self.alpha + 1.0):.6g} < b < {aa:.6g}; got b={self.b}")
-            else:
-                yield (f"requires max(alpha*a, alpha*a-alpha+1) < b < min(0, alpha*a+1), i.e. "
-                       f"{max(aa, aa - self.alpha + 1.0):.6g} < b < {min(0.0, aa + 1.0):.6g}; "
-                       f"got b={self.b}")
+        else:
+            lo, hi, formula = _truncated_bounds(self.alpha, self.a)
+            if not lo < self.b < hi:
+                yield f"requires {formula}, i.e. {lo:.6g} < b < {hi:.6g}; got b={self.b}"
 
     def hurst_exponent(self):
         return (self.alpha * self.a - self.b + 1.0) / self.alpha
@@ -561,14 +562,13 @@ class TruncatedFractional(Kernel):
         p_lo = 1e-6 * 1e-3 ** level
         p_hi = 1e6 * 1e3 ** level
         # The grid ends at the first edge at or right of the last breakpoint
-        # bp[-1] (bp[-1] itself unless its panel was too narrow to keep):
-        # for s >= bp[-1] both (t - s)_+ and (-s)_+ are 0, so
+        # m = max(times, 0) (m itself unless its panel was too narrow to
+        # keep): for s >= m both (t - s)_+ and (-s)_+ are 0, so
         # F(t, .) = F(0, .) = 0 (0^a := 0) and the right pad panel and tail
         # would add exact zeros only.
         radial = subdivided_power_cells(p_lo, p_hi, 8 + 4 * level, -1.0 - self.b, subs=4)
-        bp = sorted(set(times) | {0.0})
-        edges = shift_partition(bp, level, 4.0 * p_hi, nodes_per_decade=10)
-        end = int(np.searchsorted(edges, bp[-1]))
+        edges = shift_partition([*times, 0.0], level, 4.0 * p_hi, nodes_per_decade=10)
+        end = int(np.searchsorted(edges, max(*times, 0.0)))
         return _product_cells(radial, edges[:end + 1])
 
     def sim_cells(self, t_lo, t_hi, level):
@@ -776,9 +776,18 @@ def truncated_region(alpha: float, a: float, b: float) -> bool:
     """
     if a == 0.0:
         return False
+    lo, hi, _ = _truncated_bounds(alpha, a)
+    return lo < b < hi
+
+
+def _truncated_bounds(alpha: float, a: float) -> tuple[float, float, str]:
+    """(lo, hi, formula) for a != 0: the truncated-fractional family is well
+    posed exactly when lo < b < hi, and ``formula`` states the two bounds."""
+    aa = alpha * a
     if a > 0.0:
-        return max(0.0, alpha * a - alpha + 1.0) < b < alpha * a
-    return max(alpha * a, alpha * a - alpha + 1.0) < b < min(0.0, alpha * a + 1.0)
+        return max(0.0, aa - alpha + 1.0), aa, "max(0, alpha*a-alpha+1) < b < alpha*a"
+    return (max(aa, aa - alpha + 1.0), min(0.0, aa + 1.0),
+            "max(alpha*a, alpha*a-alpha+1) < b < min(0, alpha*a+1)")
 
 
 def validate(spec: Kernel) -> Admissibility:

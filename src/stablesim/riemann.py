@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import philox
+from .core import _grid, philox
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class StepMultiplier:
     def __post_init__(self):
         if len(self.edges) != len(self.values) + 1:
             raise ValueError("need len(edges) == len(values) + 1")
-        if any(b <= a for a, b in zip(self.edges[:-1], self.edges[1:])):
-            raise ValueError("edges must be strictly increasing")
+        _grid(self.edges, 2, "edges")
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -123,9 +122,7 @@ def integrate(curve: Curve, mult, interval: tuple[float, float],
     Raises NotConvergedError with the certificate attached when the depth
     budget is exhausted before the Cauchy tolerance is met.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if b <= a:
-        raise ValueError("empty interval")
+    a, b = _grid(interval, 2, "interval").tolist()
     sizes: list[int] = []
     gaps: list[float] = []
     prev = None

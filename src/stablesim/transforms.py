@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _grid
 from .kernels import Kernel
 
 
@@ -26,9 +27,7 @@ class PathFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing with >= 2 points")
+        t = _grid(self.times, 2)
         if np.asarray(self.values).shape[-1] != t.size:
             raise ValueError("values last axis must match times")
 
@@ -150,9 +149,6 @@ class IncrementProcess(Kernel):
         # the increment process is stationary: its kernel is its own field
         # F_T(t, .) = K(t + lag, .) - K(t, .), with no F_T(0, .) term
         return self.source.eval(t + self.lag, pts) - self.source.eval(t, pts)
-
-    def eval(self, t, pts):
-        return self.field(t, pts)
 
     def flow(self, t, pts):
         return self.source.flow(t, pts)

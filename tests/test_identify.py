@@ -37,6 +37,19 @@ class TestMixingMeasure:
         with pytest.raises(ValueError):
             mixing_measure([((0.0, 0.0), 1.0)], ALPHA)
 
+    def test_atoms_on_one_ray_merge(self):
+        m = mixing_measure([((1.0, 0.0), 1.0), ((2.0, 0.0), 1.0)], ALPHA)
+        assert [o for o, _ in m] == [(1.0, 0.0), (-1.0, 0.0)]
+        assert [w for _, w in m] == pytest.approx([1.0 + 2.0**ALPHA] * 2, rel=1e-12)
+
+    def test_atoms_across_zero_angle_merge(self):
+        # angles +-1e-12 sort to the two ends of [0, 2 pi): one direction
+        eps = 1e-12
+        m = mixing_measure([((math.cos(eps), math.sin(eps)), 1.0),
+                            ((math.cos(eps), -math.sin(eps)), 1.0)], ALPHA)
+        assert len(m) == 2
+        assert [w for _, w in m] == pytest.approx([2.0, 2.0], rel=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 10.0))
     def test_weight_rescaling_linear(self, lam):
@@ -56,6 +69,13 @@ class TestSameMixedLfsm:
 
     def test_distinct_directions_differ(self):
         assert not same_mixed_lfsm([((1.0, 0.0), 1.0)], [((0.0, 1.0), 1.0)], ALPHA)
+
+    def test_different_atom_counts_differ(self):
+        assert not same_mixed_lfsm([((1.0, 0.0), 1.0)],
+                                   [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)], ALPHA)
+
+    def test_different_weights_differ(self):
+        assert not same_mixed_lfsm([((1.0, 0.0), 1.0)], [((1.0, 0.0), 2.0)], ALPHA)
 
     def test_equal_measures_give_equal_cf(self):
         # equality of the sphere measures must be confirmed by the simulator's
@@ -96,6 +116,9 @@ class TestRayTest:
 
     def test_oblique_ray(self):
         assert ray_test([((1.0, 1.0), 1.0), ((-3.0, -3.0), 2.0)])
+
+    def test_zero_atoms_only(self):
+        assert not ray_test([((0.0, 0.0), 1.0), ((0.0, 0.0), 2.0)])
 
 
 class TestMinimalPeriod:
@@ -175,3 +198,8 @@ class TestMatchRotating:
         assert (w12.shift + w21.shift) % (2.0 * math.pi) == pytest.approx(0.0, abs=1e-6) or \
                (w12.shift + w21.shift) % (2.0 * math.pi) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
+    def test_zero_fundamental_matches_nothing(self):
+        # g1's fundamental k = 1 is absent from g2, so no phase to match
+        g1 = FourierSeries(((1, 1.0, 0.0), (2, 0.5, 0.0)))
+        g2 = FourierSeries(((2, 1.0, 0.0), (3, 0.5, 0.0)))
+        assert match_rotating(g1, 0.8, g2, 0.8) is None

@@ -1011,6 +1011,42 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_transform_nan_time_exit_2(self, specdir, capsys):
+        # a nan time passed every grid check, and masani-inverse wrote nan
+        csv_in = specdir["dir"] / "nan.csv"
+        csv_in.write_text("time,path_0\n0.0,1.0\nnan,2.0\n1.0,3.0\n")
+        out = specdir["dir"] / "t.csv"
+        rc = main(["transform", "--input", str(csv_in), "--op", "masani-inverse",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        (line,) = captured.err.strip().splitlines()
+        assert line == ("stablesim transform: times must be a strictly increasing 1-d grid "
+                        "of at least 2 finite points")
+
+    def test_transform_masani_round_trip(self, specdir, capsys):
+        # masani-forward, then masani-inverse, through main: the round trip
+        # is first order in dt, as TestMasaniRoundTrip pins for the library
+        spec = specdir["dir"] / "linear_motion.json"
+        spec.write_text(json.dumps({"family": "linear_motion", "alpha": 1.5}))
+        errs = []
+        for n in (1409, 2817, 5633):  # dt = 2^-6, 2^-7, 2^-8 on [-20, 2]
+            x, y, back = (str(specdir["dir"] / f"{name}{n}.csv") for name in ("x", "y", "back"))
+            assert main(["simulate", "--spec", str(spec), "--n-paths", "10", f"--t=-20:2:{n}",
+                         "--seed", "5", "--out", x]) == 0
+            assert main(["transform", "--input", x, "--op", "masani-forward", "--out", y]) == 0
+            assert "history truncation bound" in capsys.readouterr().out
+            assert main(["transform", "--input", y, "--op", "masani-inverse", "--out", back]) == 0
+            with open(x) as fh:
+                t0, v0 = sio.read_ensemble_csv(fh)
+            with open(back) as fh:
+                t1, v1 = sio.read_ensemble_csv(fh)
+            keep = t0 >= -1e-12
+            assert np.array_equal(t1, t0[keep])
+            errs.append(np.max(np.abs(v1 - v0[:, keep])))
+        for r in (errs[0] / errs[1], errs[1] / errs[2]):
+            assert 1.7 <= r <= 2.3
+
     def test_transform_requires_hurst(self, specdir, capsys):
         rc = main(["transform", "--input", "whatever.csv",
                    "--op", "lamperti-to-stationary", "--out", "o.csv"])

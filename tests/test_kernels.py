@@ -86,6 +86,62 @@ class TestValidate:
         with pytest.raises(ss.InvalidSpecError):
             ss.build(ss.TruncatedFractional(1.5, 0.5, 0.9))
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, 0.5, 0.9), "requires max(0, alpha*a-alpha+1) < b < alpha*a, i.e. 0.25 < b < 0.75; "
+                          "got b=0.9"),
+        ((1.5, -0.5, -0.8), "requires max(alpha*a, alpha*a-alpha+1) < b < min(0, alpha*a+1), "
+                            "i.e. -0.75 < b < 0; got b=-0.8"),
+        ((0.5, -0.5, -0.2), "requires max(alpha*a, alpha*a-alpha+1) < b < min(0, alpha*a+1), "
+                            "i.e. 0.25 < b < 0; got b=-0.2"),
+    ], ids=["a>0", "a<0", "a<0-alpha<1"])
+    def test_truncated_region_violation_text(self, args, message):
+        assert ss.validate(ss.TruncatedFractional(*args)).violations == (message,)
+
+    @pytest.mark.parametrize("atoms, message", [
+        ((((0.0, 0.0), 1.0), ((0.0, 0.0), 2.0)), "requires at least one atom with b != 0"),
+        ((((1.0, 0.0), 1.0), ((0.0, 1.0), 0.0)), "requires all atom weights > 0"),
+        ((((1.0, 0.0), -1.0),), "requires all atom weights > 0"),
+    ], ids=["zero-b", "zero-weight", "negative-weight"])
+    def test_mixed_lfsm_atoms(self, atoms, message):
+        assert ss.validate(ss.MixedLfsm(1.5, 0.7, atoms)).violations == (message,)
+
+    def test_rotating_needs_nonzero_profile(self):
+        rep = ss.validate(ss.RotatingAverage(1.5, 0.8, ss.FourierSeries(((1, 0.0, 0.0),), 1.0)))
+        assert rep.violations == ("requires a nonzero Fourier profile",)
+
+
+class TestSameLaw:
+    def test_mixed_lfsm_unequal_alpha(self):
+        atoms = (((1.0, 0.0), 1.0),)
+        doc = ss.MixedLfsm(1.5, 0.7, atoms).same_law(ss.MixedLfsm(1.2, 0.7, atoms))
+        assert doc["kind"] == "mixed_lfsm" and doc["equal_in_law"] is False
+
+    def test_rotating_unequal_alpha(self):
+        g = ss.FourierSeries(((1, 1.0, 0.0),))
+        doc = ss.RotatingAverage(1.5, 0.8, g).same_law(ss.RotatingAverage(1.2, 0.8, g))
+        assert doc == {"kind": "rotating_average", "equal_in_law": False}
+
+
+class TestTwoSidedProfile:
+    U = np.array([-np.inf, -2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0, np.inf, np.nan])
+
+    @pytest.mark.parametrize("c_plus, c_minus", [(1.0, 0.0), (0.0, 1.0), (2.0, -0.5), (-1.0, 0.0)])
+    def test_linear_motion_is_the_indicator(self, c_plus, c_minus):
+        # lfsm's profile at H = 1/alpha, bit for bit the indicator form
+        want = np.zeros_like(self.U)
+        if c_plus != 0.0:
+            want += c_plus * (self.U > 0.0)
+        if c_minus != 0.0:
+            want += c_minus * (self.U < 0.0)
+        got = ss.LinearMotion(1.5, c_plus, c_minus).profile(self.U)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("c_plus, c_minus", [(1.0, 0.0), (0.0, 1.0)])
+    def test_lfsm_zero_coefficient_skipped(self, c_plus, c_minus):
+        # with g > 0, 0 * inf^g would be nan at u = -inf or +inf
+        f = ss.Lfsm(1.5, 0.9, c_plus, c_minus).profile(np.array([-np.inf, np.inf]))
+        assert sorted(f.tolist()) == [0.0, np.inf]
+
 
 class TestHurst:
     def test_truncated_formula(self):
@@ -552,6 +608,26 @@ class TestCellMasses:
             for window in sorted(windows):
                 _, masses = k.sim_cells(*window, level)
                 assert masses.min() > 0.0, (level, window)
+
+
+class TestShiftSimCells:
+    # the geometric tails of the shift families' simulation edges end exactly
+    # at the uniform core's ends: an edge that missed one by an ulp left a
+    # cell about 4e-16 wide, whose nonzero mass made it live
+    SPECS = (*ss.catalog_specs()[:4], increment_process(ss.Lfsm(1.5, 0.7), 1.0))
+    IDS = (*CATALOG_IDS[:4], "increment-Lfsm")
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_no_sliver_cells(self, spec):
+        lag = getattr(spec, "lag", 0.0)
+        windows = np.sort(np.random.default_rng(7).uniform(-5.0, 5.0, (300, 2)), axis=1)
+        for level in (0, 1, 2):
+            for t_lo, t_hi in windows:
+                _, masses = spec.sim_cells(t_lo, t_hi, level)
+                # the catalog mixed_lfsm's first atom weighs 1: its row is the widths
+                widths = masses.reshape(-1, masses.shape[-1])[0]
+                span = max(max(t_hi + lag, 0.0) - min(t_lo, 0.0), 1.0)
+                assert widths.min() >= 1e-12 * span, (level, t_lo, t_hi)
 
 
 class TestIntegralI:

@@ -153,3 +153,24 @@ class TestSemivariation:
         curve = Curve(fn, ensemble_space())
         est = semivariation(curve, 0.5)
         assert est.value >= 0.25 - 1e-12  # F-norm of 0.5 * unit increment sum
+
+
+class TestNamedErrors:
+    def test_step_multiplier_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"len\(edges\) == len\(values\) \+ 1"):
+            StepMultiplier((0.0, 1.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("edges", [(0.0, 0.0), (1.0, 0.5), (0.0, 0.5, 0.5)])
+    def test_step_multiplier_bad_edges(self, edges):
+        with pytest.raises(ValueError, match="edges must be a strictly increasing"):
+            StepMultiplier(edges, (1.0,) * (len(edges) - 1))
+
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (1.0, 0.0)])
+    def test_integrate_empty_interval(self, interval):
+        with pytest.raises(ValueError, match="interval must be a strictly increasing"):
+            integrate(scalar_curve(lambda t: t), constant_multiplier(1.0, 0.0, 1.0), interval)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_semivariation_needs_positive_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            semivariation(scalar_curve(lambda t: t), delta)

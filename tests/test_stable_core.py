@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import stablesim as ss
 from stablesim import core
 from stablesim.core import _BLOCK_CELLS, _cms
-from stablesim.quadrature import Certificate, pairwise_sum
-from stablesim.transforms import increment_process
+from stablesim.quadrature import RTOL, Certificate, pairwise_sum, run_levels, shift_partition
+from stablesim.riemann import StepMultiplier, constant_multiplier, integrate, scalar_curve
+from stablesim.transforms import PathFunction, increment_process
 from stablesim.verify import check_stationary_increments, default_probes
 
 
@@ -540,6 +541,61 @@ class TestPathEnsemble:
 
     def test_no_paths_accepted(self):
         assert ss.PathEnsemble(np.array([0.5, 1.0]), np.zeros((0, 2)), 0, "x").n_paths == 0
+
+
+_BAD_GRIDS = {"nan-last": [0.5, math.nan], "nan-first": [math.nan, 0.5],
+              "nan-inside": [0.5, math.nan, 1.0], "inf-last": [0.5, math.inf],
+              "minus-inf-first": [-math.inf, 0.5]}
+_GRID_CALLERS = {
+    "simulate": lambda t: ss.simulate(ss.build(ss.Lfsm(1.5, 0.7)), t, 4, 0),
+    "PathEnsemble": lambda t: ss.PathEnsemble(np.array(t), np.zeros((1, len(t))), 0, ""),
+    "PathFunction": lambda t: PathFunction(np.array(t), np.zeros(len(t))),
+    "StepMultiplier": lambda t: StepMultiplier(tuple(t), (1.0,) * (len(t) - 1)),
+    "integrate": lambda t: integrate(scalar_curve(lambda s: s), constant_multiplier(1.0, 0.0, 1.0),
+                                     tuple(t)),
+}
+
+
+class TestGrid:
+    # every time grid is checked by core._grid; diff(t) <= 0 alone is False
+    # at a nan anywhere and at a last point of +inf (simulate returned finite
+    # values at a nan time: -F(0, c) w_c S_c summed, as the profile reads nan as 0)
+    @pytest.mark.parametrize("grid", _BAD_GRIDS.values(), ids=_BAD_GRIDS)
+    @pytest.mark.parametrize("caller", _GRID_CALLERS.values(), ids=_GRID_CALLERS)
+    def test_non_finite_point_rejected(self, caller, grid):
+        with pytest.raises(ValueError, match="strictly increasing 1-d grid .* finite points"):
+            caller(grid)
+
+    def test_returns_floats_and_names_the_grid(self):
+        t = core._grid([0, 1, 3], 2)
+        assert t.dtype == float and t.tolist() == [0.0, 1.0, 3.0]
+        assert core._grid([], 0).size == 0
+        for values, n in (([1.0], 2), ([], 1), ([[0.0, 1.0]], 0), ([1.0, 1.0], 0), ([1.0, 0.5], 0)):
+            with pytest.raises(ValueError, match=f"^edges must be a strictly increasing 1-d grid "
+                                                 f"of at least {n} finite points$"):
+                core._grid(values, n, "edges")
+
+
+class TestNamedErrors:
+    def test_combo_without_terms(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            ss.combo()
+
+    def test_expect_on_diverged_certificate(self):
+        r = core.CfExponent(None, Certificate((1, 2, 3, 4), (1.0, 2.0, 4.0, 8.0), "diverged", RTOL))
+        with pytest.raises(ss.DivergenceError, match="diverged"):
+            r.expect()
+
+    def test_exhausted_certificate(self):
+        # values that neither settle nor keep growing run every level
+        value, cert = run_levels(lambda level: (-1.0) ** level)
+        assert value == -1.0
+        assert cert == Certificate((1, 2, 3, 4, 5), (-1.0, 1.0, -1.0, 1.0, -1.0), "exhausted", RTOL)
+        assert not cert.converged
+
+    def test_shift_partition_without_breakpoints(self):
+        with pytest.raises(ValueError, match="at least one breakpoint"):
+            shift_partition([], 1, 1e3)
 
 
 class TestEmpiricalCf:

@@ -236,3 +236,32 @@ class TestIncrementProcess:
         vals = [ss.cf_exponent(inc, ss.combo((1.0, t), (-0.5, t + 1.0)), level=1).expect()
                 for t in (0.0, 2.0, 5.0)]
         assert max(vals) - min(vals) < 1e-3 * vals[0]
+
+
+class TestNamedErrors:
+    def test_forward_grid_must_reach_zero(self):
+        t = dense_grid(-L, -1.0, 1.0 / 16)
+        with pytest.raises(ValueError, match="grid must reach t = 0"):
+            masani_forward(PathFunction(t, np.zeros_like(t)), history=L)
+
+    def test_lamperti_to_needs_positive_grid(self):
+        t = np.array([-1.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            lamperti_to_stationary(PathFunction(t, np.zeros(3)), 0.7)
+
+    def test_lamperti_from_needs_uniform_grid(self):
+        u = np.array([0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="uniform grid"):
+            lamperti_from_stationary(PathFunction(u, np.zeros(3)), 0.7)
+
+    def test_negative_lag(self):
+        with pytest.raises(ValueError, match="lag must be nonnegative"):
+            increment_process(ss.build(ss.Lfsm(1.5, 0.7)), -1.0)
+
+    def test_path_function_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 finite points"):
+            PathFunction(np.array([1.0]), np.zeros(1))
+
+    def test_path_function_values_last_axis(self):
+        with pytest.raises(ValueError, match="values last axis must match times"):
+            PathFunction(np.array([0.0, 1.0]), np.zeros((2, 3)))

@@ -99,6 +99,11 @@ class TestSelfSimilar:
         assert rep.passed
         assert np.mean(rep.details["fitted_hurst"]) == pytest.approx(1.2, rel=0.01)
 
+    def test_kernel_without_hurst_exponent(self):
+        k = increment_process(ss.build(ss.Lfsm(1.5, 0.7)), 1.0)
+        with pytest.raises(ValueError, match="kernel has no Hurst exponent; pass target_hurst"):
+            check_self_similar(k)
+
     def test_negative_control_perturbed_b(self):
         # kernel from b=0.6 has H = 23/30, not 5/6; the slope check against
         # the unperturbed target must fail
