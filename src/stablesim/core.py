@@ -277,6 +277,7 @@ class PathEnsemble:
 
     def __post_init__(self):
         t = _grid(self.times, 0)
+        object.__setattr__(self, "times", t)  # a list input is kept as the checked array
         shape = np.shape(self.values)
         if len(shape) != 2 or shape[1] != t.size:
             raise ValueError(f"values must have shape (n_paths, {t.size}), got {shape}")

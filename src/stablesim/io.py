@@ -1,11 +1,18 @@
 """JSON family-spec documents, ensemble CSV files and report serialization,
 and the forked span workers (``_span_results``) that the CSV writer and
-reader and the quadrature oracle (``core.cf_exponents``) share."""
+reader and the quadrature oracle (``core.cf_exponents``) share.
+
+The CSV writer prints each value as ``repr`` does, byte for byte, but a
+span of values at a time: a shortest-digit search in numpy integer
+arithmetic (Schubfach: R. Giulietti, *The Schubfach way to render doubles*,
+2020; the digits of Ryu, U. Adams, PLDI 2018, and of ``repr``) and a
+gather of each field's characters through a table of ``repr``'s layouts."""
 
 from __future__ import annotations
 
 import codecs
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -22,14 +29,17 @@ from . import kernels as K
 
 SCHEMA_VERSION = 1
 _CSV_BLOCK_ROWS = 64  # rows per parse block of read_ensemble_csv
-_CSV_SPAN_ROWS = 8  # rows per task of write_ensemble_csv's worker processes
+# values per span of write_ensemble_csv, the unit it formats and hands to a
+# worker process: a span's temporaries peak near 400 bytes per value, each
+# span costs about 0.4 ms more, and 2^13 to 2^15 values format equally fast
+_CSV_SPAN_VALUES = 1 << 14
 _CSV_SPAN_BYTES = 1 << 20  # bytes, cut at a line end, per task of read_ensemble_csv
-# values below which write_ensemble_csv formats in-process: on 2 CPUs the
-# pool's import, fork and round trips (about 30 ms) broke even near 65k values
-# with the second CPU idle, and later with it busy
-_CSV_POOL_MIN_VALUES = 1 << 17
-# the same for read_ensemble_csv, which parses a value in about half the time
-# it takes to format one: the pool won 2/10 runs at 262k values, 7/10 at 524k
+# values below which write_ensemble_csv formats in-process: on 2 CPUs, one
+# write per fresh interpreter, the pool won 1/10 alternating pairs at 131k
+# values, 4/10 at 262k and 8/10 at 524k
+_CSV_POOL_MIN_VALUES = 1 << 19
+# the same for read_ensemble_csv: the pool won 2/10 runs at 262k values, 7/10
+# at 524k
 _CSV_READ_POOL_MIN_VALUES = 1 << 19
 
 # the bytes that may begin a line of whitespace: ASCII whitespace, and any
@@ -61,11 +71,12 @@ def spec_digest(descriptor: dict) -> str:
 
 
 def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> None:
-    """CSV with header time,path_0,... and round-trip decimal formatting.
+    """CSV with header time,path_0,... and each value as its ``repr``.
     ``values`` is (paths, times); a ``times`` of another length raises
     ValueError before anything is written.  The rows are formatted in spans
-    of ``_CSV_SPAN_ROWS``, on the workers of ``_span_results`` where there
-    are enough values, and written in order, so the bytes do not depend on
+    of about ``_CSV_SPAN_VALUES`` values (whole rows, or pieces of one row
+    that is longer), on the workers of ``_span_results`` where there are
+    enough values, and written in order, so the bytes do not depend on
     where they were formatted."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -74,22 +85,190 @@ def write_ensemble_csv(fh: IO[str], times: np.ndarray, values: np.ndarray) -> No
                          f"{values.shape[-1] if values.ndim else 0} columns")
     n_paths = values.shape[0]
     fh.write(",".join(["time", *(f"path_{i}" for i in range(n_paths))]) + "\n")
-    spans = [(r0, min(r0 + _CSV_SPAN_ROWS, times.size))
-             for r0 in range(0, times.size, _CSV_SPAN_ROWS)]
+    n_cols = n_paths + 1
+    n_rows, width = max(1, _CSV_SPAN_VALUES // n_cols), min(n_cols, _CSV_SPAN_VALUES)
+    spans = [(r0, min(r0 + n_rows, times.size), c0, min(c0 + width, n_cols))
+             for r0 in range(0, times.size, n_rows) for c0 in range(0, n_cols, width)]
     big = values.size >= _CSV_POOL_MIN_VALUES
     with _span_results(_rows_text, spans, (times, values), big) as texts:
         for text in texts:
             fh.write(text)
 
 
-def _rows_text(span: tuple[int, int], arrays) -> str:
-    """CSV rows span[0] .. span[1] - 1 of ``arrays`` = (times, values).  One
-    column at a time: the whole matrix as Python floats would hold about 32
-    bytes per value."""
+def _rows_text(span: tuple[int, int, int, int], arrays) -> str:
+    """The CSV text of rows span[0] .. span[1] - 1 and columns span[2] ..
+    span[3] - 1 (column 0 is the time) of ``arrays`` = (times, values)."""
     times, values = arrays
-    r0, r1 = span
-    return "".join(",".join(map(repr, [t, *values[:, j].tolist()])) + "\n"
-                   for j, t in enumerate(times[r0:r1].tolist(), start=r0))
+    r0, r1, c0, c1 = span
+    block = np.empty((r1 - r0, c1 - c0))
+    if c0 == 0:
+        block[:, 0] = times[r0:r1]
+    block[:, int(c0 == 0):] = values[max(c0 - 1, 0):c1 - 1, r0:r1].T
+    return _fields_text(block, c1 == values.shape[0] + 1)
+
+
+# The shortest-digit search.  g(e) = ceil(10^e 2^-r), with 2^127 <= g < 2^128,
+# in uint64 halves; products are taken in 32-bit halves.  All of it stays in
+# uint64, which numpy would promote to float64 beside an int64 array
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_POW10_MIN = -292  # g(e) for e in [-292, 324], the range of -k below
+
+
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """The (high, low) 64-bit halves of g(e), as two rows, built from exact
+    integers on first use."""
+    g = []
+    for e in range(_POW10_MIN, 325):
+        r = ((e * 1741647) >> 19) - 127  # floor(log2 10^e) - 127
+        num, den = (10 ** max(e, 0), 10 ** max(-e, 0))
+        num, den = (num, den << r) if r >= 0 else (num << -r, den)
+        g.append(-(-num // den))
+    return np.array([[v >> 64 for v in g], [v & (1 << 64) - 1 for v in g]], _U64)
+
+
+def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit halves of the products a * b."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U64(32), b & _LOW32, b >> _U64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    return (a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32)),
+            (mid << _U64(32)) | (p00 & _LOW32))
+
+
+def _shifted(g_hi: np.ndarray, g_lo: np.ndarray, n: np.ndarray) -> tuple:
+    """(high, middle, low) 64-bit parts of g * 2^n, for n in [1, 5]."""
+    m = _U64(64) - n
+    return g_hi >> m, (g_hi << n) | (g_lo >> m), g_lo << n
+
+
+def _to_odd(top: np.ndarray, middle: np.ndarray) -> np.ndarray:
+    """A product's top 64 bits, made odd where the middle ones hold more
+    than 2^-64: the Schubfach rounding to odd, which has room for g's."""
+    return top | (middle > _U64(1))
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k) with d * 10^k the shortest decimal that reads back as each
+    finite nonzero x, the nearest to x of those, ties to even d."""
+    bits = np.abs(x).view(_U64)
+    biased = bits >> _U64(52)
+    frac = bits & _U64((1 << 52) - 1)
+    c = np.where(biased != 0, frac | _U64(1 << 52), frac)  # x = c 2^q
+    q = np.maximum(biased.astype(np.int64), 1) - 1075
+    closer = (frac == 0) & (biased > 1)  # the gap below x is half the gap above
+    k = (q * 1262611 - closer * 524031) >> 22  # floor(log10(2^q)), or of 3/4 2^q
+    h = (q + ((-k * 1741647) >> 19) + 1).astype(_U64)
+    g_hi, g_lo = np.take(_pow10_table(), -k - _POW10_MIN, axis=1)
+    # p = g * 4c 2^h and the interval's ends p -+ g * (2 or 1) 2^h, in 192 bits
+    cp = c << (h + _U64(2))
+    x1, p0 = _mul128(g_lo, cp)
+    p2, p1 = _mul128(g_hi, cp)
+    p1 = p1 + x1
+    p2 = p2 + (p1 < x1)
+    d2, d1, d0 = _shifted(g_hi, g_lo, h + _U64(1))
+    t = p1 + d1
+    r1 = t + (p0 + d0 < d0)
+    upper = _to_odd(p2 + d2 + (t < d1) + (r1 < t), r1)
+    d2, d1, d0 = _shifted(g_hi, g_lo, h + _U64(1) - closer)
+    t = p1 - d1
+    r1 = t - (p0 < d0)
+    lower = _to_odd(p2 - d2 - (p1 < d1) - (r1 > t), r1)
+    vb = _to_odd(p2, p1)
+    odd = c & _U64(1)  # the interval's ends read back as x when c is even
+    lower, upper = lower + odd, upper - odd
+    s = vb >> _U64(2)
+    sp = s // _U64(10)  # one digit fewer: sp or sp + 1, if just one is inside
+    up_in, wp_in = lower <= _U64(40) * sp, _U64(40) * sp + _U64(40) <= upper
+    short = (up_in != wp_in) & (s >= _U64(10))
+    u_in, w_in = lower <= s << _U64(2), (s << _U64(2)) + _U64(4) <= upper
+    mid = (s << _U64(2)) + _U64(2)
+    up = np.where(u_in != w_in, w_in, (vb > mid) | ((vb == mid) & (s & _U64(1) == 1)))
+    return np.where(short, sp + wp_in, s + up), k + short
+
+
+# The layouts.  A field's characters are gathered from 31 source columns:
+# 17 digits right-aligned (0-16), 3 exponent digits (17-19), the separator
+# (20), then the characters of _CHARS (21-30), whose NUL pads each field to
+# _WIDTH and is then dropped
+_CHARS = b".-+e0infa\0"
+_DOT, _MINUS, _PLUS, _E, _ZERO, _I, _N, _F, _A, _NUL = range(21, 31)
+_WIDTH = 25  # "-1.2345678901234567e-308" and its separator
+_SPECIALS = 2 * 17 * 24  # the layout row of 0.0
+_TENS = np.array([10 ** i for i in range(1, 18)], _U64)
+# the layout form of each decimal exponent e10 in [-330, 330), at e10 + 330:
+# repr's fixed form for -4 <= e10 < 16, else its exponent form
+_FORMS = np.array([e + 4 if -4 <= e < 16 else 20 + 2 * (e > 0) + (abs(e) >= 100)
+                   for e in range(-330, 330)])
+
+
+def _layout(neg: int, n_digits: int, form: int) -> list[int]:
+    """The source columns of one field, without its separator: for form <
+    20 the decimal point after digit form - 3 (e10 = form - 4), else the
+    exponent form with a negative (20, 21) or positive (22, 23) exponent of
+    two (20, 22) or three digits."""
+    digits = list(range(17 - n_digits, 17))
+    out = [_MINUS] * neg
+    point = form - 3
+    if form >= 20:
+        out += digits[:1] + [_DOT] * (n_digits > 1) + digits[1:]
+        out += [_E, _PLUS if form >= 22 else _MINUS] + [17, 18, 19][1 - form % 2:]
+    elif point <= 0:
+        out += [_ZERO, _DOT] + [_ZERO] * -point + digits
+    elif point < n_digits:
+        out += digits[:point] + [_DOT] + digits[point:]
+    else:
+        out += digits + [_ZERO] * (point - n_digits) + [_DOT, _ZERO]
+    return out
+
+
+@functools.cache
+def _layout_table() -> np.ndarray:
+    """The source columns of each field, row (neg * 17 + digits - 1) * 24 +
+    form, then from row _SPECIALS 0.0, -0.0, inf, -inf and nan."""
+    fields = [_layout(neg, n, form) for neg in (0, 1) for n in range(1, 18) for form in range(24)]
+    fields += [[_ZERO, _DOT, _ZERO], [_MINUS, _ZERO, _DOT, _ZERO], [_I, _N, _F],
+               [_MINUS, _I, _N, _F], [_N, _A, _N]]
+    return np.array([f + [20] + [_NUL] * (_WIDTH - 1 - len(f)) for f in fields], np.uint8)
+
+
+def _fields_text(block: np.ndarray, ends_rows: bool) -> str:
+    """The ``repr`` of each value of ``block``, row by row, each followed by
+    a comma, or a line end after a row's last where ``ends_rows``."""
+    x = block.ravel()
+    neg = np.signbit(x)
+    finite = np.isfinite(x) & (x != 0)
+    d, e = _shortest(np.where(finite, x, 1.0))
+    for p in (16, 8, 4, 2, 1):  # strip trailing zeros, at most 16
+        t = d // _U64(10 ** p)
+        zeros = t * _U64(10 ** p) == d
+        d, e = np.where(zeros, t, d), e + zeros * p
+    more = np.searchsorted(_TENS, d, side="right")  # digits after the first
+    e10 = e + more  # x = d.ddd * 10^e10
+    key = np.where(finite, (neg * 17 + more) * 24 + _FORMS[e10 + 330],
+                   _SPECIALS + np.where(x == 0, neg, np.where(np.isnan(x), 4, 2 + neg)))
+    digits = np.empty((20, x.size), np.uint8)  # rows fill about twice as fast as columns
+    high = d // _U64(10 ** 8)
+    top = high // _U64(10 ** 8)
+    digits[0] = top
+    for part, row in (((d - high * _U64(10 ** 8)).astype(np.uint32), 16),
+                      ((high - top * _U64(10 ** 8)).astype(np.uint32), 8)):
+        for j in range(8):  # on uint32 about 4x faster than on 64 bits
+            q = part // np.uint32(10)
+            digits[row - j] = part - q * np.uint32(10)
+            part = q
+    mag = np.abs(e10)
+    digits[17], digits[18], digits[19] = mag // 100, mag // 10 % 10, mag % 10
+    src = np.empty((x.size, 31), np.uint8)
+    src[:, :20] = digits.T + ord("0")
+    src[:, 20] = ord(",")
+    if ends_rows:
+        src[block.shape[1] - 1::block.shape[1], 20] = ord("\n")
+    src[:, 21:] = np.frombuffer(_CHARS, np.uint8)
+    index = np.add(_layout_table()[key], np.arange(0, src.size, 31)[:, None], dtype=np.intp)
+    chars = np.take(src, index)
+    return chars[chars != 0].tobytes().decode("ascii")
 
 
 @contextlib.contextmanager

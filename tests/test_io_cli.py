@@ -370,6 +370,66 @@ def _write_csv_file(path, times, values):
         sio.write_ensemble_csv(fh, times, values)
 
 
+def _assert_repr_csv(text: str, times, values) -> None:
+    """``text`` is the ensemble CSV with ``repr`` of each value, the writer's
+    contract; a failure names the first field that differs."""
+    header = ",".join(["time", *(f"path_{i}" for i in range(len(values)))]) + "\n"
+    expected = header + "".join(",".join(map(repr, [t, *column])) + "\n"
+                                for t, column in zip(times.tolist(), values.T.tolist()))
+    if text != expected:
+        fields = zip(re.split("[,\n]", text), re.split("[,\n]", expected))
+        i, (got, want) = next((i, f) for i, f in enumerate(fields) if f[0] != f[1])
+        pytest.fail(f"field {i}: {got!r}, repr gives {want!r}")
+
+
+@pytest.fixture(scope="module")
+def repr_inputs():
+    """2^20 random 64-bit patterns (some of them nan), then
+    both signs of: the first 1000 subnormals, 1001 values around the
+    subnormal/normal boundary, every power of two and the powers of ten from
+    1e-323 with both neighbours of each, the layout switch points and 0, inf
+    and nan; shuffled with a fixed seed."""
+    rng = np.random.default_rng(26)
+    patterns = np.frombuffer(rng.bytes(8 << 20), np.uint64).view(np.float64)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                             [float(f"1e{e}") for e in range(-323, 309)],
+                             [1e-5, 1e-4, 1e15, 1e16, 9999999999999998.0]])
+    edges = np.concatenate([
+        np.arange(1, 1001, dtype=np.uint64).view(np.float64),
+        np.arange((1 << 52) - 500, (1 << 52) + 501, dtype=np.uint64).view(np.float64),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), [0.0, np.inf, np.nan]])
+    return rng.permutation(np.concatenate([patterns, edges, -edges]))
+
+
+class TestWriterMatchesRepr:
+    """The writer's bytes are ``repr``'s, value for value, whatever the
+    shape of the ensemble and wherever its spans are formatted."""
+
+    def test_one_path(self, repr_inputs):
+        half = repr_inputs.size // 2
+        times, values = repr_inputs[:half], repr_inputs[None, half:2 * half]
+        _assert_repr_csv(_csv_text(times, values), times, values)
+
+    def test_one_time(self, repr_inputs):
+        # a row longer than a span is cut into pieces of one row
+        values = repr_inputs[1:, None]
+        assert values.size > sio._CSV_SPAN_VALUES
+        _assert_repr_csv(_csv_text(repr_inputs[:1], values), repr_inputs[:1], values)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_pooled_and_in_process(self, repr_inputs, pools, monkeypatch):
+        n_times = 1024
+        n_paths = -(-sio._CSV_POOL_MIN_VALUES // n_times)
+        times = repr_inputs[-n_times:]
+        values = repr_inputs[:n_paths * n_times].reshape(n_paths, n_times)
+        _assert_repr_csv(_csv_text(times, values), times, values)
+        assert len(pools) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        _assert_repr_csv(_csv_text(times, values), times, values)
+        assert len(pools) == 1
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 class TestPooledCsvWriter:
@@ -380,10 +440,10 @@ class TestPooledCsvWriter:
 
     @pytest.fixture
     def ensemble(self):
-        # five and a half spans, just enough values for the pool; special
+        # spans of many rows, and just enough values for the pool; special
         # values in the first span and in the last
-        n_times = 5 * sio._CSV_SPAN_ROWS + sio._CSV_SPAN_ROWS // 2
-        n_paths = -(-sio._CSV_POOL_MIN_VALUES // n_times)
+        n_paths = 99
+        n_times = -(-sio._CSV_POOL_MIN_VALUES // n_paths)
         values = np.random.default_rng(9).standard_normal((n_paths, n_times))
         values[0, :len(self.SPECIAL)] = self.SPECIAL
         values[-1, -len(self.SPECIAL):] = self.SPECIAL[::-1]
@@ -406,7 +466,7 @@ class TestPooledCsvWriter:
     def test_small_write_formats_in_process(self, ensemble, pools):
         # several spans, but too few values to pay for the workers
         times, values = ensemble
-        _csv_text(times, values[:-sio._CSV_SPAN_ROWS])
+        _csv_text(times, values[:-1])
         assert pools == []
 
     def test_failed_handle_leaves_no_child(self, ensemble, pools):
@@ -439,7 +499,7 @@ class TestPooledCsvWriter:
                 "        if not text.startswith('time'):\n"
                 "            print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
                 "            time.sleep(600)\n"
-                "n = 4 * sio._CSV_SPAN_ROWS\n"
+                "n = 32\n"
                 "values = np.ones((sio._CSV_POOL_MIN_VALUES // n + 1, n))\n"
                 "sio.write_ensemble_csv(Stalled(), np.arange(n, dtype=float), values)\n")
         writer = subprocess.Popen([sys.executable, "-c", code], env=_src_env(),

@@ -575,6 +575,14 @@ class TestGrid:
                                                  f"of at least {n} finite points$"):
                 core._grid(values, n, "edges")
 
+    def test_ensemble_keeps_its_times_as_an_array(self):
+        # the checked grid is stored, so a list of times has an index
+        ens = core.PathEnsemble([0.5, 1.0], np.array([[2.0, 3.0], [-1.0, 0.5]]), 0, "")
+        assert isinstance(ens.times, np.ndarray) and ens.times.tolist() == [0.5, 1.0]
+        assert ens.time_index(0.5) == 0 and ens.time_index(1.0) == 1
+        cf = core.empirical_cf(ens, ss.combo((1.0, 1.0)))
+        assert cf == pytest.approx(np.mean(np.exp(1j * np.array([3.0, 0.5]))))
+
 
 class TestNamedErrors:
     def test_combo_without_terms(self):

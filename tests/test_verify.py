@@ -64,6 +64,16 @@ class TestStationaryIncrements:
         rep = check_stationary_increments(k, combos=[ss.combo((1.0, 1.0))])
         json.dumps(rep.to_dict())
 
+    def test_numpy_details_serialize(self):
+        # a caller's report may hold numpy scalars and arrays, nested too
+        rep = VerificationReport("numpy", True, 0.1, (0.0,), {
+            "x": np.float64(0.25), "n": np.int64(7), "grid": np.array([[1.0, 2.5]]),
+            "nested": {"counts": [np.int64(1), (np.float64(-0.5), "a")]}})
+        doc = json.loads(json.dumps(rep.to_dict()))["details"]
+        assert doc == {"x": 0.25, "n": 7, "grid": [[1.0, 2.5]],
+                       "nested": {"counts": [1, [-0.5, "a"]]}}
+        assert type(rep.to_dict()["details"]["n"]) is int
+
     def test_oracle_wall_seconds_reported(self):
         k = ss.build(ss.LinearMotion(1.5))
         probe = [ss.combo((1.0, 1.0))]

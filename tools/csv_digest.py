@@ -4,20 +4,25 @@ that ``write_ensemble_csv`` writes.
 For every ``catalog_specs()`` entry it simulates 37 paths at seed 0 on the
 sorted times of the default probes and writes them with
 ``write_ensemble_csv``.  One line per spec gives the first 16 hex digits of
-the SHA-256 of that text.  A last line does the same for a small matrix of
-special values (-0.0, +-inf, nan, the smallest subnormal, 1e308, 0.1).
-Each of those texts is a single span of rows.  The line before the last,
-1024 standard normal paths from ``default_rng(0)`` on 200 times, spans many
-and holds enough values, so on more than one CPU the writer formats its
-rows on worker processes.
-Under ``taskset -c 0`` it formats them in-process, and that line must not
-change.  (The simulated lines may: with one CPU OpenBLAS runs one thread,
-and simulate's matrix products then round differently.)
+the SHA-256 of that text.  The line before the last does the same for a
+small matrix of special values (-0.0, +-inf, nan, the smallest subnormal,
+1e308, 0.1).  Each of those texts is a single span of rows.  The spans line, 1024
+standard normal paths from ``default_rng(0)`` on 200 times, spans many;
+it is formatted in-process unless the writer's pool gate is at most its
+204,800 values (it was 131,072 before the gate rose to 524,288).  The last
+line holds enough values for the pool, so on more than one CPU the writer
+formats its spans on worker processes.  Under ``taskset -c 0`` it formats
+them in-process, and neither line may change.  (The simulated lines may:
+with one CPU OpenBLAS runs one thread, and simulate's matrix products then
+round differently.)
 The read-back line writes 1024 standard normal paths on 600 times (enough
 values for the reader's worker processes on more than one CPU) to a
 temporary regular file, reads it back with ``read_ensemble_csv`` and
 digests ``times.tobytes() + values.tobytes()``; it too must not change
 under ``taskset -c 0``, where the file is parsed in-process.
+The last line digests 512 paths on 1024 times of random 64-bit patterns
+from ``default_rng(0)`` (some of them nan), with the special values above
+among the times: every value must print as its ``repr``.
 Only public calls are used, so the script runs on older trees too.
 
 usage: python tools/csv_digest.py   (imports the package from src/ next to tools/)
@@ -77,6 +82,10 @@ def main() -> int:
     special = np.array([_SPECIAL, _SPECIAL[::-1]])
     print(f"{digest(np.arange(len(_SPECIAL), dtype=float), special)}  "
           f"2 x {len(_SPECIAL)}  special values {_SPECIAL!r}")
+    bits = np.frombuffer(np.random.default_rng(0).bytes(8 * 513 * 1024), np.uint64)
+    patterns = bits.view(np.float64).reshape(513, 1024).copy()
+    patterns[0, :len(_SPECIAL)] = _SPECIAL
+    print(f"{digest(patterns[0], patterns[1:])}  512 x 1024  random 64-bit patterns")
     return 0
 
 
