@@ -35,8 +35,6 @@ _ANGLE_TOL = 1e-9  # sphere directions closer than this (radians) are one atom
 
 def _merge_atoms(atoms: list[tuple[tuple[float, float], float]]
                  ) -> tuple[tuple[tuple[float, float], float], ...]:
-    if not atoms:
-        return ()
     angled = sorted((math.atan2(o[1], o[0]) % TWO_PI, o, w) for o, w in atoms)
     merged: list[list] = []
     for ang, o, w in angled:

@@ -24,7 +24,9 @@ points are an array of shifts.  Every two-coordinate family is a mixed
 moving average over (radial or atom coordinate, shift), so its cells are a
 product and its points a pair of coordinate arrays that broadcast to the
 2-d mass array.  ``cf_grid`` and ``sim_grid`` are the same cells flattened
-to one point and one mass per cell, in C order.
+to one mass per cell in C order, with each coordinate raveled alike: still
+a pair, of two 1-d arrays.  ``field``, ``eval`` and ``flow`` take either
+layout, since both unpack as x, s = points.
 """
 
 from __future__ import annotations
@@ -115,11 +117,12 @@ class Kernel(ABC):
     @abstractmethod
     def field(self, t: float, points) -> np.ndarray:
         """F(t, point) for every point, the field of the Masani form
-        K(t, .) = F(t, .) - F(0, .).  ``points`` is either the points of
-        ``cf_cells`` / ``sim_cells`` (on two-coordinate spaces a broadcastable
-        coordinate pair, and the result has the shape of the masses) or the
-        flat points of ``cf_grid`` / ``sim_grid`` (one value per row).  The
-        result is a new array, which the caller may overwrite."""
+        K(t, .) = F(t, .) - F(0, .).  ``points`` are shifts, or on
+        two-coordinate spaces a (radial, shift) pair unpacked as
+        x, s = points: the broadcastable pair of ``cf_cells`` / ``sim_cells``
+        (the result has the shape of the masses) or the flat pair of
+        ``cf_grid`` / ``sim_grid`` (one value per cell).  The result is a new
+        array, which the caller may overwrite."""
 
     def eval(self, t: float, points) -> np.ndarray:
         """K(t, point) = F(t, point) - F(0, point) for every point, in the
@@ -161,8 +164,8 @@ class Kernel(ABC):
         kernel evaluation never materializes one row per cell."""
 
     def cf_grid(self, times: Sequence[float], level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The cells of ``cf_cells`` flattened: one point (scalar shift or
-        (radial, shift) row) and one mass per cell."""
+        """The cells of ``cf_cells`` flattened: one mass per cell and its
+        point, a shift or an entry of each (radial, shift) coordinate row."""
         return _flat_cells(*self.cf_cells(times, level))
 
     def cf_grid_key(self, times: Sequence[float]):
@@ -177,21 +180,18 @@ class Kernel(ABC):
         depend on that window and the level only."""
 
     def sim_grid(self, t_lo: float, t_hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The cells of ``sim_cells`` flattened: one point (scalar shift or
-        (radial, shift) row) and one mass per cell, in the cell order of
-        ``core.simulate``."""
+        """The cells of ``sim_cells`` flattened as in ``cf_grid``, in the
+        cell order of ``core.simulate``."""
         return _flat_cells(*self.sim_cells(t_lo, t_hi, level))
 
     def flow(self, t: float, points):
         """phi_t(points), the stationary flow of the Masani form:
         F(t, p) = F(0, phi_t p), with unit cocycle and unit Radon-Nikodym
-        derivative.  Defined on the ``sim_cells`` layout; the default
-        translates the shift coordinate by -t.  ``verify.flow_identity_fixture``
-        checks it."""
-        if isinstance(points, tuple):
-            x, s = points
-            return x, s - t
-        return points - t
+        derivative, on every point layout of ``field``.  The default
+        translates the shift coordinate of a (radial, shift) pair by -t.
+        ``verify.flow_identity_fixture`` checks it."""
+        x, s = points
+        return x, s - t
 
     def same_law(self, other: Kernel) -> dict:
         """The ``identify`` document comparing this spec with ``other`` in
@@ -332,14 +332,6 @@ def _circle_moment(alpha: float) -> float:
     return 2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (alpha + 1.0)) / math.gamma(0.5 * alpha + 1.0)
 
 
-def _coords(points):
-    """(radial, shift) coordinates of two-coordinate points: rows of a flat
-    grid, or the broadcastable pair of ``cf_cells``."""
-    if isinstance(points, tuple):
-        return points
-    return points[:, 0], points[:, 1]
-
-
 def _product_cells(radial: tuple[np.ndarray, np.ndarray], shift_edges: np.ndarray):
     """Product of radial cells and shift cells in the factored layout of
     ``cf_cells`` and ``sim_cells``."""
@@ -349,12 +341,11 @@ def _product_cells(radial: tuple[np.ndarray, np.ndarray], shift_edges: np.ndarra
 
 
 def _flat_cells(points, masses) -> tuple[np.ndarray, np.ndarray]:
-    """Cells with one point (scalar, or a row per coordinate pair) and one mass
-    each; a 2-d mass array is raveled in C order."""
+    """Cells with one mass each: a 2-d mass array is raveled in C order, and
+    each coordinate of a pair alike, into the two rows of one array."""
     if not isinstance(points, tuple):
         return points, masses
-    return (np.column_stack([np.broadcast_to(c, masses.shape).ravel() for c in points]),
-            masses.ravel())
+    return np.stack([np.broadcast_to(c, masses.shape).ravel() for c in points]), masses.ravel()
 
 
 _RADIAL_TEST_POINTS = tuple(np.geomspace(0.05, 20.0, 8))  # radial points of scaling_maps
@@ -367,6 +358,9 @@ class _ShiftFamily(Kernel):
 
     def field(self, t, s):
         return self.profile(t - s)
+
+    def flow(self, t, s):
+        return s - t
 
     def cf_cells(self, times, level):
         return cells_from_edges(_shift_cf_edges(times, level))
@@ -481,7 +475,7 @@ class MixedLfsm(Kernel):
         g = self.hurst - 1.0 / self.alpha
         b1 = np.array([b[0] for b, _ in self.atoms])
         b2 = np.array([b[1] for b, _ in self.atoms])
-        idx, s = _coords(pts)
+        idx, s = pts
         idx = idx.astype(int)
         u = t - s
         return b1[idx] * _power_plus(u, g) + b2[idx] * _power_plus(-u, g)
@@ -505,16 +499,20 @@ class MixedLfsm(Kernel):
         # imported on use: loading a spec need not pay for identify's import
         from .identify import mixing_measure, ray_test, same_mixed_lfsm
 
+        # an atom with b = 0 has kernel 0 and leaves the law as it is, and
+        # the sphere has no direction for it
+        q1, q2 = ([((b1, b2), w) for (b1, b2), w in spec.atoms if (b1, b2) != (0.0, 0.0)]
+                  for spec in (self, other))
         if abs(self.alpha - other.alpha) > 1e-12 or abs(self.hurst - other.hurst) > 1e-12:
             equal = False
         else:
-            equal = same_mixed_lfsm(self.atoms, other.atoms, self.alpha)
+            equal = same_mixed_lfsm(q1, q2, self.alpha)
         return {"kind": "mixed_lfsm", "equal_in_law": equal,
                 "sphere_measure_1": [{"direction": list(o), "weight": w}
-                                     for o, w in mixing_measure(self.atoms, self.alpha)],
+                                     for o, w in mixing_measure(q1, self.alpha)],
                 "sphere_measure_2": [{"direction": list(o), "weight": w}
-                                     for o, w in mixing_measure(other.atoms, other.alpha)],
-                "ray_1": ray_test(self.atoms), "ray_2": ray_test(other.atoms)}
+                                     for o, w in mixing_measure(q2, other.alpha)],
+                "ray_1": ray_test(q1), "ray_2": ray_test(q2)}
 
     def to_doc(self):
         return {**super().to_doc(),
@@ -552,7 +550,7 @@ class TruncatedFractional(Kernel):
         return (self.alpha * self.a - self.b + 1.0) / self.alpha
 
     def field(self, t, pts):
-        p, s = _coords(pts)
+        p, s = pts
         return _trunc_f(t - s, p, self.a)
 
     def cf_cells(self, times, level):
@@ -613,7 +611,7 @@ class Chentsov(Kernel):
         return self.beta / self.alpha
 
     def field(self, t, pts):
-        x, s = _coords(pts)
+        x, s = pts
         return (np.abs(t - s) < x).astype(float)
 
     def cf_cells(self, times, level):
@@ -661,7 +659,7 @@ class RotatingAverage(Kernel):
         #   a cos(k (s + t x)) + b sin(k (s + t x)) = (a c + b d) cos(k s) + (b c - a d) sin(k s),
         # so trig runs on the radial and shift factors only and a cell costs a
         # few multiply-adds
-        x, s = _coords(pts)
+        x, s = pts
         out = np.full(np.broadcast_shapes(np.shape(x), np.shape(s)), self.series.constant)
         for k, a, b in self.series.terms:
             if a == 0.0 and b == 0.0:
@@ -863,10 +861,10 @@ def _corner_cells(p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
     n = max(4, int(np.ceil(np.log10(reach / 2.0) * 8)))
     pieces = [np.array([0.0, 1.0]), -np.geomspace(2.0, reach, n + 1),
               1.0 + np.geomspace(2.0, min(reach, 20.0), n + 1)]
+    # inner <= 1e-8 at every level of _integral_I, far below each gap
     for corner, sign, gap in ((0.0, -1.0, 2.0), (0.0, 1.0, 0.5),
                               (1.0, -1.0, 0.5), (1.0, 1.0, 2.0)):
-        if gap > inner:
-            pieces.append(corner + sign * power_law_cells(inner, gap, 8, 0.0)[2])
+        pieces.append(corner + sign * power_law_cells(inner, gap, 8, 0.0)[2])
     cells = cells_from_edges(np.unique(np.concatenate(pieces)))
     for c in cells:
         c.setflags(write=False)

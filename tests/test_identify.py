@@ -90,6 +90,19 @@ class TestSameMixedLfsm:
             v2 = ss.cf_exponent(k2, c, level=1).expect()
             assert v2 == pytest.approx(v1, rel=1e-3)
 
+    def test_zero_atom_leaves_the_law(self):
+        # validate admits a zero atom beside a nonzero one; its kernel is 0,
+        # so the spec has the law of the spec without it
+        with_zero = ss.MixedLfsm(1.5, 0.7, (((1.0, 0.0), 1.0), ((0.0, 0.0), 0.5)))
+        without = ss.MixedLfsm(1.5, 0.7, (((1.0, 0.0), 1.0),))
+        assert ss.validate(with_zero).ok
+        c = ss.combo((1.0, 1.0), (-0.5, 2.0))
+        assert (ss.cf_exponent(with_zero, c, level=1).expect()
+                == ss.cf_exponent(without, c, level=1).expect())
+        doc = with_zero.same_law(without)
+        assert doc["equal_in_law"] and doc["ray_1"] and doc["ray_2"]
+        assert doc["sphere_measure_1"] == doc["sphere_measure_2"]
+
     def test_ray_measure_matches_pure_lfsm_up_to_scale(self):
         q = [((1.0, 0.0), 0.7), ((-2.0, 0.0), 0.3)]
         assert ray_test(q)

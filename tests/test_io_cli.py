@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import runpy
 import signal
 import subprocess
 import sys
@@ -40,6 +41,12 @@ class TestSpecJson:
     def test_missing_field(self):
         with pytest.raises(ss.InvalidSpecError):
             sio.spec_from_dict({"family": "lfsm", "alpha": 1.5})
+
+    def test_malformed_atom_named(self):
+        doc = {"family": "mixed_lfsm", "alpha": 1.5, "hurst": 0.7,
+               "atoms": [{"b": [1.0], "weight": 1.0}]}
+        with pytest.raises(ss.InvalidSpecError, match="malformed mixed_lfsm spec document"):
+            sio.spec_from_dict(doc)
 
     @pytest.mark.parametrize("doc, field", [
         ([{"family": "lfsm", "alpha": 1.5, "hurst": 0.7}], "JSON object"),
@@ -561,6 +568,13 @@ class TestPooledCsvWriter:
         assert pools == []
         assert texts == [_csv_text(*ensemble)]
 
+    def test_no_fork_start_method_writes_in_process(self, ensemble, pools, monkeypatch):
+        want = _csv_text(*ensemble)
+        assert len(pools) == 1
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _csv_text(*ensemble) == want
+        assert len(pools) == 1
+
     def test_small_write_imports_no_multiprocessing(self):
         code = ("import sys, io, numpy as np\n"
                 "from stablesim import io as sio\n"
@@ -998,6 +1012,27 @@ class TestCli:
         assert rc == 0 and "equal in law" in capsys.readouterr().out
         rc = main(["identify", "--spec1", specdir["q1"], "--spec2", specdir["q3"]])
         assert rc == 0 and "distinct" in capsys.readouterr().out
+
+    def test_main_reads_argv_and_runs_as_module(self, specdir, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["stablesim", "identify", "--spec1", specdir["q1"],
+                                          "--spec2", specdir["q2"]])
+        assert main() == 0
+        with warnings.catch_warnings():
+            # stablesim.cli is imported already; running it again as __main__ is the point
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("stablesim.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "equal in law\nequal in law\n"
+
+    def test_identify_zero_atom_equal_in_law(self, specdir, capsys):
+        # q1 with a zero atom added is admissible and has q1's law
+        path = specdir["dir"] / "q1_zero.json"
+        doc = json.loads(Path(specdir["q1"]).read_text())
+        doc["atoms"].append({"b": [0.0, 0.0], "weight": 0.5})
+        path.write_text(json.dumps(doc))
+        rc = main(["identify", "--spec1", str(path), "--spec2", specdir["q1"]])
+        assert rc == 0 and capsys.readouterr().out == "equal in law\n"
 
     def test_identify_mixed_sphere_measures(self, specdir):
         # b = (2, 0) of weight 1 and b = (1, 0) of weight 2^1.5 both land on

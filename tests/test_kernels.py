@@ -10,7 +10,6 @@ import stablesim as ss
 from stablesim import io as sio
 from stablesim.kernels import (
     _circle_moment,
-    _coords,
     _power_plus,
     _trunc_f,
     integral_I,
@@ -176,18 +175,18 @@ class TestBuild:
 
     def test_chentsov_increment_cancels(self):
         k = ss.build(ss.Chentsov(1.25, 0.5))
-        pts = np.array([[2.0, 0.5]])  # (x, s)
+        pts = (np.array([2.0]), np.array([0.5]))  # (x, s)
         assert k.eval(1.0, pts)[0] == 0.0
 
     def test_truncated_hand_value(self):
         k = ss.build(ss.TruncatedFractional(1.5, 0.5, 0.5))
-        pts = np.array([[10.0, -1.0]])  # (p, s)
+        pts = (np.array([10.0]), np.array([-1.0]))  # (p, s)
         assert k.eval(1.0, pts)[0] == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
 
     def test_truncated_negative_a_convention(self):
         # for a < 0 the truncation caps the blowup at u = 0: max(u, p)^a
         k = ss.build(ss.TruncatedFractional(1.5, -0.5, -0.2))
-        pts = np.array([[0.5, -1.0]])
+        pts = (np.array([0.5]), np.array([-1.0]))  # (p, s)
         expected = max(2.0, 0.5) ** -0.5 - max(1.0, 0.5) ** -0.5
         assert k.eval(1.0, pts)[0] == pytest.approx(expected, rel=1e-12)
 
@@ -286,7 +285,7 @@ def _pre_field_eval(k, t, pts):
         return _pre_field_eval(k.source, t + k.lag, pts) - _pre_field_eval(k.source, t, pts)
     if isinstance(k, (ss.Lfsm, ss.LinearMotion, ss.LogFractional)):
         return k.profile(t - pts) - k.profile(-pts)
-    r, s = _coords(pts)
+    r, s = pts
     if isinstance(k, ss.MixedLfsm):
         g = k.hurst - 1.0 / k.alpha
         b1 = np.array([b[0] for b, _ in k.atoms])[r.astype(int)]
@@ -644,6 +643,14 @@ class TestIntegralI:
     def test_bad_arguments_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
             integral_I(*args)
+
+    def test_frontier_without_mass(self):
+        # at a = 1 the far shift tail carries no mass at any level: the
+        # frontier reads 0 and finite, and the radial low end diverges, as
+        # the closed form says
+        r = integral_I(1.5, 1.0, 5.0)
+        assert r.verdict == "divergent" and not truncated_region(1.5, 1.0, 5.0)
+        assert r.frontiers["shift_far"] == 0.0
 
     def test_a_zero_always_divergent(self):
         for b in (-0.5, 0.0, 0.5):

@@ -94,6 +94,15 @@ class TestFubini:
                            (0, 1), tol=1e-7)
         assert res < 1e-6
 
+    def test_running_integral_zero_next_to_a(self):
+        # F is taken as 0 at the quadrature nodes within 1e-15 |a| of a; on
+        # (1e10, 1e10 + 1e-4) that is the first 1e-5, where |F(t)| <= t - a,
+        # so the gap stays below the integral of t - a over it
+        a = 1e10
+        res = check_fubini(scalar_curve(np.sin), constant_multiplier(1.0, a, a + 1e-4),
+                           (a, a + 1e-4))
+        assert res < 0.5 * (1e-15 * a) ** 2
+
     def test_zero_curve(self):
         res = check_fubini(scalar_curve(lambda t: 0.0 * t), constant_multiplier(1.0, 0, 1),
                            (0, 1), tol=1e-7)

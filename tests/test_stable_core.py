@@ -401,7 +401,8 @@ class TestMeasureGrid:
     def test_kernel_grids_are_valid_measures(self):
         for k in BATCH_SPECS:
             pts, masses = k.sim_grid(0.0, 2.0, 1)
-            assert masses.ndim == 1 and len(pts) == masses.size
+            # one shift, or one entry of each coordinate row, per mass
+            assert masses.ndim == 1 and np.shape(pts)[-1] == masses.size
             assert np.all(np.isfinite(masses)) and np.all(masses >= 0.0)
 
 
@@ -411,6 +412,15 @@ class TestSimulate:
         ens = ss.simulate(k, [0.5, 1.0, 2.0], 20000, seed=7)
         for j, t in enumerate(ens.times):
             assert ens.values[:, j].var() / 2.0 == pytest.approx(t, rel=0.08)
+
+    def test_zero_harmonic_changes_no_bit(self):
+        # the field skips a harmonic whose coefficients are both 0
+        rot = ss.catalog_specs()[-1]
+        padded = ss.RotatingAverage(rot.alpha, rot.beta,
+                                    ss.FourierSeries((*rot.series.terms, (2, 0.0, 0.0))))
+        times = np.linspace(0.05, 3.0, 8)
+        want = ss.simulate(rot, times, 50, seed=4).values
+        assert ss.simulate(padded, times, 50, seed=4).values.tobytes() == want.tobytes()
 
     def test_thread_count_does_not_change_bytes(self):
         k = ss.build(ss.Lfsm(1.5, 0.7))
@@ -604,6 +614,22 @@ class TestNamedErrors:
     def test_shift_partition_without_breakpoints(self):
         with pytest.raises(ValueError, match="at least one breakpoint"):
             shift_partition([], 1, 1e3)
+
+    def test_shift_partition_pad_below_rounding(self):
+        # the pad of width 1 left of 1e17 rounds to nothing
+        with pytest.raises(ValueError, match="empty panel"):
+            shift_partition([1e17], 0, 10.0)
+
+
+class TestShiftPartition:
+    def test_narrow_panel_skipped(self):
+        # the panel (1, 1 + 1e-15) is narrower than 1e-14 of the span: it gets
+        # no cells, and the partition has the cells of the one without it
+        edges = shift_partition([0.0, 1.0, 1.0 + 1e-15], 0, 10.0)
+        assert np.all(np.diff(edges) > 0.0)
+        without = shift_partition([0.0, 1.0], 0, 10.0)
+        assert edges.size == without.size
+        assert np.max(np.abs(edges - without)) < 1e-14
 
 
 class TestEmpiricalCf:

@@ -250,7 +250,8 @@ class TestScalingFlowsAreLampertiFlows:
 
 
 FLOW_SPECS = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0),
-              increment_process(ss.catalog_specs()[-1], 1.0))
+              increment_process(ss.catalog_specs()[-1], 1.0),
+              increment_process(ss.Chentsov(1.25, 0.5), 1.0))
 
 
 class _ForwardShiftLfsm(ss.Lfsm):
@@ -286,11 +287,16 @@ class TestKernelIdentity:
     @pytest.mark.parametrize("spec", FLOW_SPECS, ids=repr)
     def test_flow_form_of_every_spec(self, spec):
         # the shift-coordinate flows move t into the field's own t - s
-        # exactly; the rotation goes through the field's angle addition
-        rep = check_kernel_identity(flow_identity_fixture(spec))
-        assert rep.passed and rep.name == f"kernel_identity[{spec.label}_flow_form]"
+        # exactly; the rotation goes through the field's angle addition.  The
+        # form holds on the fixture's factored sim_cells points and on the
+        # flat sim_grid points of the same cells alike
+        fix = flow_identity_fixture(spec)
+        flat = dataclasses.replace(fix, points=spec.sim_grid(0.0, max(fix.times), 1)[0])
         rotating = isinstance(getattr(spec, "source", spec), ss.RotatingAverage)
-        assert rep.max_residual < 1e-10 if rotating else rep.max_residual == 0.0
+        for fixture in (fix, flat):
+            rep = check_kernel_identity(fixture)
+            assert rep.passed and rep.name == f"kernel_identity[{spec.label}_flow_form]"
+            assert rep.max_residual < 1e-10 if rotating else rep.max_residual == 0.0
 
     @pytest.mark.parametrize("spec", [_ForwardShiftLfsm(1.5, 0.7),
                                       _ForwardShiftChentsov(1.25, 0.5),
