@@ -20,6 +20,27 @@ from stablesim.transforms import PathFunction, increment_process
 from stablesim.verify import check_stationary_increments, default_probes
 
 
+_LONG_DOUBLE = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
+_LD_PI = np.arccos(np.longdouble(-1.0))
+needs_long_double = pytest.mark.skipif(not _LONG_DOUBLE, reason="long double is float64")
+
+
+def _cms_reference(u, w, alpha):
+    """The Chambers-Mallows-Stuck formula in long double, with ``_cms``'s
+    clamps (w >= 1e-300, m = min(u, 1 - u) >= 2^-54).  V and cos V = sin(pi m)
+    are taken from m, since cos((u - 1/2) pi) evaluated directly loses about
+    1e-19 / cos V near the ends even in long double; for numpy's uniforms
+    V is still exactly (u - 1/2) pi."""
+    ld = np.longdouble
+    u = np.asarray(u, dtype=ld)
+    m = np.maximum(np.minimum(u, 1 - u), ld(2.0 ** -54))
+    v = np.sign(u - ld(0.5)) * (ld(0.5) - m) * _LD_PI
+    a = ld(alpha)
+    w = np.maximum(np.asarray(w, dtype=ld), ld(1e-300))
+    return (np.sin(a * v) / np.sin(_LD_PI * m) ** (1 / a)
+            * (np.cos((1 - a) * v) / w) ** ((1 - a) / a))
+
+
 def ecf(samples, theta):
     return np.mean(np.exp(1j * theta * samples))
 
@@ -56,6 +77,59 @@ class TestSampler:
             ss.sample_standard_sas(0.0, 10, seed=0)
         with pytest.raises(ValueError):
             ss.sample_standard_sas(1.5, 0, seed=0)
+
+    @needs_long_double
+    @pytest.mark.parametrize("alpha, bound", [(0.5, 4e-15), (1.0, 4e-15), (1.25, 4e-15),
+                                              (1.5, 4e-15), (1.9, 4e-15), (2.0, 3e-10)])
+    def test_cms_matches_long_double_reference(self, alpha, bound):
+        # measured on these 2^20 draws: at most 3.0e-15 below alpha 2 and
+        # 2.1e-10 at alpha 2, where sin(2V) and cos(-V) keep V's rounding.
+        # The sin/cos form this transform replaced read up to 3.2e-10 here
+        # (alpha 0.5), but 2.2e-14 at alpha 2, where its roundings cancelled
+        gen = np.random.Generator(core.philox(28))
+        n = 1 << 20
+        u, w = gen.random(n), gen.standard_exponential(n)
+        got = _cms(u.copy(), w.copy(), alpha, np.empty(n), np.empty(n))
+        ref = _cms_reference(u, w, alpha)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= bound
+
+    @needs_long_double
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 1.5, 1.9, 2.0])
+    def test_cms_edges_keep_the_reference_sign(self, alpha):
+        # u at and next to the ends, w at 0, subnormal and huge: every draw
+        # is nonzero with the reference's sign (a form that folds cos V into
+        # w underflows to -0.0 at w = 0), and finite wherever the reference
+        # is inside the float range (at alpha 0.5 it is beyond 4e330 in size
+        # at u = 0 or 2^-53 from an end with w <= 1e-300)
+        u = np.repeat([0.0, 2.0 ** -53, 1.0 - 2.0 ** -53], 3)
+        w = np.tile([0.0, 5e-324, 1e300], 3)
+        with np.errstate(over="ignore"):
+            got = _cms(u.copy(), w.copy(), alpha, np.empty(9), np.empty(9))
+            ref = _cms_reference(u, w, alpha)
+            inside = np.isfinite(ref.astype(float))
+        assert np.all(ref != 0.0)
+        assert np.array_equal(np.sign(got), np.sign(ref))
+        assert np.all(np.isfinite(got[inside]))
+        assert inside.sum() == (9 if alpha > 0.5 else 3)
+
+    def test_cms_cauchy_is_tan(self):
+        # at alpha 1 the draw is tan(V); np.tan of the rounded V is itself
+        # off by up to 2e5 ulps near u = 2^-20, so compare with it only
+        # where that rounding does not dominate, and with the exact tan in
+        # long double on all of [2^-20, 1 - 2^-20] (measured 6 and 4.5 ulps)
+        gen = np.random.Generator(core.philox(29))
+        u = gen.random(1 << 20)
+        u = u[(u >= 2.0 ** -20) & (u <= 1.0 - 2.0 ** -20)]
+        got = _cms(u.copy(), gen.standard_exponential(u.size), 1.0,
+                   np.empty(u.size), np.empty(u.size))
+        mid = (u >= 0.125) & (u <= 0.875)
+        tan = np.tan((u[mid] - 0.5) * np.pi)
+        assert np.max(np.abs(got[mid] - tan) / np.spacing(np.abs(tan))) <= 8
+        if _LONG_DOUBLE:
+            ul = u.astype(np.longdouble)
+            exact = (np.sin((ul - 0.5) * _LD_PI) / np.sin(_LD_PI * np.minimum(ul, 1 - ul)))
+            ulps = np.abs(got - exact) / np.spacing(np.abs(exact.astype(float)))
+            assert np.max(ulps) <= 6
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -516,7 +590,8 @@ class TestPrunedSimulation:
         for i in range(n_paths):
             gen = np.random.Generator(base.jumped(i))
             u = gen.random(n_live)
-            draws.append(_cms(u, gen.standard_exponential(n_live), k.alpha))
+            draws.append(_cms(u, gen.standard_exponential(n_live), k.alpha,
+                              np.empty(n_live), np.empty(n_live)))
         ref = np.einsum("pc,tc->pt", np.array(draws), kmat[:, live], optimize=False)
         got = ss.simulate(k, times, n_paths, seed=seed).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -619,6 +694,29 @@ class TestNamedErrors:
         # the pad of width 1 left of 1e17 rounds to nothing
         with pytest.raises(ValueError, match="empty panel"):
             shift_partition([1e17], 0, 10.0)
+
+    @pytest.mark.parametrize("name, call", [
+        ("n", lambda k: ss.sample_standard_sas(1.5, 2.5, 0)),
+        ("n_paths", lambda k: ss.simulate(k, [0.5, 1.0], 2.5, 0)),
+        ("seed", lambda k: ss.simulate(k, [0.5, 1.0], 2, 2.5)),
+        ("level", lambda k: ss.simulate(k, [0.5, 1.0], 2, 0, level=1.5)),
+        ("threads", lambda k: ss.simulate(k, [0.5, 1.0], 2, 0, threads=2.0)),
+        ("n_paths", lambda k: ss.simulate(k, [0.5, 1.0], True, 0)),
+        ("level", lambda k: ss.cf_exponent(k, ss.combo((1.0, 1.0)), level=1.5)),
+    ])
+    def test_non_integral_count_named(self, name, call):
+        # 2.5 paths used to run as 2, seed 2.5 as seed 2, and level 1.5 died
+        # with a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(ss.build(ss.Lfsm(1.5, 0.7)))
+
+    def test_numpy_integer_counts_accepted(self):
+        k = ss.build(ss.Lfsm(1.5, 0.7))
+        ens = ss.simulate(k, [0.5, 1.0], np.int64(3), np.uint64(4), level=np.int32(1),
+                          threads=np.int8(1))
+        assert ens.values.shape == (3, 2) and type(ens.seed) is int and ens.seed == 4
+        assert ens.values.tobytes() == ss.simulate(k, [0.5, 1.0], 3, 4).values.tobytes()
+        assert ss.sample_standard_sas(1.5, np.int16(4), 1).size == 4
 
 
 class TestShiftPartition:
