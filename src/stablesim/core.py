@@ -11,8 +11,11 @@ libm for ``sin`` and ``cos``, 11-15 ns each.  It works in place, so
 Simulation draws one counter-based random stream per path (Philox), so
 ensembles are reproducible bit-for-bit regardless of worker threads, for a
 given OpenBLAS thread count: with one BLAS thread the chunk products of six
-of the eight catalog specs (all but linear_motion and rotating_average)
-round differently, by at most 2.5e-15 of a row's largest value.
+of the eight catalog specs (all but linear_motion and rotating_average,
+whose one-harmonic product has 320 pair columns) round differently, by at
+most 2.9e-15 of a row's largest value.  A one-harmonic rotating average
+draws isotropic SaS pairs, sub-Gaussian with a positive stable mixing
+variable from Kanter's (1975) transform.
 """
 
 from __future__ import annotations
@@ -89,12 +92,17 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-def philox(seed: int) -> np.random.Philox:
-    """The Philox bit generator keyed by ``seed``, an integer in [0, 2^64)."""
+def _key(seed: int) -> np.uint64:
+    """``seed`` as a Philox key, once it is an integer in [0, 2^64)."""
     seed = _count(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    return np.random.Philox(key=np.uint64(seed))
+    return np.uint64(seed)
+
+
+def philox(seed: int) -> np.random.Philox:
+    """The Philox bit generator keyed by ``seed``, an integer in [0, 2^64)."""
+    return np.random.Philox(key=_key(seed))
 
 
 _M_MIN = 2.0 ** -54  # half the smallest positive uniform numpy draws
@@ -160,6 +168,64 @@ def _cms(u: np.ndarray, w: np.ndarray, alpha: float, out: np.ndarray,
     out *= 2.0
     out *= w
     return out
+
+
+def _kanter(u: np.ndarray, w: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+    """Kanter's (1975) transform of uniforms u on [0, 1) and standard
+    exponentials w into positive rho-stable variables A with
+    E exp(-sA) = exp(-s^rho), 0 < rho < 1, written into ``out``:
+
+        A = sin(rho U) / sin(U)^(1/rho) * (sin((1 - rho)U) / w)^((1 - rho)/rho),
+
+    with U = pi u.  ``u`` and ``w`` are overwritten; all three arrays have
+    one shape.  It is evaluated as B^(1/rho), with the one base
+    B = sin(rho U)^rho sin((1 - rho)U)^(1 - rho) / (sin U w^(1 - rho)), so A
+    is 0 or infinite only where the clamped formula itself leaves the float
+    range, not where one of its factors does (at rho = 1/4 it leaves it for
+    every u once w <= 1e-300 or w = 1e300).  On 2^20 draws A is within
+    3e-15 of the formula at rho 1/4, 1/2, 5/8, 3/4 and 0.95.  sin U is
+    taken as sin(pi m), m = min(u, 1 - u), which keeps it to a few ulps
+    near u = 1.  The clamps are those of ``_cms``: w >= 1e-300, and
+    u >= 2^-54, which keeps U off 0."""
+    np.maximum(u, _M_MIN, out=u)
+    np.maximum(w, 1e-300, out=w)
+    w **= 1.0 - rho
+    np.multiply(u, np.pi * (1.0 - rho), out=out)
+    np.sin(out, out=out)
+    out **= 1.0 - rho
+    np.divide(out, w, out=w)                        # (sin((1 - rho)U) / w)^(1 - rho)
+    np.multiply(u, np.pi * rho, out=out)
+    np.sin(out, out=out)
+    out **= rho
+    w *= out
+    u -= 0.5
+    np.abs(u, out=u)
+    np.subtract(0.5, u, out=u)                      # m
+    u *= np.pi
+    np.sin(u, out=u)                                # sin U
+    np.divide(w, u, out=out)                        # B
+    out **= 1.0 / rho
+    return out
+
+
+def _sas_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray, u: np.ndarray,
+               w: np.ndarray, tmp: np.ndarray) -> None:
+    """Isotropic standard SaS pairs, CF exp(-|theta|^alpha), written into
+    ``out``: pair p at out[2p] and out[2p + 1].  A pair is sub-Gaussian,
+    sqrt(2A) (Z_1, Z_2) with A positive alpha/2-stable and Z_1, Z_2
+    standard normal (Samorodnitsky & Taqqu, 1994, section 2.5), since
+    E exp(-A |theta|^2) = exp(-|theta|^alpha).  ``gen`` draws u.size
+    uniforms into u, u.size exponentials into w, which ``_kanter`` turns
+    into A, then 2 u.size standard normals into out.  u, w and tmp hold
+    half as many values as out, and all three are overwritten."""
+    gen.random(out=u)
+    gen.standard_exponential(out=w)
+    gen.standard_normal(out=out)
+    _kanter(u, w, 0.5 * alpha, tmp)
+    tmp *= 2.0
+    np.sqrt(tmp, out=tmp)
+    pairs = out.reshape(-1, 2)
+    pairs *= tmp[:, None]
 
 
 def sample_standard_sas(alpha: float, n: int, seed: int) -> np.ndarray:
@@ -367,9 +433,9 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
 
     X_t is realized as sum over control-measure cells of
     K(t, cell) * mass^{1/alpha} * S_cell with i.i.d. standard SaS weights
-    S_cell drawn from a per-path counter-based stream; the joint CF of the
-    output converges to exp(-cf_exponent) as n_paths grows and the cell grid
-    refines.  Row i depends only on (seed, i), never on thread scheduling,
+    S_cell, or i.i.d. isotropic pairs of them (below), drawn from a per-path
+    counter-based stream; the joint CF of the output converges to
+    exp(-cf_exponent) as n_paths grows and the cell grid refines.  Row i depends only on (seed, i), never on thread scheduling,
     for a given OpenBLAS thread count (see the module docstring).
 
     The cells are ``kernel.sim_cells`` over the window of the grid.  Each
@@ -377,13 +443,19 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     F(0, .) for the grid) and raveled, with the masses, in C order: the cell
     order of ``kernel.sim_grid``.  Cells whose weighted kernel is 0 at every
     grid time are dead: they take no draws and are not transformed or
-    summed.  Path i takes one uniform per live cell, in cell order, then one
-    exponential per live cell, from ``philox(seed).jumped(i)``.  A cell's
+    summed.  Path i draws from the stream of ``philox(seed).jumped(i)``,
+    built directly as the Philox of key seed and counter (0, 0, i, 0).  It
+    takes one uniform per live cell, in cell order, then one exponential
+    per live cell.  Where the kernel draws pairs (``kernel._sim_pairs()``:
+    one-harmonic rotating averages, whose shift integral is closed form),
+    a pair is live if either of its two cells is, and path i takes one
+    uniform per live pair, then one exponential per live pair, then two
+    standard normals per live pair (``_sas_pairs``).  A cell's
     draw thus depends on which cells are live, and ensembles of one seed on
     two grids over the same window share one realization only when the
-    grids leave the same cells live.  A chunk allocates its n_live-sized
-    draw buffers once, and ``_cms`` writes each path's weights straight into
-    the chunk's row, so no path allocates.  Each chunk of
+    grids leave the same cells live.  A chunk allocates its draw buffers
+    once, and ``_cms`` or ``_sas_pairs`` writes each path's weights straight
+    into the chunk's row, so no path allocates.  Each chunk of
     ``_PATH_CHUNK`` paths is reduced by one matrix product of fixed shape,
     zero-padded past the last path, so a row's arithmetic does not depend on
     n_paths or on the worker count.  The chunks run on a pool of
@@ -397,7 +469,8 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
         raise ValueError(f"threads must be at least 1, got {threads}")
     if _count(level, "level") < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
-    base = philox(seed)
+    key = _key(seed)
+    pairs = kernel._sim_pairs()
     points, masses = kernel.sim_cells(float(t[0]), float(t[-1]), level)
     weights = masses.ravel() ** (1.0 / kernel.alpha)
     kmat = np.empty((t.size, weights.size))
@@ -406,6 +479,8 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     del k_t  # else the last field stays allocated through the simulation
     kmat *= weights[None, :]
     live = np.any(kmat != 0.0, axis=0)
+    if pairs:  # a pair is drawn whole: live where either of its cells is
+        live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
     kT = np.ascontiguousarray(kmat[:, live].T)    # (n_live, n_times)
     del kmat
 
@@ -415,13 +490,18 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     def fill(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
         n_live = kT.shape[0]
+        n_draws = n_live // 2 if pairs else n_live
         S = np.zeros((_PATH_CHUNK, n_live))
-        u, w, tmp = np.empty(n_live), np.empty(n_live), np.empty(n_live)
+        u, w, tmp = np.empty(n_draws), np.empty(n_draws), np.empty(n_draws)
         for i in range(lo, hi):
-            gen = np.random.Generator(base.jumped(i))
-            gen.random(out=u)
-            gen.standard_exponential(out=w)
-            _cms(u, w, kernel.alpha, S[i - lo], tmp)
+            # the stream of philox(seed).jumped(i), at about half its cost
+            gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, i, 0]))
+            if pairs:
+                _sas_pairs(gen, kernel.alpha, S[i - lo], u, w, tmp)
+            else:
+                gen.random(out=u)
+                gen.standard_exponential(out=w)
+                _cms(u, w, kernel.alpha, S[i - lo], tmp)
         # always the full chunk shape: a product with fewer rows may take
         # another BLAS kernel (one row goes through gemv) and round differently
         values[lo:hi] = (S @ kT)[:hi - lo]

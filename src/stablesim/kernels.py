@@ -184,6 +184,14 @@ class Kernel(ABC):
         cell order of ``core.simulate``."""
         return _flat_cells(*self.sim_cells(t_lo, t_hi, level))
 
+    def _sim_pairs(self) -> bool:
+        """Whether ``core.simulate`` draws the cells of ``sim_grid`` in pairs:
+        cells 2p and 2p + 1 read the cos and the sin coefficient of one
+        harmonic of a circle shift coordinate [0, 2 pi), and their weights
+        are one isotropic SaS pair with CF exp(-|theta|^alpha), not two
+        independent ones."""
+        return False
+
     def flow(self, t: float, points):
         """phi_t(points), the stationary flow of the Masani form:
         F(t, p) = F(0, phi_t p), with unit cocycle and unit Radon-Nikodym
@@ -346,6 +354,11 @@ def _flat_cells(points, masses) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(points, tuple):
         return points, masses
     return np.stack([np.broadcast_to(c, masses.shape).ravel() for c in points]), masses.ravel()
+
+
+def _circle_sim_edges(level: int) -> np.ndarray:
+    """Edges of the 64 * 2^level uniform simulation cells of the circle [0, 2 pi)."""
+    return np.linspace(0.0, 2.0 * np.pi, 64 * 2 ** level + 1)
 
 
 _RADIAL_TEST_POINTS = tuple(np.geomspace(0.05, 20.0, 8))  # radial points of scaling_maps
@@ -737,12 +750,24 @@ class RotatingAverage(Kernel):
         s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
         return _product_cells((x_nodes, x_mass), s_edges)
 
+    def _sim_pairs(self):
+        return len(self.series.active_harmonics()) == 1
+
     def sim_cells(self, t_lo, t_hi, level):
         x_nodes, x_mass, _ = power_law_cells(1e-4 * 0.1 ** level, 1e4 * 10.0 ** level,
                                              12 + 4 * level, -1.0 - self.beta)
-        n_s = 64 * 2 ** level
-        s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
-        return _product_cells((x_nodes, x_mass), s_edges)
+        if self._sim_pairs():
+            # with one harmonic k, K(t, (x, s)) = C_t(x) cos(k s) + S_t(x) sin(k s)
+            # (see ``combination``), so a radial cell's share of the integral
+            # is C_t times the measure's cos(k s) integral plus S_t times its
+            # sin(k s) one.  That pair has CF exp(-x_mass c_alpha |theta|^alpha)
+            # (the circle integral of ``cf_cells``): an isotropic SaS pair.
+            # Its two cells, at s = 0 and pi / (2k), read C_t and S_t, carry
+            # x_mass c_alpha each, and ``core.simulate`` draws them as a pair
+            (k,) = self.series.active_harmonics()
+            return ((x_nodes[:, None], np.array([[0.0, 0.5 * np.pi / k]])),
+                    np.repeat((x_mass * _circle_moment(self.alpha))[:, None], 2, axis=1))
+        return _product_cells((x_nodes, x_mass), _circle_sim_edges(level))
 
     def to_doc(self):
         return {"family": self.label, "alpha": self.alpha, "beta": self.beta,

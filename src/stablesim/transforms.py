@@ -178,6 +178,11 @@ class IncrementProcess(Kernel):
     def sim_cells(self, t_lo, t_hi, level):
         return self.source.sim_cells(t_lo, t_hi + self.lag, level)
 
+    def _sim_pairs(self):
+        # the source's cells, so the source's draws: a pair of its cells
+        # stays one pair of the increments
+        return self.source._sim_pairs()
+
     def to_doc(self):
         return {"derived": "increment_process", "lag": self.lag, "source": self.source.to_doc()}
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import CfBatch, LinearCombo, PathEnsemble, cf_exponents, combo, empirical_cf, simulate
-from .kernels import FourierSeries, Kernel, RotatingAverage, build
+from .kernels import FourierSeries, Kernel, RotatingAverage, _circle_sim_edges, build
+from .quadrature import cells_from_edges
 
 _FLOOR = 1e-12  # machine-level invariance floor for refinement comparisons
 _LEVEL = 2  # quadrature level of the self-similarity and Monte Carlo checks
@@ -181,8 +182,13 @@ def flow_identity_fixture(spec: Kernel) -> KernelIdentityFixture:
     sides are taken relative to F(0, .), so they vanish at t = 0, and they
     are evaluated on the spec's own level-1 ``sim_cells`` points over
     [0, 2.5], a full (radial, shift) product on the two-coordinate families
-    (``cf_cells`` may integrate the shift in closed form)."""
+    (``cf_cells`` may integrate the shift in closed form).  Where those
+    cells are pairs (``_sim_pairs``), whose two shift nodes stand for the
+    whole circle, the shift nodes are those of the circle's level-1
+    simulation cells."""
     points = spec.sim_cells(0.0, max(_FLOW_TIMES), 1)[0]
+    if spec._sim_pairs():
+        points = (points[0], cells_from_edges(_circle_sim_edges(1))[0][None, :])
 
     def lhs(t, pts):
         return spec.field(t, pts) - spec.field(0.0, pts)

@@ -49,6 +49,10 @@ class TestValidate:
         rep = ss.validate(ss.MixedLfsm(1.5, 0.5, (((1.0, 1.0), 1.0),)))
         assert rep.ok and rep.hurst == 0.5
 
+    def test_mixed_lfsm_without_atoms_named(self):
+        rep = ss.validate(ss.MixedLfsm(1.5, 0.5, ()))
+        assert rep.violations == ("requires at least one mixing atom",)
+
     def test_lfsm_hurst_range(self):
         assert not ss.validate(ss.Lfsm(1.5, 1.2)).ok
         assert not ss.validate(ss.Lfsm(1.5, 0.0)).ok

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -13,8 +14,16 @@ from hypothesis import strategies as st
 
 import stablesim as ss
 from stablesim import core
-from stablesim.core import _BLOCK_CELLS, _cms
-from stablesim.quadrature import RTOL, Certificate, pairwise_sum, run_levels, shift_partition
+from stablesim.core import _BLOCK_CELLS, _cms, _kanter, _sas_pairs
+from stablesim.kernels import _circle_moment, _circle_sim_edges, _product_cells
+from stablesim.quadrature import (
+    RTOL,
+    Certificate,
+    cells_from_edges,
+    pairwise_sum,
+    run_levels,
+    shift_partition,
+)
 from stablesim.riemann import StepMultiplier, constant_multiplier, integrate, scalar_curve
 from stablesim.transforms import PathFunction, increment_process
 from stablesim.verify import check_stationary_increments, default_probes
@@ -39,6 +48,18 @@ def _cms_reference(u, w, alpha):
     w = np.maximum(np.asarray(w, dtype=ld), ld(1e-300))
     return (np.sin(a * v) / np.sin(_LD_PI * m) ** (1 / a)
             * (np.cos((1 - a) * v) / w) ** ((1 - a) / a))
+
+
+def _kanter_reference(u, w, rho):
+    """Kanter's formula in long double, with ``_kanter``'s clamps
+    (u >= 2^-54, w >= 1e-300) and its two powers kept apart; sin U is taken
+    as sin(pi m), m = min(u, 1 - u), as in ``_cms_reference``."""
+    ld = np.longdouble
+    u = np.maximum(np.asarray(u, dtype=ld), ld(2.0 ** -54))
+    r = ld(rho)
+    w = np.maximum(np.asarray(w, dtype=ld), ld(1e-300))
+    return (np.sin(r * _LD_PI * u) / np.sin(_LD_PI * np.minimum(u, 1 - u)) ** (1 / r)
+            * (np.sin((1 - r) * _LD_PI * u) / w) ** ((1 - r) / r))
 
 
 def ecf(samples, theta):
@@ -130,6 +151,64 @@ class TestSampler:
             exact = (np.sin((ul - 0.5) * _LD_PI) / np.sin(_LD_PI * np.minimum(ul, 1 - ul)))
             ulps = np.abs(got - exact) / np.spacing(np.abs(exact.astype(float)))
             assert np.max(ulps) <= 6
+
+    @needs_long_double
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 1.5, 1.9])
+    def test_kanter_matches_long_double_reference(self, alpha):
+        # measured on these 2^20 draws: at most 2.7e-15
+        gen = np.random.Generator(core.philox(30))
+        n = 1 << 20
+        u, w = gen.random(n), gen.standard_exponential(n)
+        got = _kanter(u.copy(), w.copy(), alpha / 2, np.empty(n))
+        ref = _kanter_reference(u, w, alpha / 2)
+        assert np.max(np.abs(got - ref) / ref) <= 4e-15
+
+    @needs_long_double
+    @pytest.mark.parametrize("alpha, n_inside", [(0.5, 0), (1.0, 7), (1.25, 9), (1.5, 9),
+                                                 (1.9, 9)])
+    def test_kanter_edges_follow_the_reference(self, alpha, n_inside):
+        # u at and next to the ends, w at 0, subnormal and huge.  Where the
+        # clamped formula is inside the normal float range, A is finite and
+        # positive (no factor under- or overflows on the way: measured
+        # 2.6e-14 relative at most); outside it, A is infinite or below the
+        # normal range as the formula is.  At alpha 0.5 every one of these
+        # is outside: A is about 1e+900 at w <= 1e-300 and 1e-900 at w = 1e300
+        u = np.repeat([0.0, 2.0 ** -53, 1.0 - 2.0 ** -53], 3)
+        w = np.tile([0.0, 5e-324, 1e300], 3)
+        with np.errstate(over="ignore", under="ignore"):
+            got = _kanter(u.copy(), w.copy(), alpha / 2, np.empty(9))
+            ref = _kanter_reference(u, w, alpha / 2)
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        inside = (ref >= tiny) & (ref <= huge)
+        assert inside.sum() == n_inside
+        assert np.all(np.abs(got[inside] - ref[inside]) <= 1e-13 * ref[inside])
+        assert np.all(np.isposinf(got[ref > huge])) and np.all(got[ref < tiny] < tiny)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.25, 1.5, 1.9])
+    def test_kanter_laplace_transform(self, alpha):
+        # E exp(-sA) = exp(-s^rho), rho = alpha / 2, within 4 standard errors
+        gen = np.random.Generator(core.philox(31))
+        n = 1 << 18
+        a = _kanter(gen.random(n), gen.standard_exponential(n), alpha / 2, np.empty(n))
+        for s in (0.3, 1.0, 3.0):
+            e = np.exp(-s * a)
+            assert abs(e.mean() - math.exp(-s ** (alpha / 2))) <= 4.0 * e.std() / math.sqrt(n)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.25, 1.5, 1.9])
+    def test_sas_pair_cf_is_isotropic(self, alpha):
+        # E exp(i theta . X) = exp(-|theta|^alpha) in three directions, within
+        # 4 standard errors (at most about 0.008); two independent coordinates
+        # would give exp(-|theta_1|^alpha - |theta_2|^alpha), 0.011 (alpha
+        # 1.9) to 0.175 (alpha 0.5) away in the third direction
+        gen = np.random.Generator(core.philox(32))
+        n = 1 << 17
+        out = np.empty(2 * n)
+        _sas_pairs(gen, alpha, out, np.empty(n), np.empty(n), np.empty(n))
+        x = out.reshape(-1, 2)
+        for theta in ((1.0, 0.0), (0.0, 0.7), (0.6, -0.9)):
+            c = np.cos(x @ np.array(theta))
+            want = math.exp(-math.hypot(*theta) ** alpha)
+            assert abs(c.mean() - want) <= 4.0 * c.std() / math.sqrt(n)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -488,13 +567,42 @@ class TestSimulate:
             assert ens.values[:, j].var() / 2.0 == pytest.approx(t, rel=0.08)
 
     def test_zero_harmonic_changes_no_bit(self):
-        # the field skips a harmonic whose coefficients are both 0
+        # the field skips a harmonic whose coefficients are both 0, and the
+        # pair rule counts active harmonics, not terms
         rot = ss.catalog_specs()[-1]
         padded = ss.RotatingAverage(rot.alpha, rot.beta,
                                     ss.FourierSeries((*rot.series.terms, (2, 0.0, 0.0))))
+        assert padded._sim_pairs() and padded.sim_cells(0.05, 3.0, 1)[1].shape == (160, 2)
         times = np.linspace(0.05, 3.0, 8)
         want = ss.simulate(rot, times, 50, seed=4).values
         assert ss.simulate(padded, times, 50, seed=4).values.tobytes() == want.tobytes()
+
+    def test_two_harmonics_keep_the_product_grid(self):
+        # no closed-form shift integral: one independent cell per radial node
+        # and shift cell of the circle, drawn as before pairs were (the digest
+        # was taken before them, with one BLAS thread and with two)
+        (x, s), masses = TWO_HARMONICS.sim_cells(0.05, 3.0, 1)
+        assert not TWO_HARMONICS._sim_pairs() and masses.shape == (160, 128)
+        assert np.array_equal(s[0], cells_from_edges(_circle_sim_edges(1))[0])
+        values = ss.simulate(TWO_HARMONICS, np.linspace(0.05, 3.0, 8), 50, seed=4).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "3ebe8d6920bcffe603320f0712600fc746206bfba97ae58d3fecf726cb3a9eef")
+
+    @pytest.mark.parametrize("seed", [0, 17, 2 ** 64 - 1])
+    def test_path_stream_is_the_jumped_stream(self, seed):
+        # simulate builds path i's generator from the counter (0, 0, i, 0)
+        # instead of jumping philox(seed) i times: one state, one stream
+        def state(bit_gen):
+            st = bit_gen.state
+            return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
+                    st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+        for i in (0, 1, 5, 255, 256, 1999, 2 ** 40 + 3):
+            jumped = core.philox(seed).jumped(i)
+            direct = np.random.Philox(key=np.uint64(seed), counter=[0, 0, i, 0])
+            assert state(direct) == state(jumped)
+            assert np.array_equal(np.random.Generator(direct).random(9),
+                                  np.random.Generator(jumped).random(9))
 
     def test_thread_count_does_not_change_bytes(self):
         k = ss.build(ss.Lfsm(1.5, 0.7))
@@ -549,7 +657,7 @@ class TestSimulate:
 
 
 PRUNED_SPECS = (ss.Chentsov(1.25, 0.5), ss.TruncatedFractional(1.5, 0.5, 0.5),
-                ss.Lfsm(1.5, 0.7))
+                ss.Lfsm(1.5, 0.7), ss.catalog_specs()[-1])
 PRUNED_TIMES = [0.5, 1.0, 2.0]
 
 
@@ -577,18 +685,32 @@ class TestPrunedSimulation:
     def test_matches_unpruned_reference(self, spec):
         # reference: the live cells found from sim_grid and eval, n_live
         # uniforms then n_live exponentials per path, reduced with einsum;
-        # the two differ by reduction rounding alone
+        # the two differ by reduction rounding alone.  A kernel that draws
+        # pairs (the one-harmonic rotating average) takes per live pair one
+        # uniform, then one exponential, then two standard normals, and
+        # draws the pair as sqrt(2A) (Z_1, Z_2), A from Kanter's formula in
+        # long double
         times = sorted({t for c in default_probes() for t in c.times})
         seed, n_paths = 17, 7
         k = ss.build(spec)
         pts, masses = k.sim_grid(times[0], times[-1], 1)
         kmat = np.array([k.eval(t, pts) for t in times]) * masses ** (1.0 / k.alpha)
         live = np.any(kmat != 0.0, axis=0)
+        pairs = k._sim_pairs()
+        if pairs:
+            live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
         n_live = int(live.sum())
         base = np.random.Philox(key=np.uint64(seed))
         draws = []
         for i in range(n_paths):
             gen = np.random.Generator(base.jumped(i))
+            if pairs:
+                n_pairs = n_live // 2
+                a = _kanter_reference(gen.random(n_pairs), gen.standard_exponential(n_pairs),
+                                      k.alpha / 2).astype(float)
+                z = gen.standard_normal((n_pairs, 2))
+                draws.append((np.sqrt(2.0 * a)[:, None] * z).ravel())
+                continue
             u = gen.random(n_live)
             draws.append(_cms(u, gen.standard_exponential(n_live), k.alpha,
                               np.empty(n_live), np.empty(n_live)))
@@ -616,6 +738,78 @@ class TestPrunedSimulation:
         assert k.sim_grid(PRUNED_TIMES[0], PRUNED_TIMES[-1], 1)[1].size == n_cells + far.size
         got = ss.simulate(k, PRUNED_TIMES, 300, seed=5).values
         assert got.tobytes() == want.tobytes()
+
+
+ROTATING = ss.catalog_specs()[-1]
+LAW_TIMES = np.linspace(0.05, 3.0, 60)
+
+
+def _implied_lag1(k, times, pairs):
+    """The exact sigma^alpha of every lag-1 increment X_{t_j} - X_{t_{j-1}}
+    of a simulation on ``k.sim_grid``'s cells: |weighted kernel|^alpha summed
+    over independent cells, or with ``pairs``, the hypot of a pair's two
+    weighted kernels to the alpha summed over pairs."""
+    pts, masses = k.sim_grid(times[0], times[-1], 1)
+    d = np.diff([k.eval(t, pts) for t in times], axis=0) * masses ** (1.0 / k.alpha)
+    if pairs:
+        d = np.hypot(d[:, 0::2], d[:, 1::2])
+    return (np.abs(d) ** k.alpha).sum(axis=1)
+
+
+def _closed_form_lag1(spec, times, lag=0.0):
+    """The same from ``RotatingAverage.combination``'s one-harmonic form,
+    sum_x x_mass c_alpha R(x)^alpha, on the radial nodes of ``spec.sim_cells``,
+    for the lag-``lag`` increment process (lag 0: the process itself)."""
+    (x, _), masses = spec.sim_cells(times[0], times[-1] + lag, 1)
+    out = np.empty((x.shape[0], 1))
+    values = []
+    for lo, hi in zip(times[:-1], times[1:]):
+        terms = [(1.0, hi + lag), (-1.0, lo + lag)]
+        if lag:
+            terms += [(-1.0, hi), (1.0, lo)]
+        spec.combination(terms, (x, np.zeros((1, 1))), out)
+        values.append(np.sum(masses[:, 0] * out[:, 0] ** spec.alpha))
+    return np.array(values)
+
+
+class TestPairLaw:
+    """A one-harmonic rotating average draws one isotropic SaS pair per
+    radial cell, whose law is the closed-form shift integral of the oracle."""
+
+    def test_implied_lag1_is_the_closed_form(self):
+        # at every position: the pair layout gives combination's form to
+        # 1e-12 (measured 6.7e-16), and the 128-cell circle grid it replaced
+        # agrees to 1e-4 (measured 3.7e-6: that grid's shift quadrature error)
+        got = _implied_lag1(ROTATING, LAW_TIMES, pairs=ROTATING._sim_pairs())
+        want = _closed_form_lag1(ROTATING, LAW_TIMES)
+        assert got.size == 59 and np.max(np.abs(got / want - 1.0)) <= 1e-12
+        (x, _), masses = ROTATING.sim_cells(LAW_TIMES[0], LAW_TIMES[-1], 1)
+        pts, grid = _product_cells((x[:, 0], masses[:, 0] / _circle_moment(ROTATING.alpha)),
+                                   _circle_sim_edges(1))
+        product = np.array([np.sum(np.abs(ROTATING.eval(hi, pts) - ROTATING.eval(lo, pts))
+                                   ** ROTATING.alpha * grid)
+                            for lo, hi in zip(LAW_TIMES[:-1], LAW_TIMES[1:])])
+        assert np.max(np.abs(got / product - 1.0)) <= 1e-4
+
+    def test_increment_process_draws_the_source_pairs(self):
+        # an increment process of a one-harmonic rotating average draws the
+        # source's pairs: its law is the source's hypot form.  Drawn as
+        # independent cells it would be sum m c_alpha (|C|^alpha + |S|^alpha),
+        # 8.7-13.8 % too large here
+        inc = increment_process(ROTATING, 0.7)
+        assert inc._sim_pairs()
+        want = _closed_form_lag1(ROTATING, LAW_TIMES, lag=0.7)
+        got = _implied_lag1(inc, LAW_TIMES, pairs=inc._sim_pairs())
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        iid = _implied_lag1(inc, LAW_TIMES, pairs=False)
+        assert np.min(np.abs(iid / want - 1.0)) > 0.05
+        # and its paths are the source's increments, draw for draw
+        times, n = LAW_TIMES[:8], 40
+        got = ss.simulate(inc, times, n, seed=6).values
+        src = ss.simulate(ROTATING, np.union1d(times, times + 0.7), n, seed=6)
+        want = (src.values[:, [src.time_index(t + 0.7) for t in times]]
+                - src.values[:, [src.time_index(t) for t in times]])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestPathEnsemble:
