@@ -11,11 +11,15 @@ libm for ``sin`` and ``cos``, 11-15 ns each.  It works in place, so
 Simulation draws one counter-based random stream per path (Philox), so
 ensembles are reproducible bit-for-bit regardless of worker threads, for a
 given OpenBLAS thread count: with one BLAS thread the chunk products of six
-of the eight catalog specs (all but linear_motion and rotating_average,
-whose one-harmonic product has 320 pair columns) round differently, by at
-most 2.9e-15 of a row's largest value.  A one-harmonic rotating average
-draws isotropic SaS pairs, sub-Gaussian with a positive stable mixing
-variable from Kanter's (1975) transform.
+of the eight catalog specs (all but linear_motion and rotating_average)
+round differently on ``linspace(0.05, 3, 60)``, by at most 2.9e-15 of a
+row's largest value; on the default probe times only mixed_lfsm's and
+truncated_fractional's do.  A path draws once per distinct kernel column
+of its live cells: cells with equal columns are one cell of their summed
+mass, which leaves the law unchanged by the stability property of SaS
+sums (Samorodnitsky & Taqqu, 1994, property 1.2.1; see ``_sim_layout``).
+A one-harmonic rotating average draws isotropic SaS pairs, sub-Gaussian
+with a positive stable mixing variable from Kanter's (1975) transform.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -427,35 +431,138 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
-def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
-             level: int = 1, threads: int = 1) -> PathEnsemble:
-    """Simulate sample paths of the kernel's process on a time grid.
+_HASH_BLOCK = 1 << 16  # kernel-matrix entries hashed or compared at a time
+_SPLITMIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_TIME_SALT = np.uint64(0x9E3779B97F4A7C15)
 
-    X_t is realized as sum over control-measure cells of
-    K(t, cell) * mass^{1/alpha} * S_cell with i.i.d. standard SaS weights
-    S_cell, or i.i.d. isotropic pairs of them (below), drawn from a per-path
-    counter-based stream; the joint CF of the output converges to
-    exp(-cf_exponent) as n_paths grows and the cell grid refines.  Row i depends only on (seed, i), never on thread scheduling,
-    for a given OpenBLAS thread count (see the module docstring).
+
+def _spans(n_rows: int, row_size: int):
+    """Slices of about ``_HASH_BLOCK`` entries over ``n_rows`` rows of ``row_size``."""
+    step = max(1, _HASH_BLOCK // max(row_size, 1))
+    return [slice(r, r + step) for r in range(0, n_rows, step)]
+
+
+def _column_hash(columns: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of ``columns`` (a uint64 view of kernel
+    columns, one per row): the sum mod 2^64 over times j of splitmix64's
+    finalizer of the entry xor a constant of j.  The finalizer spreads every
+    input bit over all 64, so columns that differ only in the top bits of a
+    value (chentsov's 0 and +-1) still hash apart."""
+    salt = _TIME_SALT * np.arange(1, columns.shape[1] + 1, dtype=np.uint64)
+    h = np.empty(columns.shape[0], np.uint64)
+    for rows in _spans(*columns.shape):
+        x = columns[rows] ^ salt
+        for m in _SPLITMIX:
+            x ^= x >> np.uint64(30)
+            x *= m
+        x ^= x >> np.uint64(31)
+        x.sum(axis=1, out=h[rows])
+    return h
+
+
+def _first_equal(columns: np.ndarray) -> np.ndarray:
+    """For each row of ``columns`` (a uint64 view), the index of the first row
+    equal to it.  Rows are matched by ``_column_hash``, and each match is
+    confirmed entry by entry; where rows share a hash but not their bytes,
+    the rows of those hashes are matched anew by a sort of their bytes."""
+    _, first, label = np.unique(_column_hash(columns), return_index=True, return_inverse=True)
+    head = first[label]
+    dup = np.flatnonzero(head != np.arange(head.size))
+    same = np.empty(dup.size, dtype=bool)
+    for rows in _spans(dup.size, columns.shape[1]):
+        np.all(columns[dup[rows]] == columns[head[dup[rows]]], axis=1, out=same[rows])
+    if not same.all():
+        hit = np.flatnonzero(np.isin(label, label[dup[~same]]))
+        keys = columns[hit].view(np.dtype((np.void, 8 * columns.shape[1]))).ravel()
+        _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+        head[hit] = hit[first[label]]
+    return head
+
+
+class _SimLayout(NamedTuple):
+    """What ``simulate`` reduces its draws against, and the counts behind it."""
+
+    kT: np.ndarray   # weighted kernel columns, one row per draw, (n_columns, n_times)
+    n_cells: int     # cells of ``kernel.sim_grid``
+    n_live: int      # cells with a nonzero weighted kernel at some grid time
+    n_columns: int   # rows of kT: distinct live columns, or the cells of live pairs
+
+
+def _sim_layout(kernel: Kernel, t: np.ndarray, level: int) -> _SimLayout:
+    """The simulation layout of ``kernel`` on the time grid ``t``.
 
     The cells are ``kernel.sim_cells`` over the window of the grid.  Each
     K(t_j, .) is evaluated on their factored points (``kernel.evals``, one
     F(0, .) for the grid) and raveled, with the masses, in C order: the cell
-    order of ``kernel.sim_grid``.  Cells whose weighted kernel is 0 at every
-    grid time are dead: they take no draws and are not transformed or
-    summed.  Path i draws from the stream of ``philox(seed).jumped(i)``,
-    built directly as the Philox of key seed and counter (0, 0, i, 0).  It
-    takes one uniform per live cell, in cell order, then one exponential
-    per live cell.  Where the kernel draws pairs (``kernel._sim_pairs()``:
-    one-harmonic rotating averages, whose shift integral is closed form),
-    a pair is live if either of its two cells is, and path i takes one
+    order of ``kernel.sim_grid``.  A cell is live where K(t_j, cell)
+    mass^{1/alpha} is nonzero at some grid time.  Live cells whose unweighted
+    columns K(t_., cell) are equal byte for byte become one column: that of
+    their first cell, weighted by (sum of their masses)^{1/alpha}.  For
+    independent standard SaS S_1, S_2 and S, S_1 m_1^{1/alpha} +
+    S_2 m_2^{1/alpha} has the law of S (m_1 + m_2)^{1/alpha} (Samorodnitsky
+    & Taqqu, 1994, property 1.2.1), so every finite-dimensional law of the
+    simulated sum stays that of one weight per cell.  Columns come in the
+    order of their first cells.  Where the kernel draws pairs
+    (``kernel._sim_pairs()``), a pair is live where either of its cells is,
+    and no cells are merged."""
+    points, masses = kernel.sim_cells(float(t[0]), float(t[-1]), level)
+    masses = masses.ravel()
+    weights = masses ** (1.0 / kernel.alpha)
+    kmat = np.empty((t.size, masses.size))
+    live = np.zeros(masses.size, dtype=bool)
+    for j, k_t in enumerate(kernel.evals(t.tolist(), points)):
+        k_t = k_t.ravel()
+        kmat[j] = k_t
+        k_t *= weights
+        live |= k_t != 0.0
+    del k_t  # else the last field stays allocated through the grouping
+    n_live = int(live.sum())
+    pairs = kernel._sim_pairs()
+    if pairs:  # a pair is drawn whole: live where either of its cells is
+        live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
+    cells = np.flatnonzero(live)
+    kT = kmat.T[cells]  # unweighted live columns, (n_live, n_times)
+    del kmat
+    if pairs:
+        weights = weights[cells]
+    else:
+        first, group = np.unique(_first_equal(kT.view(np.uint64)), return_inverse=True)
+        weights = np.bincount(group, weights=masses[cells]) ** (1.0 / kernel.alpha)
+        if first.size < cells.size:
+            kT = kT[first]
+    kT *= weights[:, None]
+    return _SimLayout(kT, masses.size, n_live, kT.shape[0])
+
+
+def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
+             level: int = 1, threads: int = 1) -> PathEnsemble:
+    """Simulate sample paths of the kernel's process on a time grid.
+
+    X_t is realized as a sum over the columns of ``_sim_layout``,
+    K(t, cell) * mass^{1/alpha} * S, with i.i.d. standard SaS weights S, or
+    i.i.d. isotropic pairs of them (below), drawn from a per-path
+    counter-based stream.  A column stands for the live cells whose kernel
+    columns over the grid are equal, drawn as one cell of their summed mass:
+    every finite-dimensional law of the sum is that of one weight per cell.
+    The joint CF of the output converges to exp(-cf_exponent) as n_paths
+    grows and the cell grid refines.  Row i depends only on (seed, i),
+    never on thread scheduling, for a given OpenBLAS thread count (see the
+    module docstring).
+
+    Path i draws from the stream of ``philox(seed).jumped(i)``, built
+    directly as the Philox of key seed and counter (0, 0, i, 0).  It takes
+    one uniform per column, in column order (the order of each column's
+    first cell), then one exponential per column.  Dead cells, whose
+    weighted kernel is 0 at every grid time, take no draws.  Where the
+    kernel draws pairs (``kernel._sim_pairs()``: one-harmonic rotating
+    averages, whose shift integral is closed form), path i takes one
     uniform per live pair, then one exponential per live pair, then two
-    standard normals per live pair (``_sas_pairs``).  A cell's
-    draw thus depends on which cells are live, and ensembles of one seed on
-    two grids over the same window share one realization only when the
-    grids leave the same cells live.  A chunk allocates its draw buffers
-    once, and ``_cms`` or ``_sas_pairs`` writes each path's weights straight
-    into the chunk's row, so no path allocates.  Each chunk of
+    standard normals per live pair (``_sas_pairs``).  A draw thus depends
+    on which cells are live and which columns are equal, and ensembles of
+    one seed on two grids over the same window share one realization only
+    when the grids give the same layout.  A chunk allocates its draw
+    buffers once, and ``_cms`` or ``_sas_pairs`` writes each path's weights
+    straight into the chunk's row, so no path allocates.  Each chunk of
     ``_PATH_CHUNK`` paths is reduced by one matrix product of fixed shape,
     zero-padded past the last path, so a row's arithmetic does not depend on
     n_paths or on the worker count.  The chunks run on a pool of
@@ -471,27 +578,16 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
         raise ValueError(f"level must be nonnegative, got {level}")
     key = _key(seed)
     pairs = kernel._sim_pairs()
-    points, masses = kernel.sim_cells(float(t[0]), float(t[-1]), level)
-    weights = masses.ravel() ** (1.0 / kernel.alpha)
-    kmat = np.empty((t.size, weights.size))
-    for j, k_t in enumerate(kernel.evals(t.tolist(), points)):
-        kmat[j] = k_t.ravel()
-    del k_t  # else the last field stays allocated through the simulation
-    kmat *= weights[None, :]
-    live = np.any(kmat != 0.0, axis=0)
-    if pairs:  # a pair is drawn whole: live where either of its cells is
-        live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
-    kT = np.ascontiguousarray(kmat[:, live].T)    # (n_live, n_times)
-    del kmat
+    kT = _sim_layout(kernel, t, level).kT
 
     values = np.empty((n_paths, t.size))
     chunks = [(lo, min(lo + _PATH_CHUNK, n_paths)) for lo in range(0, n_paths, _PATH_CHUNK)]
 
     def fill(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        n_live = kT.shape[0]
-        n_draws = n_live // 2 if pairs else n_live
-        S = np.zeros((_PATH_CHUNK, n_live))
+        n_columns = kT.shape[0]
+        n_draws = n_columns // 2 if pairs else n_columns
+        S = np.zeros((_PATH_CHUNK, n_columns))
         u, w, tmp = np.empty(n_draws), np.empty(n_draws), np.empty(n_draws)
         for i in range(lo, hi):
             # the stream of philox(seed).jumped(i), at about half its cost

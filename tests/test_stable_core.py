@@ -659,6 +659,7 @@ class TestSimulate:
 PRUNED_SPECS = (ss.Chentsov(1.25, 0.5), ss.TruncatedFractional(1.5, 0.5, 0.5),
                 ss.Lfsm(1.5, 0.7), ss.catalog_specs()[-1])
 PRUNED_TIMES = [0.5, 1.0, 2.0]
+PROBE_TIMES = sorted({t for c in default_probes() for t in c.times})
 
 
 class TestPrunedSimulation:
@@ -683,77 +684,123 @@ class TestPrunedSimulation:
     @pytest.mark.parametrize("spec", BATCH_SPECS,
                              ids=lambda s: f"{s.label}-{s.alpha}")
     def test_matches_unpruned_reference(self, spec):
-        # reference: the live cells found from sim_grid and eval, n_live
-        # uniforms then n_live exponentials per path, reduced with einsum;
-        # the two differ by reduction rounding alone.  A kernel that draws
-        # pairs (the one-harmonic rotating average) takes per live pair one
-        # uniform, then one exponential, then two standard normals, and
-        # draws the pair as sqrt(2A) (Z_1, Z_2), A from Kanter's formula in
-        # long double
-        times = sorted({t for c in default_probes() for t in c.times})
+        # reference: the live cells found from sim_grid and eval, their
+        # byte-equal columns grouped by np.unique into one column of the
+        # group's first cell, weighted by the summed mass to the 1/alpha;
+        # per path n_columns uniforms then n_columns exponentials, reduced
+        # with einsum.  The two differ by reduction rounding alone.  A kernel
+        # that draws pairs (the one-harmonic rotating average) groups nothing
+        # and takes per live pair one uniform, then one exponential, then two
+        # standard normals, and draws the pair as sqrt(2A) (Z_1, Z_2), A from
+        # Kanter's formula in long double
+        times = PROBE_TIMES
         seed, n_paths = 17, 7
         k = ss.build(spec)
         pts, masses = k.sim_grid(times[0], times[-1], 1)
-        kmat = np.array([k.eval(t, pts) for t in times]) * masses ** (1.0 / k.alpha)
-        live = np.any(kmat != 0.0, axis=0)
+        fields = np.array([k.eval(t, pts) for t in times])
+        weights = masses ** (1.0 / k.alpha)
+        live = np.any(fields * weights != 0.0, axis=0)
         pairs = k._sim_pairs()
         if pairs:
             live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
-        n_live = int(live.sum())
+            columns = fields[:, live] * weights[live]
+        else:
+            block = np.ascontiguousarray(fields[:, live].T)
+            rows = block.view(np.dtype((np.void, block.shape[1] * 8))).ravel()
+            _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+            order = np.argsort(first)  # the groups in the order of their first cells
+            mass = np.bincount(group, weights=masses[live])[order]
+            columns = block[first[order]].T * mass ** (1.0 / k.alpha)
+        n_columns = columns.shape[1]
         base = np.random.Philox(key=np.uint64(seed))
         draws = []
         for i in range(n_paths):
             gen = np.random.Generator(base.jumped(i))
             if pairs:
-                n_pairs = n_live // 2
+                n_pairs = n_columns // 2
                 a = _kanter_reference(gen.random(n_pairs), gen.standard_exponential(n_pairs),
                                       k.alpha / 2).astype(float)
                 z = gen.standard_normal((n_pairs, 2))
                 draws.append((np.sqrt(2.0 * a)[:, None] * z).ravel())
                 continue
-            u = gen.random(n_live)
-            draws.append(_cms(u, gen.standard_exponential(n_live), k.alpha,
-                              np.empty(n_live), np.empty(n_live)))
-        ref = np.einsum("pc,tc->pt", np.array(draws), kmat[:, live], optimize=False)
+            u = gen.random(n_columns)
+            draws.append(_cms(u, gen.standard_exponential(n_columns), k.alpha,
+                              np.empty(n_columns), np.empty(n_columns)))
+        ref = np.einsum("pc,tc->pt", np.array(draws), columns, optimize=False)
         got = ss.simulate(k, times, n_paths, seed=seed).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_dead_cells_take_no_draws(self, monkeypatch):
-        # lfsm's K(t, s) is 0 for s past every grid time; cells put there at
-        # the front, in the middle and at the back are dead and must leave
-        # every row bit for bit as it was
+    @staticmethod
+    def _padded_lfsm_bytes(monkeypatch, cells, mass):
+        """simulate's bytes on PRUNED_TIMES before and after 12 lfsm cells of
+        ``mass`` at the shifts ``cells`` are put at the front, in the middle
+        and at the back of its sim_cells."""
         k = ss.build(ss.Lfsm(1.5, 0.7))
         want = ss.simulate(k, PRUNED_TIMES, 300, seed=5).values
         n_cells = k.sim_grid(PRUNED_TIMES[0], PRUNED_TIMES[-1], 1)[1].size
-        far = PRUNED_TIMES[-1] + np.arange(1.0, 13.0)
-        assert not any(np.any(k.eval(t, far)) for t in PRUNED_TIMES)
         sim_cells = ss.Lfsm.sim_cells
 
         def padded(self, t_lo, t_hi, level):
             s, m = sim_cells(self, t_lo, t_hi, level)
             at = np.repeat([0, s.size // 2, s.size], 4)
-            return np.insert(s, at, far), np.insert(m, at, 0.5)
+            return np.insert(s, at, cells(s)), np.insert(m, at, mass)
 
         monkeypatch.setattr(ss.Lfsm, "sim_cells", padded)
-        assert k.sim_grid(PRUNED_TIMES[0], PRUNED_TIMES[-1], 1)[1].size == n_cells + far.size
-        got = ss.simulate(k, PRUNED_TIMES, 300, seed=5).values
-        assert got.tobytes() == want.tobytes()
+        assert k.sim_grid(PRUNED_TIMES[0], PRUNED_TIMES[-1], 1)[1].size == n_cells + 12
+        return ss.simulate(k, PRUNED_TIMES, 300, seed=5).values.tobytes(), want.tobytes()
+
+    def test_dead_cells_take_no_draws(self, monkeypatch):
+        # lfsm's K(t, s) is 0 for s past every grid time; cells put there are
+        # dead, their zero columns equal, and they must leave every row bit
+        # for bit as it was
+        far = PRUNED_TIMES[-1] + np.arange(1.0, 13.0)
+        assert not any(np.any(ss.Lfsm(1.5, 0.7).eval(t, far)) for t in PRUNED_TIMES)
+        got, want = self._padded_lfsm_bytes(monkeypatch, lambda s: far, 0.5)
+        assert got == want
+
+    def test_massless_cells_take_no_draws(self, monkeypatch):
+        # cells of mass 0 have a weighted kernel of 0 everywhere: they are
+        # dead, whether their unweighted column equals a live cell's (at a
+        # shift of sim_cells) or is new (between them), and join no column
+        new = np.linspace(0.1, 1.9, 6)
+        got, want = self._padded_lfsm_bytes(
+            monkeypatch, lambda s: np.concatenate([s[[0, 0, 0, 0, s.size // 2, -1]], new]), 0.0)
+        assert got == want
 
 
 ROTATING = ss.catalog_specs()[-1]
 LAW_TIMES = np.linspace(0.05, 3.0, 60)
 
 
-def _implied_lag1(k, times, pairs):
-    """The exact sigma^alpha of every lag-1 increment X_{t_j} - X_{t_{j-1}}
-    of a simulation on ``k.sim_grid``'s cells: |weighted kernel|^alpha summed
-    over independent cells, or with ``pairs``, the hypot of a pair's two
-    weighted kernels to the alpha summed over pairs."""
+def _ungrouped_columns(k, times):
+    """The weighted kernel column of every live cell of ``k.sim_grid`` on
+    ``times``, one row per cell, built from ``eval`` and the masses without
+    ``core``; every cell of a live pair is kept."""
     pts, masses = k.sim_grid(times[0], times[-1], 1)
-    d = np.diff([k.eval(t, pts) for t in times], axis=0) * masses ** (1.0 / k.alpha)
+    kmat = np.array([k.eval(t, pts) for t in times]) * masses ** (1.0 / k.alpha)
+    live = np.any(kmat != 0.0, axis=0)
+    if k._sim_pairs():
+        live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
+    return kmat[:, live].T
+
+
+def _implied(columns, theta, alpha, pairs):
+    """The exact sigma^alpha of theta . X for every row of ``theta`` when X is
+    the sum over ``columns`` (one row per cell) of independent SaS weights:
+    sum |theta . column|^alpha, with a pair's two columns taken as the hypot
+    of their two values."""
+    o = theta @ columns.T
     if pairs:
-        d = np.hypot(d[:, 0::2], d[:, 1::2])
-    return (np.abs(d) ** k.alpha).sum(axis=1)
+        o = np.hypot(o[:, 0::2], o[:, 1::2])
+    return np.sum(np.abs(o) ** alpha, axis=1)
+
+
+def _implied_lag1(k, times, pairs):
+    """``_implied`` for every lag-1 increment X_{t_j} - X_{t_{j-1}} of a
+    simulation on ``k.sim_grid``'s cells, with ``pairs`` chosen apart from
+    whether ``k`` draws pairs."""
+    return _implied(_ungrouped_columns(k, times), np.diff(np.eye(len(times)), axis=0),
+                    k.alpha, pairs)
 
 
 def _closed_form_lag1(spec, times, lag=0.0):
@@ -810,6 +857,84 @@ class TestPairLaw:
         want = (src.values[:, [src.time_index(t + 0.7) for t in times]]
                 - src.values[:, [src.time_index(t) for t in times]])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# (cells, live cells, distinct live columns) of each family's layout at
+# level 1, on linspace(0.05, 3, 60) and on the default probe times
+LAYOUT_COUNTS = {
+    "lfsm": ((572, 457, 457), (572, 457, 457)),
+    "linear_motion": ((572, 342, 60), (572, 342, 6)),
+    "log_fractional": ((572, 572, 572), (572, 572, 572)),
+    "mixed_lfsm": ((1144, 914, 914), (1144, 914, 914)),
+    "truncated_fractional": ((42500, 33851, 8138), (42500, 33851, 4007)),
+    "chentsov": ((99456, 12356, 1109), (99456, 10106, 27)),
+    "rotating_average": ((320, 320, 320), (320, 320, 320)),
+}
+LAYOUT_GRIDS = {"linspace60": LAW_TIMES, "probes": PROBE_TIMES}
+
+
+class TestColumnGroups:
+    """Live cells with byte-equal kernel columns are drawn as one cell of
+    their summed mass, which leaves every finite-dimensional law unchanged."""
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: f"{s.label}-{s.alpha}")
+    def test_law_is_the_ungrouped_law(self, spec, grid):
+        # every lag-1 increment, every X_{t_j} and 5 seeded combinations:
+        # the grouped layout's sigma^alpha against the ungrouped sum over cells
+        # (measured within 1.2e-15)
+        times = LAYOUT_GRIDS[grid]
+        n = len(times)
+        theta = np.vstack([np.diff(np.eye(n), axis=0), np.eye(n),
+                           np.random.default_rng(7).standard_normal((5, n))])
+        pairs = spec._sim_pairs()
+        got = _implied(core._sim_layout(spec, np.asarray(times), 1).kT, theta, spec.alpha, pairs)
+        want = _implied(_ungrouped_columns(spec, times), theta, spec.alpha, pairs)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: f"{s.label}-{s.alpha}")
+    def test_layout_counts(self, spec, grid):
+        times = np.asarray(LAYOUT_GRIDS[grid])
+        layout = core._sim_layout(spec, times, 1)
+        label = getattr(spec, "source", spec).label
+        want = LAYOUT_COUNTS[label][list(LAYOUT_GRIDS).index(grid)]
+        if label == "lfsm" and spec.label != "lfsm":  # its increment process: one cell fewer
+            want = (570, 456, 456)
+        assert (layout.n_cells, layout.n_live, layout.n_columns) == want
+        assert layout.kT.shape == (layout.n_columns, times.size)
+
+    @pytest.mark.parametrize("times", [np.linspace(0.05, 3.0, 8), PROBE_TIMES],
+                             ids=["linspace8", "probes"])
+    def test_lfsm_bytes_did_not_move(self, times):
+        # nothing merges, so the ensemble is the one drawn before grouping;
+        # the digests were taken then, with one BLAS thread and with two
+        values = ss.simulate(ss.Lfsm(1.5, 0.7), times, 50, seed=4).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == {
+            8: "41a3bb071722dd93e3c370302366a12a68b5b30cfde94edba747db7c6e520efd",
+            6: "63489083e2db9d4327cde08ad80703cf4d3a18417767be68be02e972ecdcb310",
+        }[len(times)]
+
+    def test_first_equal_is_by_bytes(self):
+        # 0.0 and -0.0 compare equal but differ in their bytes, and so do
+        # two nans of different payloads; equal bytes group at the first row
+        nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+        cols = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [np.nan, 2.0],
+                         [nan2, 2.0], [np.nan, 2.0], [1.0, -0.0]])
+        head = core._first_equal(cols.view(np.uint64))
+        assert head.tolist() == [0, 1, 0, 3, 4, 3, 1]
+
+    @pytest.mark.parametrize("spec", PRUNED_SPECS, ids=lambda s: s.label)
+    def test_hash_collisions_change_nothing(self, spec, monkeypatch):
+        # a hash that sends every column to one value: every match is refuted
+        # by the bytes and regrouped by a sort, to the same groups and bytes
+        times = np.asarray(PROBE_TIMES)
+        layout = core._sim_layout(spec, times, 1)
+        want = ss.simulate(spec, times, 40, seed=2).values
+        monkeypatch.setattr(core, "_column_hash", lambda c: np.zeros(c.shape[0], np.uint64))
+        collided = core._sim_layout(spec, times, 1)
+        assert collided.kT.tobytes() == layout.kT.tobytes()
+        assert ss.simulate(spec, times, 40, seed=2).values.tobytes() == want.tobytes()
 
 
 class TestPathEnsemble:
