@@ -284,22 +284,25 @@ class CfBatch:
 _BLOCK_CELLS = 1 << 16  # cells per row block of the oracle integrand
 # integrand work (the first grid's cells times the batch's nonzero-theta
 # terms) below which cf_exponents runs in-process: on 2 CPUs the pool (about
-# 10 ms to fork and join, 0.13 ms a span) won most runs from 3.4M cell-terms
-# on the truncated grids, but on the rotating shift grids (multi-harmonic
-# profiles only) lost 5 of 7 at 7.2M and won 6 of 7 only at 11.4M
+# 10 ms to fork and join, 0.13 ms a span) lost 5 of 7 runs at 7.2M
+# cell-terms on the rotating shift grids and won 6 of 7 only at 11.4M.  Of
+# the default checks only multi-harmonic rotating batches reach it; the
+# truncated ones, exact in the radial coordinate outside the kinks, stay
+# at most 0.3M
 _ORACLE_POOL_MIN_WORK = 1 << 23
 
 
-def _row_blocks(points, shape: tuple[int, ...]):
-    """(points, rows) of each row block of a ``cf_cells`` grid: runs of about
-    ``_BLOCK_CELLS`` cells of the radial rows of a two-coordinate grid, or
-    the whole array of a shift grid.  Coordinate arrays whose leading axis
-    is the row axis are sliced; the shift row is passed whole."""
+def _row_blocks(points, shape: tuple[int, ...], block_cells: int):
+    """(points, rows) of each row block of a ``cf_cells`` or ``sim_cells``
+    grid: runs of about ``block_cells`` cells of the radial rows of a
+    two-coordinate grid, or the whole array of a shift grid.  Coordinate
+    arrays whose leading axis is the row axis are sliced; the shift row is
+    passed whole."""
     if not isinstance(points, tuple):
         yield points, slice(None)
         return
     n_rows = shape[0]
-    step = max(1, _BLOCK_CELLS // shape[1])
+    step = max(1, block_cells // shape[1])
     for r0 in range(0, n_rows, step):
         rows = slice(r0, r0 + step)
         yield tuple(c[rows] if c.shape[0] == n_rows else c for c in points), rows
@@ -367,7 +370,7 @@ def _group_values(span: tuple, held: tuple) -> tuple[int, list[float]]:
     kernel, combos, level, grids = held
     k, members = span
     pts, masses = grids[k] if k < len(grids) else kernel.cf_cells(combos[members[0]].times, level)
-    blocks = list(_row_blocks(pts, masses.shape))
+    blocks = list(_row_blocks(pts, masses.shape, _BLOCK_CELLS))
     out = np.empty(masses.shape)
     values = []
     for i in members:
@@ -432,6 +435,7 @@ class PathEnsemble:
 
 
 _HASH_BLOCK = 1 << 16  # kernel-matrix entries hashed or compared at a time
+_LAYOUT_BLOCK = 1 << 20  # kernel-matrix entries of a row block of _sim_layout
 _SPLITMIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _TIME_SALT = np.uint64(0x9E3779B97F4A7C15)
 
@@ -491,38 +495,51 @@ class _SimLayout(NamedTuple):
 def _sim_layout(kernel: Kernel, t: np.ndarray, level: int) -> _SimLayout:
     """The simulation layout of ``kernel`` on the time grid ``t``.
 
-    The cells are ``kernel.sim_cells`` over the window of the grid.  Each
-    K(t_j, .) is evaluated on their factored points (``kernel.evals``, one
-    F(0, .) for the grid) and raveled, with the masses, in C order: the cell
-    order of ``kernel.sim_grid``.  A cell is live where K(t_j, cell)
-    mass^{1/alpha} is nonzero at some grid time.  Live cells whose unweighted
-    columns K(t_., cell) are equal byte for byte become one column: that of
-    their first cell, weighted by (sum of their masses)^{1/alpha}.  For
-    independent standard SaS S_1, S_2 and S, S_1 m_1^{1/alpha} +
-    S_2 m_2^{1/alpha} has the law of S (m_1 + m_2)^{1/alpha} (Samorodnitsky
-    & Taqqu, 1994, property 1.2.1), so every finite-dimensional law of the
-    simulated sum stays that of one weight per cell.  Columns come in the
-    order of their first cells.  Where the kernel draws pairs
-    (``kernel._sim_pairs()``), a pair is live where either of its cells is,
-    and no cells are merged."""
+    The cells are ``kernel.sim_cells`` over the window of the grid, taken
+    in row blocks of about ``_LAYOUT_BLOCK`` kernel-matrix entries
+    (``_row_blocks``).  On each block every K(t_j, .) is evaluated on the
+    factored points (``kernel.evals``, one F(0, .) a block) and raveled,
+    with the masses, in C order: the cell order of ``kernel.sim_grid``.  A
+    cell is live where K(t_j, cell) mass^{1/alpha} is nonzero at some grid
+    time.  Only a block's live columns are kept, written straight into kT:
+    no kernel matrix over all the cells is filled, and no cell is evaluated
+    twice.  Live cells whose
+    unweighted columns K(t_., cell) are equal byte for byte become one
+    column: that of their first cell, weighted by (sum of their
+    masses)^{1/alpha}.  For independent standard SaS S_1, S_2 and S,
+    S_1 m_1^{1/alpha} + S_2 m_2^{1/alpha} has the law of
+    S (m_1 + m_2)^{1/alpha} (Samorodnitsky & Taqqu, 1994, property 1.2.1),
+    so every finite-dimensional law of the simulated sum stays that of one
+    weight per cell.  Columns come in the order of their first cells.
+    Where the kernel draws pairs (``kernel._sim_pairs()``), a pair is live
+    where either of its cells is, and no cells are merged."""
     points, masses = kernel.sim_cells(float(t[0]), float(t[-1]), level)
-    masses = masses.ravel()
     weights = masses ** (1.0 / kernel.alpha)
-    kmat = np.empty((t.size, masses.size))
-    live = np.zeros(masses.size, dtype=bool)
-    for j, k_t in enumerate(kernel.evals(t.tolist(), points)):
-        k_t = k_t.ravel()
-        kmat[j] = k_t
-        k_t *= weights
-        live |= k_t != 0.0
-    del k_t  # else the last field stays allocated through the grouping
-    n_live = int(live.sum())
     pairs = kernel._sim_pairs()
-    if pairs:  # a pair is drawn whole: live where either of its cells is
-        live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
-    cells = np.flatnonzero(live)
-    kT = kmat.T[cells]  # unweighted live columns, (n_live, n_times)
-    del kmat
+    # a row for every cell, but only live columns are written, and a page
+    # never written takes no memory
+    kT = np.empty((masses.size, t.size))
+    cells, n_live, n_kept, start = [], 0, 0, 0
+    for block, rows in _row_blocks(points, masses.shape, _LAYOUT_BLOCK // t.size):
+        w = weights[rows].ravel()
+        kmat = np.empty((t.size, w.size))
+        live = np.zeros(w.size, dtype=bool)
+        for j, k_t in enumerate(kernel.evals(t.tolist(), block)):
+            k_t = k_t.ravel()
+            kmat[j] = k_t
+            k_t *= w
+            live |= k_t != 0.0
+        n_live += int(live.sum())
+        if pairs:  # a pair is drawn whole: live where either of its cells is
+            live = np.repeat(live.reshape(-1, 2).any(axis=1), 2)
+        kept = np.flatnonzero(live)
+        np.take(kmat.T, kept, axis=0, out=kT[n_kept:n_kept + kept.size], mode="clip")
+        cells.append(start + kept)
+        n_kept += kept.size
+        start += w.size
+    del kmat, k_t  # else the last block stays allocated through the grouping
+    cells, masses, weights = np.concatenate(cells), masses.ravel(), weights.ravel()
+    kT = kT[:n_kept]
     if pairs:
         weights = weights[cells]
     else:

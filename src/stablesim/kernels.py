@@ -21,9 +21,13 @@ from it.
 
 Both discretizations share one cell layout.  On the shift families the
 points are an array of shifts.  Every two-coordinate family is a mixed
-moving average over (radial or atom coordinate, shift), so its cells are a
-product and its points a pair of coordinate arrays that broadcast to the
-2-d mass array.  ``cf_grid`` and ``sim_grid`` are the same cells flattened
+moving average over (radial or atom coordinate, shift), and its points are
+a pair of coordinate arrays that broadcast to the 2-d mass array: radial
+nodes down, shift nodes across.  Most of these cells are a product, one
+radial column for every shift; the radial nodes may also vary by shift
+column, as in the truncated family's ``cf_cells``, which splits each
+column's radial axis at that column's own kinks.  ``cf_grid`` and
+``sim_grid`` are the same cells flattened
 to one mass per cell in C order, with each coordinate raveled alike: still
 a pair, of two 1-d arrays.  ``field``, ``eval`` and ``flow`` take either
 layout, since both unpack as x, s = points.
@@ -161,7 +165,9 @@ class Kernel(ABC):
         and singular shifts land on cell edges.  On two-coordinate state
         spaces the points are a pair of coordinate arrays that broadcast to
         the shape of ``masses`` (radial nodes down, shift nodes across), so a
-        kernel evaluation never materializes one row per cell."""
+        kernel evaluation never materializes one row per cell.  The radial
+        nodes are one column shared by every shift, or a 2-d array whose
+        nodes vary by shift column; the shift nodes are one row."""
 
     def cf_grid(self, times: Sequence[float], level: int) -> tuple[np.ndarray, np.ndarray]:
         """The cells of ``cf_cells`` flattened: one mass per cell and its
@@ -333,6 +339,19 @@ def _shift_sim_edges(t_lo: float, t_hi: float, level: int) -> np.ndarray:
     # leave a sliver cell next to each end
     left[-1], right[0] = core[0], core[-1]
     return np.unique(np.concatenate([left, core, right]))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1] as (nodes, weights), read-only
+    since they are shared."""
+    # imported on use: numpy.polynomial costs about 4 ms of import time
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(n)
+    for c in rule:
+        c.setflags(write=False)
+    return rule
 
 
 def _circle_moment(alpha: float) -> float:
@@ -567,20 +586,74 @@ class TruncatedFractional(Kernel):
         return _trunc_f(t - s, p, self.a)
 
     def cf_cells(self, times, level):
-        # slow power tails: both radial cutoffs move three decades per level.
-        # Radial sub-sampling averages out the shift-grid aliasing of the
-        # p-dependent kink at s = t - p.
-        p_lo = 1e-6 * 1e-3 ** level
-        p_hi = 1e6 * 1e3 ** level
-        # The grid ends at the first edge at or right of the last breakpoint
-        # m = max(times, 0) (m itself unless its panel was too narrow to
-        # keep): for s >= m both (t - s)_+ and (-s)_+ are 0, so
-        # F(t, .) = F(0, .) = 0 (0^a := 0) and the right pad panel and tail
-        # would add exact zeros only.
-        radial = subdivided_power_cells(p_lo, p_hi, 8 + 4 * level, -1.0 - self.b, subs=4)
-        edges = shift_partition([*times, 0.0], level, 4.0 * p_hi, nodes_per_decade=10)
-        end = int(np.searchsorted(edges, max(*times, 0.0)))
-        return _product_cells(radial, edges[:end + 1])
+        """Cells exact in the radial coordinate p outside the probe's kinks.
+
+        At a shift node s the field F(T_j, (p, s)) = min(p^a, u_j^a) of each
+        T_j of T = times | {0} kinks at u_j = T_j - s when u_j > 0, and is 0
+        when u_j <= 0 (0^a := 0).  Below the first positive kink q every
+        term is a constant times p^e, and so is every term above the last
+        kink u_max, with e = a below and 0 above when a > 0, the other way
+        round when a < 0.  So on each end interval |sum_j theta_j K|^alpha
+        is |C|^alpha p^(alpha e) for every probe on these times, and one
+        cell integrates it exactly against p^(-1-b) dp: its point p* lies
+        inside the interval and its mass is
+        w_s * int p^(alpha e - 1 - b) dp / p*^(alpha e).  The integrals are
+        finite exactly where the spec is admissible (0 < b < alpha a for
+        a > 0, alpha a < b < 0 for a < 0).  Each panel between consecutive
+        positive kinks takes 4 * 2^max(level - 1, 0) Gauss-Legendre nodes
+        in log p, of mass w_s * g_i * h * p_i^(-b) (g_i the weights on
+        [-1, 1] and h half the panel's log length).
+
+        Every column has 2 + (|T| - 1) n_g rows: the two end cells and the
+        n_g nodes of one panel per pair of consecutive times of T.  A column
+        with fewer distinct positive kinks (right of a probe time, or far
+        out in the shift tail, where kinks meet in floating point) gives the
+        rows of its missing panels to closed-form pieces
+        (q 2^(r-1-L), q 2^(r-L)], r = 1..L, of its lower end, above a first
+        piece (0, q 2^-L]: each is exact.  Radial points are down each
+        column (an (n_r, n_s) array), and p increases down it; the shift
+        nodes are one (1, n_s) row, so (t - s)_+^a is still taken once per
+        shift column.
+
+        The shift partition reaches 4e6 * 1e3^level and is cut at
+        m = max(times, 0): for s >= m both (t - s)_+ and (-s)_+ are 0, so
+        F(t, .) = F(0, .) = 0 and the cells right of m would add exact
+        zeros only.  m is an edge of the partition unless the panel ending
+        there was too narrow to keep; then the last cell ends at m instead,
+        so every column has a positive kink."""
+        a, b, alpha = self.a, self.b, self.alpha
+        m = max(*times, 0.0)
+        edges = shift_partition([*times, 0.0], level, 4e6 * 1e3 ** level, nodes_per_decade=10)
+        s, w = cells_from_edges(np.append(edges[edges < m], m))
+        kinks = np.array(sorted({*times, 0.0}))[:, None] - s  # ascending down each column
+        n_t, n_s = kinks.shape
+        cols = np.arange(n_s)
+        n_g = 4 * 2 ** max(level - 1, 0)
+        x, g = _gauss_legendre(n_g)
+        q = kinks[(kinks <= 0.0).sum(axis=0), cols]  # the first positive kink
+        u = np.maximum(kinks, q)
+        # panels of log length 0 move to the front, onto q, and rows
+        # 0..n_low of a column are its lower-end pieces
+        empty = u[1:] == u[:-1]
+        u = np.sort(np.vstack([u[:1], np.where(empty, q, u[1:])]), axis=0)
+        n_low = empty.sum(axis=0) * n_g
+        row = np.arange(1 + (n_t - 1) * n_g)[:, None]
+        panel, node = divmod(np.maximum(row - 1, 0), n_g)
+        lo = u[panel, cols]
+        half = 0.5 * np.log(u[panel + 1, cols] / lo)
+        p = lo * np.exp(half * (1.0 + x[node]))
+        mass = g[node] * half * p ** -b
+        e_lo, e_hi = (a, 0.0) if a > 0.0 else (0.0, a)
+        c_lo, c_hi = alpha * e_lo - b, alpha * e_hi - b  # > 0 and < 0 where admissible
+        low = row <= n_low
+        top = q * 2.0 ** np.minimum(row - n_low, 0)
+        p_low = top * np.where(row == 0, 0.5, math.sqrt(0.5))
+        piece = np.where(row == 0, 1.0, -math.expm1(-c_lo * math.log(2.0)))  # of top^c_lo / c_lo
+        p = np.where(low, p_low, p)
+        mass = np.where(low, top ** c_lo * piece / c_lo / p_low ** (alpha * e_lo), mass)
+        p_top = 2.0 * kinks[-1]
+        mass_top = kinks[-1] ** c_hi / -c_hi / p_top ** (alpha * e_hi)
+        return (np.vstack([p, p_top]), s[None, :]), np.vstack([mass, mass_top]) * w
 
     def sim_cells(self, t_lo, t_hi, level):
         p_hi = 1e4 * 10.0 ** level

@@ -12,6 +12,7 @@ from stablesim.kernels import (
     _circle_moment,
     _power_plus,
     _trunc_f,
+    _truncated_bounds,
     integral_I,
     truncated_region,
 )
@@ -26,7 +27,7 @@ CATALOG_PINS = (
     ("18fb62a37272635a", 1.0),
     ("4185d25f1e50be31", 8.882696916960274),
     ("9c7f542b712e909a", 1.4611943614349001),
-    ("4358501a1db644a3", 8.26452011866657),
+    ("4358501a1db644a3", 8.300882504374272),
     ("bf2cf9886fd89d83", 11.310571137710408),
     ("c0460bd3d8de38b1", 10.987826671305495),
     ("d7395aa1883b7d9d", 12.515319894365344),
@@ -555,7 +556,115 @@ class TestTruncatedCfCells:
                 dropped = cells_from_edges(full[kept:])[0]
                 assert dropped.size > 0 and dropped.min() >= max(*times, 0.0)
                 for t in times:
-                    assert not spec.eval(t, (r, dropped[None, :])).any()
+                    # every radial node of the grid against every dropped shift
+                    assert not spec.eval(t, (r.reshape(-1, 1), dropped[None, :])).any()
+
+    @staticmethod
+    def _value(spec, terms, points, masses):
+        out = np.empty(masses.shape)
+        spec.combination(terms, points, out)
+        return float(np.sum(np.abs(out) ** spec.alpha * masses))
+
+    @staticmethod
+    def _fine_radial(spec, terms, s):
+        """int_0^inf |sum_j theta_j K(t_j, (p, s))|^alpha p^(-1-b) dp from
+        ``eval``, by 40-node Gauss-Legendre panels in log p at most two
+        e-folds wide, split at the positive kinks and reaching 120 decades
+        below the first and 60 above the last."""
+        x, g = np.polynomial.legendre.leggauss(40)
+        kinks = np.log([t - s for t in sorted({t for _, t in terms} | {0.0}) if t > s])
+        lo, hi = kinks[0] - 120 * np.log(10.0), kinks[-1] + 60 * np.log(10.0)
+        edges = np.unique(np.concatenate([kinks, np.arange(lo, kinks[0], 2.0),
+                                          np.arange(kinks[-1], hi, 2.0), [hi]]))
+        total = 0.0
+        for y0, y1 in zip(edges[:-1], edges[1:]):
+            p = np.exp(0.5 * (y0 + y1) + 0.5 * (y1 - y0) * x)
+            v = sum(theta * spec.eval(t, (p, np.full_like(p, s))) for theta, t in terms)
+            total += 0.5 * (y1 - y0) * np.sum(g * np.abs(v) ** spec.alpha * p ** -spec.b)
+        return total
+
+    @pytest.mark.parametrize("spec", SPECS, ids=("a>0", "a<0"))
+    def test_columns_match_a_fine_radial_quadrature(self, spec):
+        # columns whose radial integral is all closed form (one positive
+        # kink), or nearly (the far tail, whose one Gauss panel spans
+        # log(1 + t / |s|)): the cells' sum is the shift width times the
+        # radial integral
+        probes = {(1.0,): ((1.0, 1.0),), (0.5, 2.0): ((0.7, 0.5), (-0.3, 2.0)),
+                  (-1.0, 0.5): ((1.0, -1.0), (0.5, 0.5))}
+        for level in (1, 2):
+            for times, terms in probes.items():
+                (p, s), masses = spec.cf_cells(times, level)
+                edges = shift_partition([*times, 0.0], level, 4e6 * 1e3 ** level,
+                                        nodes_per_decade=10)
+                widths = cells_from_edges(edges[:s.shape[1] + 1])[1]
+                top = sorted({*times, 0.0})[-2:]
+                between = int(np.argmin(np.abs(s[0] - 0.5 * (top[0] + top[1]))))
+                # the far tail, just left of the last time, between the last two
+                for j in (0, s.shape[1] - 1, between):
+                    col = slice(j, j + 1)
+                    mine = self._value(spec, terms, (p[:, col], s[:, col]), masses[:, col])
+                    ref = widths[j] * self._fine_radial(spec, terms, s[0, j])
+                    assert mine == pytest.approx(ref, rel=1e-10), (level, times, j)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=("a>0", "a<0"))
+    def test_end_cells_are_exact_anywhere_inside(self, spec):
+        # below the first positive kink q and above the last kink u_max,
+        # |sum theta K|^alpha is |C|^alpha p^(alpha e): moving a cell's point
+        # p to p' inside its end interval, with its mass times
+        # (p / p')^(alpha e), changes no value
+        rng = np.random.default_rng(3)
+        e_lo, e_hi = (spec.a, 0.0) if spec.a > 0.0 else (0.0, spec.a)
+        for level in (1, 2):
+            for times in self.TIMES:
+                (p, s), masses = spec.cf_cells(times, level)
+                kinks = np.array(sorted({*times, 0.0}))[:, None] - s
+                q = np.where(kinks > 0.0, kinks, np.inf).min(axis=0)
+                low, high = p < q, p > kinks[-1]
+                assert low[0].all() and high[-1].all()
+                v = rng.uniform(0.01, 0.99, p.shape)
+                moved = np.where(low, q * v, np.where(high, kinks[-1] / v, p))
+                e = np.where(low, e_lo, e_hi)
+                rescaled = np.where(low | high, masses * (p / moved) ** (spec.alpha * e), masses)
+                for _ in range(3):
+                    terms = [(theta, t) for theta, t in zip(rng.normal(size=len(times)), times)]
+                    assert (self._value(spec, terms, (moved, s), rescaled)
+                            == pytest.approx(self._value(spec, terms, (p, s), masses), rel=1e-13))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=("a>0", "a<0"))
+    def test_no_empty_panel_where_kinks_meet(self, spec):
+        # kinks equal in floating point, far out in the shift tail at levels
+        # 3 to 5 or from times 1e-15 apart, leave no cell of zero mass
+        probe = default_probes()[5].times
+        for level in (3, 4, 5):
+            for scale in (0.25, 1.0, 4.0):
+                masses = spec.cf_cells([scale * t for t in probe], level)[1]
+                assert np.isfinite(masses).all() and masses.min() > 0.0, (level, scale)
+        t2 = 1.0 + 1e-15
+        for level in (0, 1, 2):
+            (_, s), masses = spec.cf_cells((1.0, t2), level)
+            assert s.max() < t2 and masses.min() > 0.0
+        # X_1 + X_{1 + 1e-15} is 2 X_1; its grid adds a cell 1e-15 wide at
+        # the kink, whose midpoint share reads 2.7e-8 of the value for a < 0
+        one = ss.cf_exponent(spec, ss.combo((1.0, 1.0)), level=1).value
+        two = ss.cf_exponent(spec, ss.combo((1.0, 1.0), (1.0, t2)), level=1).value
+        assert two == pytest.approx(2.0 ** spec.alpha * one, rel=1e-6)
+
+    def test_masses_finite_and_positive_up_to_the_region_edges(self):
+        for alpha in (0.5, 1.2, 1.5, 1.9):
+            for a in (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9):
+                if a > 0.0 and alpha <= 1.0:
+                    continue
+                lo, hi, _ = _truncated_bounds(alpha, a)
+                for frac in (1e-9, 0.5, 1.0 - 1e-9):
+                    b = lo + frac * (hi - lo)
+                    if not truncated_region(alpha, a, b):
+                        continue
+                    spec = ss.TruncatedFractional(alpha, a, b)
+                    for level in (0, 1, 2):
+                        for times in self.TIMES:
+                            masses = spec.cf_cells(times, level)[1]
+                            assert np.isfinite(masses).all() and masses.min() > 0.0, (
+                                alpha, a, b, level, times)
 
 
 class TestTruncatedSimCells:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import stablesim as ss
 from stablesim import core
-from stablesim.core import _BLOCK_CELLS, _cms, _kanter, _sas_pairs
+from stablesim.core import _cms, _kanter, _sas_pairs
 from stablesim.kernels import _circle_moment, _circle_sim_edges, _product_cells
 from stablesim.quadrature import (
     RTOL,
@@ -308,7 +308,7 @@ class TestCfExponents:
 
     @pytest.mark.parametrize("spec", (*BATCH_SPECS, ss.Chentsov(1.0, 0.5)),
                              ids=lambda s: f"{s.label}-{s.alpha}")
-    def test_matches_full_array_reference(self, spec):
+    def test_matches_full_array_reference(self, spec, monkeypatch):
         # the row-blocked integrand with its power on nonzero cells only must
         # give exactly the values of whole fields, accumulated term by term,
         # then abs, ** alpha and * masses over the full array.  The rotating
@@ -317,9 +317,11 @@ class TestCfExponents:
         # increment process is its source's combination of each term's
         # (theta, t + lag) and (-theta, t), so its reference takes the
         # source's fields of those, in that order.  The
-        # truncated level-1 grid of the first probe (864 rows, 65536 // 165 =
-        # 397 per block) ends in a partial block, asserted below;
-        # Chentsov(1.0, 0.5) covers alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
+        # truncated level-1 grid of the first probe (6 rows) fits one block
+        # of _BLOCK_CELLS, so blocks of 4 of its rows are patched in: it
+        # ends in a partial block, asserted below, and the other truncated
+        # grids are cut into blocks too; Chentsov(1.0, 0.5) covers
+        # alpha = 1, Chentsov(0.5, 0.6) alpha = 0.5
         def reference(kernel, combos, level):
             key, values = object(), []
             for c in combos:
@@ -359,7 +361,8 @@ class TestCfExponents:
                      for sc in (0.25, 0.5, 1.0, 2.0, 4.0)]
         if isinstance(spec, ss.TruncatedFractional):
             rows, cols = spec.cf_cells(si[0].times, 1)[1].shape
-            assert rows % (_BLOCK_CELLS // cols) != 0
+            monkeypatch.setattr(core, "_BLOCK_CELLS", 4 * cols)
+            assert rows % (core._BLOCK_CELLS // cols) != 0
         for level in (1, 2):
             for combos in (si + extra, ss_probes + extra):
                 assert (ss.cf_exponents(spec, combos, level).values
@@ -476,7 +479,9 @@ class TestPooledOracle:
 
     def test_workers_build_every_grid_but_the_first(self, pools, monkeypatch):
         # one grid per probe: the calling process holds one grid, whatever
-        # the CPU count, and both workers take some of the 40 spans
+        # the CPU count, and both workers take some of the 40 spans.  The
+        # truncated batches are light, so the gate is set to 0
+        monkeypatch.setattr(core, "_ORACLE_POOL_MIN_WORK", 0)
         trunc = next(s for s in ss.catalog_specs() if isinstance(s, ss.TruncatedFractional))
         level, combos = _check_batches()[1]
         built = []
@@ -492,7 +497,6 @@ class TestPooledOracle:
         assert built == [os.getpid()]
         # also with fewer grids than CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        monkeypatch.setattr(core, "_ORACLE_POOL_MIN_WORK", 0)
         batch = ss.cf_exponents(trunc, combos[:3], level)
         assert (len(pools), batch.grids) == (2, 3)
         assert built == [os.getpid()] * 2
@@ -935,6 +939,19 @@ class TestColumnGroups:
         collided = core._sim_layout(spec, times, 1)
         assert collided.kT.tobytes() == layout.kT.tobytes()
         assert ss.simulate(spec, times, 40, seed=2).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: f"{s.label}-{s.alpha}")
+    def test_row_blocks_change_no_byte(self, spec, grid, monkeypatch):
+        # the layout's row blocks, one radial row each or the whole grid,
+        # give the kT bytes and counts of the default blocks
+        times = np.asarray(LAYOUT_GRIDS[grid])
+        layout = core._sim_layout(spec, times, 1)
+        for block in (1, 1 << 40):
+            monkeypatch.setattr(core, "_LAYOUT_BLOCK", block)
+            other = core._sim_layout(spec, times, 1)
+            assert other.kT.tobytes() == layout.kT.tobytes()
+            assert other[1:] == layout[1:]
 
 
 class TestPathEnsemble:
