@@ -302,7 +302,7 @@ def _row_blocks(points, shape: tuple[int, ...], block_cells: int):
         yield points, slice(None)
         return
     n_rows = shape[0]
-    step = max(1, block_cells // shape[1])
+    step = max(1, block_cells // max(shape[1], 1))  # chentsov's cells at times {0}: none
     for r0 in range(0, n_rows, step):
         rows = slice(r0, r0 + step)
         yield tuple(c[rows] if c.shape[0] == n_rows else c for c in points), rows
@@ -495,7 +495,7 @@ class _SimLayout(NamedTuple):
 def _sim_layout(kernel: Kernel, t: np.ndarray, level: int) -> _SimLayout:
     """The simulation layout of ``kernel`` on the time grid ``t``.
 
-    The cells are ``kernel.sim_cells`` over the window of the grid, taken
+    The cells are ``kernel.sim_cells`` of the grid, taken
     in row blocks of about ``_LAYOUT_BLOCK`` kernel-matrix entries
     (``_row_blocks``).  On each block every K(t_j, .) is evaluated on the
     factored points (``kernel.evals``, one F(0, .) a block) and raveled,
@@ -513,7 +513,7 @@ def _sim_layout(kernel: Kernel, t: np.ndarray, level: int) -> _SimLayout:
     weight per cell.  Columns come in the order of their first cells.
     Where the kernel draws pairs (``kernel._sim_pairs()``), a pair is live
     where either of its cells is, and no cells are merged."""
-    points, masses = kernel.sim_cells(float(t[0]), float(t[-1]), level)
+    points, masses = kernel.sim_cells(t, level)
     weights = masses ** (1.0 / kernel.alpha)
     pairs = kernel._sim_pairs()
     # a row for every cell, but only live columns are written, and a page

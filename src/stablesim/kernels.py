@@ -19,6 +19,13 @@ stationary-increment process: the family implements the field F(t, .) once,
 and ``Kernel`` derives ``eval``, ``evals`` and the oracle's ``combination``
 from it.
 
+Both discretizations are functions of (times, level): ``cf_cells`` of the
+probe times, ``sim_cells`` of the simulation grid, of which every family
+reads only the window [min(*times, 0), max(*times, 0)] so far.  The oracle
+cells of the two indicator kernels, linear motion and chentsov, are exact
+(one cell per region on which the kernel is constant) and do not depend on
+the level.
+
 Both discretizations share one cell layout.  On the shift families the
 points are an array of shifts.  Every two-coordinate family is a mixed
 moving average over (radial or atom coordinate, shift), and its points are
@@ -26,10 +33,10 @@ a pair of coordinate arrays that broadcast to the 2-d mass array: radial
 nodes down, shift nodes across.  Most of these cells are a product, one
 radial column for every shift; the radial nodes may also vary by shift
 column, as in the truncated family's ``cf_cells``, which splits each
-column's radial axis at that column's own kinks.  ``cf_grid`` and
-``sim_grid`` are the same cells flattened
-to one mass per cell in C order, with each coordinate raveled alike: still
-a pair, of two 1-d arrays.  ``field``, ``eval`` and ``flow`` take either
+column's radial axis at that column's own kinks, or be one row of cells, as
+in chentsov's ``cf_cells``.  ``cf_grid`` and ``sim_grid`` are the same
+cells flattened to one mass per cell in C order, with each coordinate
+raveled alike: still a pair, of two 1-d arrays.  ``field``, ``eval`` and ``flow`` take either
 layout, since both unpack as x, s = points.
 """
 
@@ -162,7 +169,10 @@ class Kernel(ABC):
     @abstractmethod
     def cf_cells(self, times: Sequence[float], level: int) -> tuple:
         """Quadrature cells (points, masses) adapted to the probe times: kinks
-        and singular shifts land on cell edges.  On two-coordinate state
+        and singular shifts land on cell edges.  The two indicator kernels
+        (linear motion and chentsov) are constant on finitely many regions
+        that the times fix; their cells are those regions, exact, and the
+        same at every level.  On two-coordinate state
         spaces the points are a pair of coordinate arrays that broadcast to
         the shape of ``masses`` (radial nodes down, shift nodes across), so a
         kernel evaluation never materializes one row per cell.  The radial
@@ -180,15 +190,18 @@ class Kernel(ABC):
         return frozenset(times)
 
     @abstractmethod
-    def sim_cells(self, t_lo: float, t_hi: float, level: int) -> tuple:
-        """Simulation cells (points, masses) covering the time window
-        [min(t_lo, 0), max(t_hi, 0)], in the layout of ``cf_cells``.  They
-        depend on that window and the level only."""
+    def sim_cells(self, times: Sequence[float], level: int) -> tuple:
+        """Simulation cells (points, masses) for the time grid ``times``, in
+        the layout of ``cf_cells``.  Every family's cells cover the window
+        [min(*times, 0), max(*times, 0)] and read no more of the grid than
+        that window."""
 
     def sim_grid(self, t_lo: float, t_hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The cells of ``sim_cells`` flattened as in ``cf_grid``, in the
-        cell order of ``core.simulate``."""
-        return _flat_cells(*self.sim_cells(t_lo, t_hi, level))
+        """The cells of ``sim_cells((t_lo, t_hi), level)`` flattened as in
+        ``cf_grid``, in the cell order of ``core.simulate``: the window-only
+        view that the benchmark's counts read, kept until the simulation
+        layouts read more of the grid than its window."""
+        return _flat_cells(*self.sim_cells((t_lo, t_hi), level))
 
     def _sim_pairs(self) -> bool:
         """Whether ``core.simulate`` draws the cells of ``sim_grid`` in pairs:
@@ -325,12 +338,12 @@ def _shift_cf_edges(times: Sequence[float], level: int) -> np.ndarray:
     return shift_partition(sorted(set(times) | {0.0}), level, 1e3 * 10.0 ** level)
 
 
-def _shift_sim_edges(t_lo: float, t_hi: float, level: int) -> np.ndarray:
-    """Uniform core over the padded window and geometric tails out to 1e3 * 4**level."""
-    lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
+def _shift_sim_edges(times: Sequence[float], level: int) -> np.ndarray:
+    """Uniform core over the padded window [min(*times, 0), max(*times, 0)]
+    and geometric tails out to 1e3 * 4**level."""
+    lo, hi = min(*times, 0.0), max(*times, 0.0)
     pad = max(hi - lo, 1.0)
-    n_core = 256 * 2 ** level
-    core = np.linspace(lo - 0.25 * pad, hi + 0.25 * pad, n_core + 1)
+    core = np.linspace(lo - 0.25 * pad, hi + 0.25 * pad, 256 * 2 ** level + 1)
     reach = 1e3 * 4.0 ** level
     ndec = max(2, int(np.ceil(np.log10(reach / (0.25 * pad)) * 8)))
     left = core[0] - np.geomspace(reach, 0.25 * pad, ndec + 1) + 0.25 * pad
@@ -397,8 +410,8 @@ class _ShiftFamily(Kernel):
     def cf_cells(self, times, level):
         return cells_from_edges(_shift_cf_edges(times, level))
 
-    def sim_cells(self, t_lo, t_hi, level):
-        return cells_from_edges(_shift_sim_edges(t_lo, t_hi, level))
+    def sim_cells(self, times, level):
+        return cells_from_edges(_shift_sim_edges(times, level))
 
     def scaling_maps(self):
         return None, None, 0.0, 1.0
@@ -449,6 +462,12 @@ class LinearMotion(_ShiftFamily):
         """Lfsm's profile at H = 1/alpha, where g = 0: u_+^0 is the indicator
         of u > 0, also at u = +inf."""
         return _two_sided(u, 0.0, self.c_plus, self.c_minus)
+
+    def cf_cells(self, times, level):
+        """The intervals between consecutive points of sorted(times | {0}), at
+        every level: K(t, .) is constant on each of them for every probe
+        time t, and 0 outside them for either sign of c_plus and c_minus."""
+        return cells_from_edges(np.array(sorted({*times, 0.0})))
 
 
 @dataclass(frozen=True)
@@ -519,8 +538,8 @@ class MixedLfsm(Kernel):
     def cf_cells(self, times, level):
         return self._atom_cells(_shift_cf_edges(times, level))
 
-    def sim_cells(self, t_lo, t_hi, level):
-        return self._atom_cells(_shift_sim_edges(t_lo, t_hi, level))
+    def sim_cells(self, times, level):
+        return self._atom_cells(_shift_sim_edges(times, level))
 
     def scaling_maps(self):
         return tuple(range(len(self.atoms))), None, 0.0, 1.0
@@ -655,10 +674,10 @@ class TruncatedFractional(Kernel):
         mass_top = kinks[-1] ** c_hi / -c_hi / p_top ** (alpha * e_hi)
         return (np.vstack([p, p_top]), s[None, :]), np.vstack([mass, mass_top]) * w
 
-    def sim_cells(self, t_lo, t_hi, level):
+    def sim_cells(self, times, level):
         p_hi = 1e4 * 10.0 ** level
         radial = power_law_cells(1e-4 * 0.1 ** level, p_hi, 8 + 2 * level, -1.0 - self.b)[:2]
-        lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
+        lo, hi = min(*times, 0.0), max(*times, 0.0)
         edges = shift_partition([lo, hi], level, 4.0 * p_hi, base_nodes=64, nodes_per_decade=6)
         # cut as in cf_cells: right of hi, K(t, .) is exactly 0 for every t
         # of the window
@@ -669,15 +688,29 @@ class TruncatedFractional(Kernel):
         return _RADIAL_TEST_POINTS, -1.0 - self.b, 1.0, 1.0
 
 
-def _chentsov_cells(times: Sequence[float], x_nodes: np.ndarray, x_mass: np.ndarray):
-    # per-row shift partition with edges exactly at the indicator jumps
-    taus = np.array(sorted(set(times) | {0.0}))
-    jumps = np.concatenate([taus[None, :] - x_nodes[:, None],
-                            taus[None, :] + x_nodes[:, None]], axis=1)
-    jumps.sort(axis=1)
-    mids = 0.5 * (jumps[:, 1:] + jumps[:, :-1])
-    widths = np.diff(jumps, axis=1)
-    return (x_nodes[:, None], mids), x_mass[:, None] * widths
+def _trapezoid_masses(r0, g, big, beta):
+    """int x^(beta - 2) L(x) dx over x > 0 for the trapezoids L that are 0 up
+    to r0 >= 0, rise with slope 2 over a length g > 0, stay flat over
+    big - g >= 0 and fall with slope -2 back to 0 at r0 + g + big (or stay
+    flat for good where big = inf).  That is 2 / (beta (1 - beta)) times
+    the second difference r_1^beta + r_2^beta - r_0^beta - r_3^beta of the
+    kinks r_0 = r0, r_1 = r0 + g, r_2 = r0 + big, r_3 = r0 + g + big, taken
+    as D(r0) - D(r0 + big) with D(c) = (c + g)^beta - c^beta =
+    c^beta expm1(beta log1p(g / c)), free of cancellation, and D(inf) = 0.
+    Where big < 1e-3 r0 those two nearly cancel, and the second difference
+    is taken from its Taylor series about the trapezoid's center m instead:
+    beta (1 - beta) g big m^(beta - 2) (1 + (beta - 2)(beta - 3)
+    (g^2 + big^2) / (24 m^2)), whose next term is below 5e-12 of it there.
+    Every mass is finite and > 0."""
+    # c = 0 and big = inf give nan or inf in branches that np.where drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        def step(c):
+            return np.where(c > 0.0, c ** beta * np.expm1(beta * np.log1p(g / c)), g ** beta)
+
+        exact = (step(r0) - np.where(np.isfinite(big), step(r0 + big), 0.0)) / (beta * (1.0 - beta))
+        m = r0 + 0.5 * (g + big)
+        return 2.0 * np.where(big < 1e-3 * r0, g * big * m ** (beta - 2.0) * (
+            1.0 + (beta - 2.0) * (beta - 3.0) * (g * g + big * big) / (24.0 * m * m)), exact)
 
 
 @dataclass(frozen=True)
@@ -701,19 +734,42 @@ class Chentsov(Kernel):
         return (np.abs(t - s) < x).astype(float)
 
     def cf_cells(self, times, level):
-        scale = max(max(abs(t) for t in times), 1.0)
-        x_lo = 1e-5 * scale * 0.01 ** level
-        x_hi = 1e5 * scale * 100.0 ** level
-        x_nodes, x_mass, _ = power_law_cells(x_lo, x_hi, 24, self.beta - 2.0)
-        return _chentsov_cells(times, x_nodes, x_mass)
+        """One exact cell per index range [a, b) of tau = sorted(times | {0}),
+        at every level; the cells form one row, as in the 2-d radial layout
+        of the truncated family.
 
-    def sim_cells(self, t_lo, t_hi, level):
-        scale = max(abs(t_lo), abs(t_hi), 1.0)
-        x_nodes, x_mass, _ = power_law_cells(1e-6 * scale, 1e6 * scale, 12 + 4 * level,
-                                             self.beta - 2.0)
-        lo, hi = min(t_lo, 0.0), max(t_hi, 0.0)
+        For x > 0 the tau_i with |tau_i - s| < x are a range tau[a:b], so
+        K(t_j, (x, s)) = 1{t_j in tau[a:b]} - 1{0 in tau[a:b]} on the whole
+        set of (x, s) that selects it.  With tau_{-1} = -inf and
+        tau_n = +inf (n = len(tau)) its width in s is
+        L(x) = max(0, min(tau_a + x, tau_b - x) - max(tau_{b-1} - x, tau_{a-1} + x)),
+        a trapezoid in x with kinks at half the gaps of tau: 0 up to
+        (tau_{b-1} - tau_a) / 2, rising over the smaller of the half-gaps
+        (tau_a - tau_{a-1}) / 2 and (tau_b - tau_{b-1}) / 2 and flat over
+        their difference.  ``_trapezoid_masses`` integrates it against
+        x^(beta - 2) dx.  The range of all of tau has column 0 and infinite
+        mass and is left out, which leaves n (n + 1) / 2 - 1 cells.  A
+        cell's point is where its flat top begins, x = (tau_{b-1} - tau_a) / 2
+        plus the smaller half-gap, at the middle s of the shifts that select
+        the range there (twice that half-gap wide), so ``field`` reads the
+        range's column."""
+        ends = np.array([-np.inf, *sorted({*times, 0.0}), np.inf])  # ends[i + 1] = tau_i
+        n = ends.size - 2
+        # every 0 <= a < b <= n but the range of all of tau, the n-th pair
+        a, b = np.delete(np.triu_indices(n + 1, 1), n - 1, axis=1)
+        out_lo, in_lo, in_hi, out_hi = ends[a], ends[a + 1], ends[b], ends[b + 1]
+        r0 = 0.5 * (in_hi - in_lo)
+        g, big = 0.5 * np.sort([in_lo - out_lo, out_hi - in_hi], axis=0)
+        x = r0 + g
+        s = 0.5 * (np.maximum(in_hi - x, out_lo + x) + np.minimum(in_lo + x, out_hi - x))
+        return (x[None, :], s[None, :]), _trapezoid_masses(r0, g, big, self.beta)[None, :]
+
+    def sim_cells(self, times, level):
+        lo, hi = min(*times, 0.0), max(*times, 0.0)
+        scale = max(-lo, hi, 1.0)
+        radial = power_law_cells(1e-6 * scale, 1e6 * scale, 12 + 4 * level, self.beta - 2.0)[:2]
         edges = shift_partition([lo, hi], level, 4e6 * scale, base_nodes=48, nodes_per_decade=8)
-        return _product_cells((x_nodes, x_mass), edges)
+        return _product_cells(radial, edges)
 
     def scaling_maps(self):
         return _RADIAL_TEST_POINTS, self.beta - 2.0, 1.0, 1.0
@@ -810,23 +866,19 @@ class RotatingAverage(Kernel):
     def cf_cells(self, times, level):
         # radial sub-sampling beats plain refinement here: the shift-averaged
         # integrand oscillates in x with frequency growing linearly in x
-        x_lo = 1e-3 * 0.125 ** level
-        x_hi = 1e3 * 8.0 ** level
-        x_nodes, x_mass = subdivided_power_cells(x_lo, x_hi, 10 + 4 * level, -1.0 - self.beta,
-                                                 subs=8)
+        x_nodes, x_mass = subdivided_power_cells(1e-3 * 0.125 ** level, 1e3 * 8.0 ** level,
+                                                 10 + 4 * level, -1.0 - self.beta, subs=8)
         if len(self.series.active_harmonics()) == 1:
             # |R(x) cos(k s - phi(x))|^alpha integrates over the circle to
             # R(x)^alpha c_alpha, c_alpha = int_0^{2 pi} |cos s|^alpha ds: one
             # shift node, at 0, carries it (Samorodnitsky & Taqqu, 1994)
             return (x_nodes[:, None], np.zeros((1, 1))), (x_mass * _circle_moment(self.alpha))[:, None]
-        n_s = 128 * 2 ** level
-        s_edges = np.linspace(0.0, 2.0 * np.pi, n_s + 1)
-        return _product_cells((x_nodes, x_mass), s_edges)
+        return _product_cells((x_nodes, x_mass), np.linspace(0.0, 2.0 * np.pi, 128 * 2 ** level + 1))
 
     def _sim_pairs(self):
         return len(self.series.active_harmonics()) == 1
 
-    def sim_cells(self, t_lo, t_hi, level):
+    def sim_cells(self, times, level):
         x_nodes, x_mass, _ = power_law_cells(1e-4 * 0.1 ** level, 1e4 * 10.0 ** level,
                                              12 + 4 * level, -1.0 - self.beta)
         if self._sim_pairs():

@@ -175,8 +175,8 @@ class IncrementProcess(Kernel):
     def cf_grid_key(self, times):
         return self.source.cf_grid_key(self._widened(times))
 
-    def sim_cells(self, t_lo, t_hi, level):
-        return self.source.sim_cells(t_lo, t_hi + self.lag, level)
+    def sim_cells(self, times, level):
+        return self.source.sim_cells(self._widened(times), level)
 
     def _sim_pairs(self):
         # the source's cells, so the source's draws: a pair of its cells
@@ -189,6 +189,6 @@ class IncrementProcess(Kernel):
 
 def increment_process(kernel: Kernel, lag: float) -> Kernel:
     """Stationary increment-process kernel K_T(t, u) = K(t + T, u) - K(t, u)."""
-    if lag < 0:
-        raise ValueError("lag must be nonnegative")
+    if not (math.isfinite(lag) and lag >= 0):
+        raise ValueError(f"lag must be nonnegative and finite, got {lag}")
     return IncrementProcess(kernel, lag)

@@ -180,13 +180,14 @@ def flow_identity_fixture(spec: Kernel) -> KernelIdentityFixture:
     """The spec's field in its stationary flow form F(t, .) = F(0, phi_t .),
     with phi_t = ``spec.flow(t, .)``, unit cocycle and unit derivative.  Both
     sides are taken relative to F(0, .), so they vanish at t = 0, and they
-    are evaluated on the spec's own level-1 ``sim_cells`` points over
-    [0, 2.5], a full (radial, shift) product on the two-coordinate families
-    (``cf_cells`` may integrate the shift in closed form).  Where those
+    are evaluated on the spec's own level-1 ``sim_cells`` points for the
+    fixture's times, over [0, 2.5], a full (radial, shift) product on the
+    two-coordinate families (``cf_cells`` may integrate the shift in closed
+    form, or be exact cells of the probe).  Where those
     cells are pairs (``_sim_pairs``), whose two shift nodes stand for the
     whole circle, the shift nodes are those of the circle's level-1
     simulation cells."""
-    points = spec.sim_cells(0.0, max(_FLOW_TIMES), 1)[0]
+    points = spec.sim_cells(_FLOW_TIMES, 1)[0]
     if spec._sim_pairs():
         points = (points[0], cells_from_edges(_circle_sim_edges(1))[0][None, :])
 

@@ -10,6 +10,7 @@ import stablesim as ss
 from stablesim import io as sio
 from stablesim.kernels import (
     _circle_moment,
+    _flat_cells,
     _power_plus,
     _trunc_f,
     _truncated_bounds,
@@ -28,8 +29,8 @@ CATALOG_PINS = (
     ("4185d25f1e50be31", 8.882696916960274),
     ("9c7f542b712e909a", 1.4611943614349001),
     ("4358501a1db644a3", 8.300882504374272),
-    ("bf2cf9886fd89d83", 11.310571137710408),
-    ("c0460bd3d8de38b1", 10.987826671305495),
+    ("bf2cf9886fd89d83", 11.313708498984761),  # 4 (1/2)^beta / (beta (1 - beta)), exact
+    ("c0460bd3d8de38b1", 10.995899256440785),
     ("d7395aa1883b7d9d", 12.515319894365344),
 )
 CATALOG = list(zip(ss.catalog_specs(), CATALOG_PINS))
@@ -528,7 +529,181 @@ class TestChentsovOracle:
         for terms in [((1.0, 1.0),), ((1.0, 0.5), (-0.5, 2.0)), ((0.7, 1.0), (0.3, 3.0))]:
             exact = chentsov_sigma_exact(alpha, beta, terms)
             mine = ss.cf_exponent(k, ss.LinearCombo(terms), level=2).expect()
-            assert mine == pytest.approx(exact, rel=2e-3)
+            # the oracle's cells are exact: measured 9e-13 apart
+            assert mine == pytest.approx(exact, rel=1e-10)
+
+
+def _range_masses_by_quadrature(tau, ranges, beta):
+    """int_0^inf x^(beta - 2) L_ab(x) dx for each range (a, b) of ``tau`` (a
+    sorted array), with L_ab(x) the width of the set of shifts s whose
+    {i : |tau_i - s| < x} is [a, b), taken from that definition:
+    min(tau_a + x, tau_b - x) - max(tau_{b-1} - x, tau_{a-1} + x), as the
+    least of its four differences, so that no large x cancels.  Gauss
+    nodes in log x, 16 per piece of at most one e-fold between every half
+    difference of two points of tau (L_ab is linear in x between them), from
+    the smallest, x_1, up to 1e12.  Below x_1, L_ab is linear through 0, and
+    beyond 1e12 it is constant: both ends are closed form."""
+    ends = np.concatenate([[-np.inf], tau, [np.inf]])  # ends[i + 1] = tau_i
+    kinks = {abs(u - v) / 2.0 for u in tau for v in tau if u != v}
+    edges = np.log(sorted(kinks | {1e12}))
+    pieces = np.concatenate([np.linspace(lo, hi, max(2, int(np.ceil(hi - lo)) + 1))[:-1]
+                             for lo, hi in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(pieces)[:, None]
+    u = (pieces[:-1, None] + half * (1.0 + nodes)).ravel()
+    w = (half * weights).ravel()
+    x = np.exp(u)
+    out = []
+    for a, b in ranges:
+        tau_a, tau_b, tau_b1, tau_a1 = ends[a + 1], ends[b + 1], ends[b], ends[a]
+
+        def width(x):
+            return np.maximum(0.0, np.minimum.reduce([
+                tau_a - tau_b1 + 2.0 * x, np.full_like(x, tau_a - tau_a1),
+                np.full_like(x, tau_b - tau_b1), tau_b - tau_a1 - 2.0 * x]))
+        x_1, x_end = np.exp(edges[[0, -1]])
+        head = width(x_1) * x_1 ** (beta - 1.0) / beta
+        tail = width(x_end) * x_end ** (beta - 1.0) / (1.0 - beta)
+        out.append(head + np.sum(w * x ** (beta - 1.0) * width(x)) + tail)
+    return np.array(out)
+
+
+def _cell_ranges(tau, points):
+    """The range [a, b) of tau that each point (x, s) of a cell row selects."""
+    (x,), (s,) = points
+    inside = np.abs(tau[:, None] - s) < x
+    a = inside.argmax(axis=0)
+    b = a + inside.sum(axis=0)
+    # a range: the selected points are contiguous
+    i = np.arange(tau.size)[:, None]
+    assert np.array_equal(inside, (i >= a) & (i < b))
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def _chentsov_by_quadrature(k, terms):
+    """sigma^alpha of sum theta_j X_{t_j} for the chentsov kernel k: the sum
+    over the ranges [a, b) of tau = sorted(times | {0}) but the whole, of
+    |sum_j theta_j (1{t_j in tau[a:b]} - 1{0 in tau[a:b]})|^alpha times the
+    range's mass by quadrature."""
+    tau = np.array(sorted({t for _, t in terms} | {0.0}))
+    n = tau.size
+    ranges = [(a, b) for a in range(n) for b in range(a + 1, n + 1) if (a, b) != (0, n)]
+    index = {t: int(np.flatnonzero(tau == t)[0]) for t in tau}
+    columns = np.array([sum(th * (float(a <= index[t] < b) - float(a <= index[0.0] < b))
+                            for th, t in terms) for a, b in ranges])
+    return np.sum(np.abs(columns) ** k.alpha * _range_masses_by_quadrature(tau, ranges, k.beta))
+
+
+CHENTSOV_SPECS = ss.catalog_specs()[5:7]
+
+
+class TestChentsovCfCells:
+    # probe time sets across 0 and left of it, with gaps on both sides of
+    # the Taylor switch of the masses (big half-gap 1e-3 of r_0), for
+    # ranges {1 + d, 2}: d = 9e-4 takes the series, 1.1e-3 the exact form
+    TIMES = ((1.0,), (0.5, 2.0), (-1.0, 0.5, 3.0), (-3.0, -1.0), (0.25, 0.5, 0.75, 1.0),
+             (1.0, 1.0 + 9e-4, 2.0, 2.0 + 9e-4), (1.0, 1.0 + 1.1e-3, 2.0, 2.0 + 1.1e-3))
+
+    @pytest.mark.parametrize("spec", CHENTSOV_SPECS, ids=("beta=0.5", "beta=0.6"))
+    def test_increments_match_closed_form(self, spec):
+        # sigma^alpha(X_t - X_s) = 4 (|t - s| / 2)^beta / (beta (1 - beta)),
+        # whatever alpha: the kernel difference takes the values 0 and +-1
+        k, beta = ss.build(spec), spec.beta
+        for s, t in ((0.5, 1.0), (-0.5, 0.75), (-2.0, -0.5), (-1.0, 3.0), (0.0, 2.0), (1.0, 0.0)):
+            got = ss.cf_exponent(k, ss.combo((1.0, t), (-1.0, s)), level=1).value
+            assert got == pytest.approx(4.0 * (abs(t - s) / 2.0) ** beta / (beta * (1.0 - beta)),
+                                        rel=1e-12), (s, t)
+
+    @pytest.mark.parametrize("beta", (0.05, 0.5, 0.6, 0.95))
+    def test_one_cell_per_range_with_its_column_and_mass(self, beta):
+        # every range but the whole of tau has one cell; its point selects
+        # the range, so its field reads the range's column, and its mass is
+        # the quadrature of the range's width
+        k = ss.build(ss.Chentsov(1.25, beta))
+        for times in self.TIMES:
+            tau = np.array(sorted({*times, 0.0}))
+            n = tau.size
+            points, masses = k.cf_cells(times, 1)
+            ranges = _cell_ranges(tau, points)
+            assert sorted(ranges) == [(a, b) for a in range(n) for b in range(a + 1, n + 1)
+                                      if (a, b) != (0, n)]
+            zero = int(np.flatnonzero(tau == 0.0)[0])
+            for t in times:
+                j = int(np.flatnonzero(tau == t)[0])
+                want = [float(a <= j < b) - float(a <= zero < b) for a, b in ranges]
+                assert np.array_equal(k.eval(t, points)[0], want)
+            ref = _range_masses_by_quadrature(tau, ranges, beta)
+            assert np.max(np.abs(masses[0] / ref - 1.0)) <= 1e-10, times
+
+    def test_three_term_probe_matches_the_quadrature(self):
+        k = ss.build(ss.Chentsov(1.25, 0.5))
+        terms = ((0.7, -0.5), (-1.2, 1.0), (0.4, 2.5))
+        got = ss.cf_exponent(k, ss.LinearCombo(terms), level=1).value
+        assert got == pytest.approx(_chentsov_by_quadrature(k, terms), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", CHENTSOV_SPECS, ids=("beta=0.5", "beta=0.6"))
+    def test_levels_change_nothing(self, spec):
+        k = ss.build(spec)
+        for times in _probe_time_sets():
+            cells = [k.cf_cells(times, level) for level in (0, 1, 2)]
+            for (x, s), m in cells[1:]:
+                assert np.array_equal(x, cells[0][0][0]) and np.array_equal(s, cells[0][0][1])
+                assert np.array_equal(m, cells[0][1])
+        for combo in default_probes():
+            cert = ss.cf_exponent(k, combo).certificate
+            assert cert.converged and cert.levels == (1, 2) and cert.values[0] == cert.values[1]
+
+    @pytest.mark.parametrize("beta", (0.05, 0.5, 0.6, 0.95))
+    def test_masses_finite_and_positive_for_times_1e15_apart(self, beta):
+        k = ss.build(ss.Chentsov(1.25, beta))
+        for times in ((1.0, 1.0 + 1e-15), (1.0, 1.0 + 1e-15, 2.0, 2.0 + 1e-15),
+                      (-1e-15, 1e-15, 1.0), (0.5, 0.5 + 1e-15, 0.5 + 2e-15),
+                      *_probe_time_sets()):
+            masses = k.cf_cells(times, 1)[1]
+            assert np.isfinite(masses).all() and masses.min() > 0.0, times
+        # the cells at the 1e-15 gaps read the right columns and masses
+        for terms in (((1.0, 1.0), (1.0, 1.0 + 1e-15)),
+                      ((1.0, -1e-15), (-2.0, 1e-15), (0.5, 1.0))):
+            got = ss.cf_exponent(k, ss.LinearCombo(terms), level=1).value
+            assert got == pytest.approx(_chentsov_by_quadrature(k, terms), rel=1e-12), terms
+
+
+    @pytest.mark.parametrize("spec", (*CHENTSOV_SPECS, ss.LinearMotion(1.5)),
+                             ids=("beta=0.5", "beta=0.6", "linear_motion"))
+    def test_a_probe_at_zero_alone_has_no_cells(self, spec):
+        # tau = {0} has no range but the whole one, and no interval: X_0 = 0
+        # integrates over no cell (an empty row once divided by zero)
+        k = ss.build(spec)
+        assert k.cf_cells((0.0,), 1)[1].size == 0
+        assert ss.cf_exponent(k, ss.combo((1.0, 0.0))).value == 0.0
+
+
+class TestLinearMotionCfCells:
+    @pytest.mark.parametrize("spec", (ss.LinearMotion(1.5), ss.LinearMotion(1.5, 1.0, 0.5),
+                                      ss.LinearMotion(1.2, 0.3, 1.0)),
+                             ids=("c_minus=0", "c_minus>0", "c_plus<c_minus"))
+    def test_interval_cells_match_the_shift_partition(self, spec):
+        # the shift families' partition, graded at every probe time, sums the
+        # same constant over each interval, in many more cells
+        k = ss.build(spec)
+        for combo in default_probes():
+            times = [t for _, t in combo.terms]
+            pts, masses = ss.kernels._ShiftFamily.cf_cells(k, times, 1)
+            field = sum(th * k.eval(t, pts) for th, t in combo.terms)
+            want = np.sum(np.abs(field) ** k.alpha * masses)
+            got = ss.cf_exponent(k, combo, level=1).value
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), combo
+
+
+class TestSimGridView:
+    # the benchmark's counts read sim_grid over a window; it is sim_cells of
+    # that window's ends, flattened
+    @pytest.mark.parametrize("spec", MASANI_SPECS, ids=MASANI_IDS)
+    def test_sim_grid_is_the_flat_sim_cells_of_the_window(self, spec):
+        for t in (np.linspace(0.05, 3.0, 60), np.linspace(-2.0, 3.0, 41), np.array([-3.0, -1.0])):
+            pts, masses = spec.sim_grid(t[0], t[-1], 1)
+            want_pts, want_masses = _flat_cells(*spec.sim_cells(t, 1))
+            assert np.array_equal(pts, want_pts) and np.array_equal(masses, want_masses)
 
 
 class TestTruncatedCfCells:
@@ -678,7 +853,7 @@ class TestTruncatedSimCells:
         # right of the cut, K(t, .) is exactly 0 for every time of the window
         for level in (0, 1, 2):
             for t_lo, t_hi in self.WINDOWS:
-                (r, s), _ = spec.sim_cells(t_lo, t_hi, level)
+                (r, s), _ = spec.sim_cells((t_lo, t_hi), level)
                 full = shift_partition([min(t_lo, 0.0), max(t_hi, 0.0)], level,
                                        4.0 * 1e4 * 10.0 ** level, base_nodes=64,
                                        nodes_per_decade=6)
@@ -718,7 +893,7 @@ class TestCellMasses:
         windows = {(min(ts), max(ts)) for ts in _probe_time_sets()} | {(-1.0, 0.5), (-3.0, 2.0)}
         for level in (0, 1, 2):
             for window in sorted(windows):
-                _, masses = k.sim_cells(*window, level)
+                _, masses = k.sim_cells(window, level)
                 assert masses.min() > 0.0, (level, window)
 
 
@@ -735,7 +910,7 @@ class TestShiftSimCells:
         windows = np.sort(np.random.default_rng(7).uniform(-5.0, 5.0, (300, 2)), axis=1)
         for level in (0, 1, 2):
             for t_lo, t_hi in windows:
-                _, masses = spec.sim_cells(t_lo, t_hi, level)
+                _, masses = spec.sim_cells((t_lo, t_hi), level)
                 # the catalog mixed_lfsm's first atom weighs 1: its row is the widths
                 widths = masses.reshape(-1, masses.shape[-1])[0]
                 span = max(max(t_hi + lag, 0.0) - min(t_lo, 0.0), 1.0)

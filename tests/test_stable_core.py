@@ -576,7 +576,7 @@ class TestSimulate:
         rot = ss.catalog_specs()[-1]
         padded = ss.RotatingAverage(rot.alpha, rot.beta,
                                     ss.FourierSeries((*rot.series.terms, (2, 0.0, 0.0))))
-        assert padded._sim_pairs() and padded.sim_cells(0.05, 3.0, 1)[1].shape == (160, 2)
+        assert padded._sim_pairs() and padded.sim_cells((0.05, 3.0), 1)[1].shape == (160, 2)
         times = np.linspace(0.05, 3.0, 8)
         want = ss.simulate(rot, times, 50, seed=4).values
         assert ss.simulate(padded, times, 50, seed=4).values.tobytes() == want.tobytes()
@@ -585,7 +585,7 @@ class TestSimulate:
         # no closed-form shift integral: one independent cell per radial node
         # and shift cell of the circle, drawn as before pairs were (the digest
         # was taken before them, with one BLAS thread and with two)
-        (x, s), masses = TWO_HARMONICS.sim_cells(0.05, 3.0, 1)
+        (x, s), masses = TWO_HARMONICS.sim_cells((0.05, 3.0), 1)
         assert not TWO_HARMONICS._sim_pairs() and masses.shape == (160, 128)
         assert np.array_equal(s[0], cells_from_edges(_circle_sim_edges(1))[0])
         values = ss.simulate(TWO_HARMONICS, np.linspace(0.05, 3.0, 8), 50, seed=4).values
@@ -744,8 +744,8 @@ class TestPrunedSimulation:
         n_cells = k.sim_grid(PRUNED_TIMES[0], PRUNED_TIMES[-1], 1)[1].size
         sim_cells = ss.Lfsm.sim_cells
 
-        def padded(self, t_lo, t_hi, level):
-            s, m = sim_cells(self, t_lo, t_hi, level)
+        def padded(self, times, level):
+            s, m = sim_cells(self, times, level)
             at = np.repeat([0, s.size // 2, s.size], 4)
             return np.insert(s, at, cells(s)), np.insert(m, at, mass)
 
@@ -811,7 +811,7 @@ def _closed_form_lag1(spec, times, lag=0.0):
     """The same from ``RotatingAverage.combination``'s one-harmonic form,
     sum_x x_mass c_alpha R(x)^alpha, on the radial nodes of ``spec.sim_cells``,
     for the lag-``lag`` increment process (lag 0: the process itself)."""
-    (x, _), masses = spec.sim_cells(times[0], times[-1] + lag, 1)
+    (x, _), masses = spec.sim_cells((times[0], times[-1] + lag), 1)
     out = np.empty((x.shape[0], 1))
     values = []
     for lo, hi in zip(times[:-1], times[1:]):
@@ -834,7 +834,7 @@ class TestPairLaw:
         got = _implied_lag1(ROTATING, LAW_TIMES, pairs=ROTATING._sim_pairs())
         want = _closed_form_lag1(ROTATING, LAW_TIMES)
         assert got.size == 59 and np.max(np.abs(got / want - 1.0)) <= 1e-12
-        (x, _), masses = ROTATING.sim_cells(LAW_TIMES[0], LAW_TIMES[-1], 1)
+        (x, _), masses = ROTATING.sim_cells(LAW_TIMES, 1)
         pts, grid = _product_cells((x[:, 0], masses[:, 0] / _circle_moment(ROTATING.alpha)),
                                    _circle_sim_edges(1))
         product = np.array([np.sum(np.abs(ROTATING.eval(hi, pts) - ROTATING.eval(lo, pts))

@@ -258,6 +258,12 @@ class TestNamedErrors:
         with pytest.raises(ValueError, match="lag must be nonnegative"):
             increment_process(ss.build(ss.Lfsm(1.5, 0.7)), -1.0)
 
+    @pytest.mark.parametrize("lag", [math.nan, math.inf, -math.inf, -1.0])
+    def test_lag_must_be_finite_and_nonnegative(self, lag):
+        # a nan lag passed lag < 0 and failed deep in the grid builders
+        with pytest.raises(ValueError, match=r"lag must be nonnegative and finite, got "):
+            increment_process(ss.build(ss.Lfsm(1.5, 0.7)), lag)
+
     def test_path_function_needs_two_points(self):
         with pytest.raises(ValueError, match="at least 2 finite points"):
             PathFunction(np.array([1.0]), np.zeros(1))
