@@ -1058,10 +1058,13 @@ def integral_I(alpha: float, a: float, b: float, t: float = 1.0) -> IntegralVerd
 
 
 def _integral_I(alpha: float, a: float, b: float, t: float, weighted: dict) -> IntegralVerdict:
-    """``integral_I`` on checked arguments.  ``weighted`` maps a level to
-    |K(1, .)|^alpha times the shift widths on that level's (radial, shift)
-    nodes; neither factor depends on b or t, so calls with one (alpha, a)
-    may share the dict, which is filled on first use of a level."""
+    """``integral_I`` on checked arguments.  Of the level's
+    W = |K(1, .)|^alpha times the shift widths on the (radial, shift) nodes,
+    ``weighted`` maps a level to its row sums and its far-shift and corner
+    column blocks (transposed, contiguous).  Only the radial masses depend
+    on b and nothing on t, so calls with one (alpha, a) may share the dict,
+    which is filled on first use of a level; each call reduces them with
+    its radial masses, in sums that do not depend on the thread count."""
     if a == 0.0:
         # kernel is an indicator of 0 < s < t times the full radial integral
         ratio = 10.0 ** b if b > 0 else (10.0 ** (-b) if b < 0 else 1.0)
@@ -1076,24 +1079,27 @@ def _integral_I(alpha: float, a: float, b: float, t: float, weighted: dict) -> I
         p_hi = 1e5 * 10.0 ** (2 * level)
         p_nodes, p_mass, _ = power_law_cells(p_lo, p_hi, 10, -1.0 - b)
         s_nodes, s_w = _corner_cells(p_lo, p_hi)
-        if level not in weighted:
-            G = kernel.eval(1.0, (p_nodes[:, None], s_nodes[None, :]))
-            weighted[level] = np.abs(G) ** alpha * s_w[None, :]
-        contrib = weighted[level] * p_mass[:, None]
-        total = pairwise_sum(contrib)
-        floor = 1e-9 * max(total, 1e-300)
-
-        dm_p = _decade_masses(contrib.sum(axis=1), p_nodes)
-        shells = {"radial_low": dm_p[::-1], "radial_high": dm_p}
-        # far shift tail: |s| shells on the negative side
+        # far shift tail: |s| shells on the negative side; corner shells:
+        # distance to the nearest kernel breakpoint
         far = s_nodes < -2.0
-        per_far = contrib[:, far].sum(axis=0)
-        if per_far.size and per_far.sum() > 1e-12 * total:
-            shells["shift_far"] = _decade_masses(per_far, np.abs(s_nodes[far]))
-        # corner shells: distance to the nearest kernel breakpoint
         corner_dist = np.minimum(np.abs(s_nodes), np.abs(s_nodes - 1.0))
         near = corner_dist < 0.5
-        per_near = contrib[:, near].sum(axis=0)
+        if level not in weighted:
+            G = kernel.eval(1.0, (p_nodes[:, None], s_nodes[None, :]))
+            W = np.abs(G) ** alpha * s_w[None, :]
+            weighted[level] = (W.sum(axis=1), np.ascontiguousarray(W[:, far].T),
+                               np.ascontiguousarray(W[:, near].T))
+        row_sums, far_block, near_block = weighted[level]
+        rows = p_mass * row_sums
+        total = pairwise_sum(rows)
+        floor = 1e-9 * max(total, 1e-300)
+
+        dm_p = _decade_masses(rows, p_nodes)
+        shells = {"radial_low": dm_p[::-1], "radial_high": dm_p}
+        per_far = np.einsum("sp,p->s", far_block, p_mass)
+        if per_far.size and per_far.sum() > 1e-12 * total:
+            shells["shift_far"] = _decade_masses(per_far, np.abs(s_nodes[far]))
+        per_near = np.einsum("sp,p->s", near_block, p_mass)
         if per_near.size and per_near.sum() > 1e-12 * total:
             shells["corner"] = _decade_masses(per_near, corner_dist[near])[::-1]
 

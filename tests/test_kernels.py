@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 import stablesim as ss
 from stablesim import io as sio
 from stablesim.kernels import (
+    TruncatedFractional,
     _circle_moment,
+    _corner_cells,
     _flat_cells,
+    _integral_I,
     _power_plus,
     _trunc_f,
     _truncated_bounds,
     integral_I,
     truncated_region,
 )
-from stablesim.quadrature import cells_from_edges, shell_tail, shift_partition
+from stablesim.quadrature import cells_from_edges, power_law_cells, shell_tail, shift_partition
 from stablesim.transforms import IncrementProcess, increment_process
 from stablesim.verify import check_self_similar, check_stationary_increments, default_probes
 
@@ -980,8 +983,8 @@ class TestIntegralI:
             assert r.trace == pytest.approx([scale * v for v in at_one.trace], rel=1e-12)
 
     @pytest.mark.parametrize("t, trace", [
-        (0.5, (3.4930907880365245, 3.4917630786589555)),
-        (3.0, (32.801895174912076, 32.78942731007017)),
+        (0.5, (3.4930907880365236, 3.4917630786589546)),
+        (3.0, (32.80189517491207, 32.78942731007016)),
     ])
     def test_values_pinned(self, t, trace):
         # verdict, value and trace bit for bit: t^(alpha H) times the t = 1
@@ -1046,7 +1049,32 @@ class TestRegionMap:
         blob = (",".join(repr(float(v)) for v in rm.values.ravel()) + "|"
                 + ",".join(rm.verdicts.ravel()))
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "07af357ed192facf18e19fa541e076346e57329229a56adb9df03646bce32d6b")
+            "3a3e68c267f26058f1948a43f4337816fab8e302b949917dacdb6465680615a1")
+
+    @pytest.mark.parametrize("a", [-0.5, 0.5])
+    def test_level_cache_reduces_like_the_full_matrix(self, a):
+        # each level holds the row sums and the far-shift and corner column
+        # blocks of W = |K(1, .)|^alpha * shift widths; the radial masses of
+        # every b reduce them to the sums of the full W * p_mass, up to
+        # rounding in sums of a few hundred nonnegative terms
+        weighted: dict = {}
+        _integral_I(1.5, a, -0.2, 1.0, weighted)
+        _integral_I(1.5, a, 0.4, 1.0, weighted)
+        kernel = TruncatedFractional(1.5, a, 0.4)
+        for level, (row_sums, far_block, near_block) in weighted.items():
+            p_lo, p_hi = 1e-5 * 10.0 ** (-2 * level), 1e5 * 10.0 ** (2 * level)
+            s_nodes, s_w = _corner_cells(p_lo, p_hi)
+            W = np.abs(kernel.eval(1.0, (power_law_cells(p_lo, p_hi, 10, 0.0)[0][:, None],
+                                         s_nodes[None, :]))) ** 1.5 * s_w
+            far = s_nodes < -2.0
+            near = np.minimum(np.abs(s_nodes), np.abs(s_nodes - 1.0)) < 0.5
+            for b in (-0.2, 0.4, 0.9):
+                p_mass = power_law_cells(p_lo, p_hi, 10, -1.0 - b)[1]
+                contrib = W * p_mass[:, None]
+                for got, want in ((p_mass * row_sums, contrib.sum(axis=1)),
+                                  (np.einsum("sp,p->s", far_block, p_mass), contrib[:, far].sum(axis=0)),
+                                  (np.einsum("sp,p->s", near_block, p_mass), contrib[:, near].sum(axis=0))):
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_matches_separate_integral_I_calls(self):
         # the per-a field shared across the b sweep changes no value or verdict

@@ -26,10 +26,13 @@ calls are used, so the script runs on older trees too.
 
 With ``--values FILE`` it also writes the raw values as JSON, one list of
 176 per spec keyed by the spec's ``repr``, so that two trees whose digests
-differ can be compared value by value.  With ``--against FILE`` it reads
-such a file, written by another tree, and prints under each spec's line how
-many of its values are identical to that tree's and the largest relative
-difference |x - y| / max(|x|, |y|) among the others.
+differ can be compared value by value; the region map's 121 values and
+verdicts and each Hopf line's trace values (window by window, point by
+point) and verdicts are written too, keyed by their label.  With
+``--against FILE`` it reads such a file, written by another tree, and prints
+under each line how many of its values are identical to that tree's and the
+largest relative difference |x - y| / max(|x|, |y|) among the others, and
+for the region map and Hopf lines how many verdicts are identical.
 
 usage: python tools/oracle_digest.py [--values FILE] [--against FILE]
        (imports the package from src/ next to tools/)
@@ -53,6 +56,13 @@ _SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 def digest(values) -> str:
     return hashlib.sha256(",".join(repr(v) for v in values).encode()).hexdigest()[:16]
+
+
+def compare_verdicts(names, other) -> str:
+    if other is None:
+        return "verdicts absent"
+    same = sum(x == y for x, y in zip(names, other)) if len(other) == len(names) else 0
+    return f"{same}/{len(names)} verdicts identical"
 
 
 def compare(values, other) -> str:
@@ -88,7 +98,9 @@ def oracle_values(ss, kernel) -> list[float]:
     return values
 
 
-def hopf_lines(ss) -> list[str]:
+def hopf_lines(ss) -> list[tuple[str, str, list[str], list[float]]]:
+    """Per Hopf case: its digest line, its key, its verdicts and its trace
+    values."""
     from stablesim.core import philox
     from stablesim.flows import hopf_classify, rotation_flow, translation_flow
 
@@ -109,8 +121,9 @@ def hopf_lines(ss) -> list[str]:
     for label, verdicts in cases:
         names = [x for v in verdicts for x in v.verdicts]
         traces = [x for v in verdicts for trace in v.traces for pair in trace for x in pair]
-        lines.append(f"{digest(names + traces)}  hopf_classify({label}; "
-                     f"8 points of philox(5)) {dict(Counter(names))}")
+        key = f"hopf_classify({label}; 8 points of philox(5))"
+        lines.append((f"{digest(names + traces)}  {key} {dict(Counter(names))}",
+                      key, names, traces[1::2]))
     return lines
 
 
@@ -164,20 +177,33 @@ def main() -> int:
     specs = (*ss.catalog_specs(), increment_process(ss.Lfsm(1.5, 0.7), 1.0),
              ss.RotatingAverage(1.5, 0.8, two_harmonics))
     raw = {}
-    for spec in specs:
-        values = raw[repr(spec)] = oracle_values(ss, ss.build(spec))
-        print(f"{digest(values)}  {len(values)} values  {spec!r}")
+
+    def report(key, values, names=None):
+        raw[key] = values
+        if names is not None:
+            raw[f"{key} verdicts"] = names
         if against is not None:
-            print(f"    against {args.against}: {compare(values, against.get(repr(spec)))}")
+            found = compare(values, against.get(key))
+            if names is not None:
+                found += f"; {compare_verdicts(names, against.get(f'{key} verdicts'))}"
+            print(f"    against {args.against}: {found}")
+
+    for spec in specs:
+        values = oracle_values(ss, ss.build(spec))
+        print(f"{digest(values)}  {len(values)} values  {spec!r}")
+        report(repr(spec), values)
+    grid = np.linspace(-1.0, 1.0, 11)
+    rm = ss.region_map(1.5, grid, grid)
+    label = "region_map(1.5, 11x11 over [-1, 1]^2)"
+    print(f"{digest([*rm.values.ravel(), *rm.verdicts.ravel()])}  "
+          f"{rm.values.size} values and verdicts  {label}")
+    report(label, [float(x) for x in rm.values.ravel()], list(rm.verdicts.ravel()))
+    for line, key, names, values in hopf_lines(ss):
+        print(line)
+        report(key, values, names)
     if args.values:
         with open(args.values, "w", encoding="utf-8") as fh:
             json.dump(raw, fh, indent=1)
-    grid = np.linspace(-1.0, 1.0, 11)
-    rm = ss.region_map(1.5, grid, grid)
-    print(f"{digest([*rm.values.ravel(), *rm.verdicts.ravel()])}  "
-          f"{rm.values.size} values and verdicts  region_map(1.5, 11x11 over [-1, 1]^2)")
-    for line in hopf_lines(ss):
-        print(line)
     print(scaling_maps_line(ss))
     print(flow_identity_line(ss))
     return 0
