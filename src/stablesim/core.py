@@ -577,9 +577,10 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
     standard normals per live pair (``_sas_pairs``).  A draw thus depends
     on which cells are live and which columns are equal, and ensembles of
     one seed on two grids over the same window share one realization only
-    when the grids give the same layout.  A chunk allocates its draw
-    buffers once, and ``_cms`` or ``_sas_pairs`` writes each path's weights
-    straight into the chunk's row, so no path allocates.  Each chunk of
+    when the grids give the same layout.  Each worker has one set of draw
+    buffers, made in the calling thread, and ``_cms`` or ``_sas_pairs``
+    writes each path's weights straight into the chunk's row, so no path
+    or chunk allocates.  Each chunk of
     ``_PATH_CHUNK`` paths is reduced by one matrix product of fixed shape,
     zero-padded past the last path, so a row's arithmetic does not depend on
     n_paths or on the worker count.  The chunks run on a pool of
@@ -599,13 +600,22 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
 
     values = np.empty((n_paths, t.size))
     chunks = [(lo, min(lo + _PATH_CHUNK, n_paths)) for lo in range(0, n_paths, _PATH_CHUNK)]
+    n_columns = kT.shape[0]
+    n_draws = n_columns // 2 if pairs else n_columns
+    # One set of buffers per worker, allocated here in the calling thread:
+    # a buffer made in a pool thread lands in that thread's malloc arena,
+    # which keeps it resident after the call, and whether the next call's
+    # threads find that arena free depends on when the old threads exit,
+    # so peak RSS would step by whole buffers from one run to the next.  At
+    # most ``threads`` chunks run at once, so a chunk always finds a set.
+    free = [(np.zeros((_PATH_CHUNK, n_columns)), np.empty((_PATH_CHUNK, t.size)),
+             np.empty(n_draws), np.empty(n_draws), np.empty(n_draws))
+            for _ in range(min(threads, len(chunks)))]
 
     def fill(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        n_columns = kT.shape[0]
-        n_draws = n_columns // 2 if pairs else n_columns
-        S = np.zeros((_PATH_CHUNK, n_columns))
-        u, w, tmp = np.empty(n_draws), np.empty(n_draws), np.empty(n_draws)
+        S, prod, u, w, tmp = free.pop()
+        S[hi - lo:] = 0.0  # padding rows; a draw fills its whole row
         for i in range(lo, hi):
             # the stream of philox(seed).jumped(i), at about half its cost
             gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, i, 0]))
@@ -617,7 +627,9 @@ def simulate(kernel: Kernel, times: Sequence[float], n_paths: int, seed: int,
                 _cms(u, w, kernel.alpha, S[i - lo], tmp)
         # always the full chunk shape: a product with fewer rows may take
         # another BLAS kernel (one row goes through gemv) and round differently
-        values[lo:hi] = (S @ kT)[:hi - lo]
+        np.matmul(S, kT, out=prod)
+        values[lo:hi] = prod[:hi - lo]
+        free.append((S, prod, u, w, tmp))
 
     if threads == 1:  # inline: a pool thread's malloc arena adds about 1.7 MB of peak RSS
         for chunk in chunks:

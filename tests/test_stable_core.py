@@ -625,6 +625,23 @@ class TestSimulate:
         inline = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=1)
         assert inline.values.tobytes() == pooled.values.tobytes()
 
+    def test_pool_threads_allocate_no_buffers(self, monkeypatch):
+        # a buffer made in a pool thread stays resident in that thread's
+        # malloc arena, and peak RSS then depends on thread timing
+        k = ss.build(ss.TruncatedFractional(1.5, 0.5, 0.5))
+        callers = []
+        for name in ("zeros", "empty"):
+            def record(shape, *args, _make=getattr(np, name), **kwargs):
+                if np.prod(shape) >= 1024:  # not the few words a Philox state takes
+                    callers.append(threading.current_thread() is threading.main_thread())
+                return _make(shape, *args, **kwargs)
+            monkeypatch.setattr(np, name, record)
+        pooled = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=2)
+        monkeypatch.undo()
+        assert callers and all(callers)
+        inline = ss.simulate(k, [0.5, 1.0, 2.0], 600, seed=3, threads=1)
+        assert inline.values.tobytes() == pooled.values.tobytes()
+
     def test_import_loads_no_thread_pool(self):
         # concurrent.futures loads logging: about 11 ms that only threads > 1 pays
         script = ("import sys, stablesim\n"
