@@ -25,13 +25,12 @@ with a positive stable mixing variable from Kanter's (1975) transform.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .io import _cpus, _span_results, spec_digest
+from .io import spec_digest
 from .kernels import Kernel
 from .quadrature import RTOL, Certificate, DivergenceError, pairwise_sum, run_levels
 
@@ -278,18 +277,9 @@ class CfBatch:
     values: tuple[float, ...]
     grids: int          # quadrature grids built
     kernel_evals: int   # (combo, nonzero-theta term) pairs evaluated
-    workers: int        # processes that computed the values, 1 in this process
 
 
 _BLOCK_CELLS = 1 << 16  # cells per row block of the oracle integrand
-# integrand work (the first grid's cells times the batch's nonzero-theta
-# terms) below which cf_exponents runs in-process: on 2 CPUs the pool (about
-# 10 ms to fork and join, 0.13 ms a span) lost 5 of 7 runs at 7.2M
-# cell-terms on the rotating shift grids and won 6 of 7 only at 11.4M.  Of
-# the default checks only multi-harmonic rotating batches reach it; the
-# truncated ones, exact in the radial coordinate outside the kinks, stay
-# at most 0.3M
-_ORACLE_POOL_MIN_WORK = 1 << 23
 
 
 def _row_blocks(points, shape: tuple[int, ...], block_cells: int):
@@ -322,22 +312,15 @@ def _abs_power(o: np.ndarray, alpha: float) -> None:
 
 def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> CfBatch:
     """sigma^alpha(combo) = integral of |sum_j theta_j K(t_j, .)|^alpha dmu for
-    every combo, at one refinement level.
+    every combo, at one refinement level, in the calling process.
 
-    Combos with equal ``kernel.cf_grid_key`` share one grid.  A combo's
-    integrand is built row block by row block (``_row_blocks``) in one array
-    shaped like the masses: per block, ``kernel.combination`` writes
-    sum_j theta_j K(t_j, .) over the nonzero-theta terms, then the absolute
-    value, the power and the masses are applied in place.  Nothing is shared
-    between combos but the grid, so every value equals the one a batch of
-    that combo alone gives, wherever it was computed.
-
-    The groups of combos are the spans of ``io._span_results``: a batch with
-    at least ``_ORACLE_POOL_MIN_WORK`` integrand work runs on its forked
-    workers, any other in this process.  The first grid is built here, to
-    size that work, and the workers inherit it; a worker builds any other
-    group's grid itself.  A pooled group's combos are dealt round-robin into
-    at most two spans per CPU.
+    Combos with equal ``kernel.cf_grid_key`` share one grid, built once.  A
+    combo's integrand is built row block by row block (``_row_blocks``) in
+    one array shaped like the masses: per block, ``kernel.combination``
+    writes sum_j theta_j K(t_j, .) over the nonzero-theta terms, then the
+    absolute value, the power and the masses are applied in place.  Nothing
+    is shared between combos but the grid, so every value equals the one a
+    batch of that combo alone gives.
     """
     if _count(level, "level") < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
@@ -345,43 +328,21 @@ def cf_exponents(kernel: Kernel, combos: Sequence[LinearCombo], level: int) -> C
     groups: dict = {}
     for i, c in enumerate(combos):
         groups.setdefault(kernel.cf_grid_key(c.times), []).append(i)
-    groups = list(groups.values())
-    n_evals = sum(theta != 0.0 for c in combos for theta, _ in c.terms)
-    grids = [kernel.cf_cells(combos[g[0]].times, level) for g in groups[:1]]
-    big = bool(grids) and grids[0][1].size * n_evals >= _ORACLE_POOL_MIN_WORK
-    # a pooled group's combos are dealt round-robin into at most two spans
-    # per CPU: one span per combo took about 10 % longer
-    step = 2 * _cpus()
-    spans = ([(k, g[j::step]) for k, g in enumerate(groups) for j in range(min(step, len(g)))]
-             if big else list(enumerate(groups)))
     values = [0.0] * len(combos)
-    pids = set()
-    with _span_results(_group_values, spans, (kernel, combos, level, grids), big) as results:
-        for (_, members), (pid, vals) in zip(spans, results):
-            pids.add(pid)
-            for i, v in zip(members, vals):
-                values[i] = v
-    return CfBatch(tuple(values), len(groups), n_evals, len(pids) or 1)
-
-
-def _group_values(span: tuple, held: tuple) -> tuple[int, list[float]]:
-    """(this process's pid, sigma^alpha of each combo of a span): its grid
-    is the held one of its group, where there is one, else built here."""
-    kernel, combos, level, grids = held
-    k, members = span
-    pts, masses = grids[k] if k < len(grids) else kernel.cf_cells(combos[members[0]].times, level)
-    blocks = list(_row_blocks(pts, masses.shape, _BLOCK_CELLS))
-    out = np.empty(masses.shape)
-    values = []
-    for i in members:
-        terms = [(theta, t) for theta, t in combos[i].terms if theta != 0.0]
-        for bpts, rows in blocks:
-            o = out[rows]
-            kernel.combination(terms, bpts, o)
-            _abs_power(o, kernel.alpha)
-            o *= masses[rows]
-        values.append(pairwise_sum(out.ravel()))
-    return os.getpid(), values
+    for members in groups.values():
+        pts, masses = kernel.cf_cells(combos[members[0]].times, level)
+        blocks = list(_row_blocks(pts, masses.shape, _BLOCK_CELLS))
+        out = np.empty(masses.shape)
+        for i in members:
+            terms = [(theta, t) for theta, t in combos[i].terms if theta != 0.0]
+            for bpts, rows in blocks:
+                o = out[rows]
+                kernel.combination(terms, bpts, o)
+                _abs_power(o, kernel.alpha)
+                o *= masses[rows]
+            values[i] = pairwise_sum(out.ravel())
+    n_evals = sum(theta != 0.0 for c in combos for theta, _ in c.terms)
+    return CfBatch(tuple(values), len(groups), n_evals)
 
 
 def cf_exponent(kernel: Kernel, combo: LinearCombo, *, level: int | None = None) -> CfExponent:

@@ -256,6 +256,9 @@ def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray) -> HopfV
     a window piece holding q >= 1 whole periods is q times it plus the
     midpoint sum over the rest of the piece.
 
+    ``points`` is a 1-d array on a flow of dimension 1 and an (n, dim)
+    array on any other; any other shape raises ValueError.
+
     Expected tail of a moving average on the translation flow: for
     g0 = K(1, .) = f(1 - .) - f(-.) with the LFSM profile
     f(u) = u_+^(H - 1/alpha), the mean-value theorem gives
@@ -271,7 +274,10 @@ def hopf_classify(flow: FlowSpec, g0, alpha: float, points: np.ndarray) -> HopfV
     """
     if not 0.0 < alpha < 2.0:  # also rejects nan
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    pts = np.atleast_2d(points) if flow.dim > 1 else np.atleast_1d(points)
+    pts = np.asarray(points)
+    if (pts.ndim != 1) if flow.dim == 1 else (pts.ndim != 2 or pts.shape[1] != flow.dim):
+        shape = "a 1-d array" if flow.dim == 1 else f"an (n, {flow.dim}) array"
+        raise ValueError(f"points must be {shape} on the {flow.tag} flow, got shape {pts.shape}")
     verdicts: list[str] = []
     traces: list[tuple[tuple[float, float], ...]] = []
     for point in pts:

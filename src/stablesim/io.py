@@ -1,6 +1,6 @@
 """JSON family-spec documents, ensemble CSV files and report serialization,
 and the forked span workers (``_span_results``) that the CSV writer and
-reader and the quadrature oracle (``core.cf_exponents``) share.
+reader share.
 
 The CSV writer prints each value as ``repr`` does, byte for byte, but a
 span of values at a time: a shortest-digit search in numpy integer

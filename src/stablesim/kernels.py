@@ -354,6 +354,13 @@ def _shift_sim_edges(times: Sequence[float], level: int) -> np.ndarray:
     return np.unique(np.concatenate([left, core, right]))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only, for a cache that shares them."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1] as (nodes, weights), read-only
@@ -361,10 +368,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     # imported on use: numpy.polynomial costs about 4 ms of import time
     from numpy.polynomial.legendre import leggauss
 
-    rule = leggauss(n)
-    for c in rule:
-        c.setflags(write=False)
-    return rule
+    return _read_only(*leggauss(n))
 
 
 def _circle_moment(alpha: float) -> float:
@@ -998,14 +1002,16 @@ def _decade_masses(vals: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _corner_cells(p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _corner_cells(p_lo: float, p_hi: float) -> tuple[np.ndarray, ...]:
     """Shift cells (nodes, widths) of ``integral_I`` at t = 1 and radial
     range [p_lo, p_hi]: log shells around both kernel corners s = 0 and
     s = 1 down to a scale commensurate with the radial cutoff, which is what
     lets the decade analysis see joint (shift, radial) singularities of the
-    integrand, and geometric tails beyond them.  The cells do not depend on
-    (a, b), so ``region_map`` builds them once per level; the arrays are
-    read-only since they are shared."""
+    integrand, and geometric tails beyond them.  Then the masks of the far
+    shift tail (s < -2) and of the corner shells (distance below 1/2 to the
+    nearer corner), and that distance.  Nothing depends on (a, b), so
+    ``region_map`` builds them once per level; the arrays are read-only
+    since they are shared."""
     inner = max(0.1 * p_lo, 1e-13)  # below this, shells hit rounding
     reach = 4.0 * p_hi + 4.0
     n = max(4, int(np.ceil(np.log10(reach / 2.0) * 8)))
@@ -1015,10 +1021,16 @@ def _corner_cells(p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
     for corner, sign, gap in ((0.0, -1.0, 2.0), (0.0, 1.0, 0.5),
                               (1.0, -1.0, 0.5), (1.0, 1.0, 2.0)):
         pieces.append(corner + sign * power_law_cells(inner, gap, 8, 0.0)[2])
-    cells = cells_from_edges(np.unique(np.concatenate(pieces)))
-    for c in cells:
-        c.setflags(write=False)
-    return cells
+    nodes, widths = cells_from_edges(np.unique(np.concatenate(pieces)))
+    corner_dist = np.minimum(np.abs(nodes), np.abs(nodes - 1.0))
+    return _read_only(nodes, widths, nodes < -2.0, corner_dist < 0.5, corner_dist)
+
+
+@functools.lru_cache(maxsize=128)
+def _radial_cells(p_lo: float, p_hi: float, b: float) -> tuple[np.ndarray, ...]:
+    """Radial cells (nodes, masses) of ``integral_I`` on [p_lo, p_hi], exact
+    masses of the density p^(-1-b), ten a decade; read-only, since shared."""
+    return _read_only(*power_law_cells(p_lo, p_hi, 10, -1.0 - b)[:2])
 
 
 def _check_integral_args(alpha: float, values: dict[str, float]) -> None:
@@ -1077,13 +1089,10 @@ def _integral_I(alpha: float, a: float, b: float, t: float, weighted: dict) -> I
     for level in range(1, 6):
         p_lo = 1e-5 * 10.0 ** (-2 * level)
         p_hi = 1e5 * 10.0 ** (2 * level)
-        p_nodes, p_mass, _ = power_law_cells(p_lo, p_hi, 10, -1.0 - b)
-        s_nodes, s_w = _corner_cells(p_lo, p_hi)
+        p_nodes, p_mass = _radial_cells(p_lo, p_hi, b)
         # far shift tail: |s| shells on the negative side; corner shells:
         # distance to the nearest kernel breakpoint
-        far = s_nodes < -2.0
-        corner_dist = np.minimum(np.abs(s_nodes), np.abs(s_nodes - 1.0))
-        near = corner_dist < 0.5
+        s_nodes, s_w, far, near, corner_dist = _corner_cells(p_lo, p_hi)
         if level not in weighted:
             G = kernel.eval(1.0, (p_nodes[:, None], s_nodes[None, :]))
             W = np.abs(G) ** alpha * s_w[None, :]

@@ -58,12 +58,21 @@ def _timed_batch(kernel: Kernel, combos, level: int) -> tuple[CfBatch, float]:
 
 def _work(timed: list[tuple[CfBatch, float]]) -> dict:
     """Quadrature work behind a report: grids built, (probe, nonzero-theta
-    term) kernel evaluations and wall seconds, summed over its timed batches,
-    and the most processes that computed one of them (1: all in-process)."""
+    term) kernel evaluations and wall seconds, summed over its timed batches."""
     return {"grids": sum(b.grids for b, _ in timed),
             "kernel_evals": sum(b.kernel_evals for b, _ in timed),
-            "wall_s": sum(s for _, s in timed),
-            "workers": max(b.workers for b, _ in timed)}
+            "wall_s": sum(s for _, s in timed)}
+
+
+def _probes(combos) -> tuple[LinearCombo, ...]:
+    """``combos`` as a tuple, ``default_probes()`` for None; ValueError for
+    none at all, since a check over no probes compares nothing."""
+    if combos is None:
+        return default_probes()
+    combos = tuple(combos)
+    if not combos:
+        raise ValueError("combos must hold at least one probe (None for the defaults)")
+    return combos
 
 
 def default_probes() -> tuple[LinearCombo, ...]:
@@ -94,7 +103,9 @@ def check_stationary_increments(kernel: Kernel, combos=None,
     the coarse one (up to the machine floor, since several families are
     h-invariant by construction down to rounding noise).
     """
-    combos = combos or default_probes()
+    combos, shifts = _probes(combos), tuple(shifts)
+    if not shifts:
+        raise ValueError("shifts must hold at least one shift")
     hs = (0.0, *shifts)
     per_level: dict[int, list[float]] = {}
     timed = []
@@ -134,7 +145,9 @@ def check_self_similar(kernel: Kernel, combos=None, tol: float = 0.01,
     the fitted exponent and compares it with the kernel's Hurst exponent
     relative to tol.
     """
-    combos = combos or default_probes()
+    combos = _probes(combos)
+    if target_hurst is not None and not (math.isfinite(target_hurst) and target_hurst > 0.0):
+        raise ValueError(f"target_hurst must be finite and positive, got {target_hurst}")
     target = target_hurst if target_hurst is not None else kernel.hurst_exponent()
     if target is None:
         raise ValueError("kernel has no Hurst exponent; pass target_hurst")
@@ -300,7 +313,7 @@ def mc_distribution_check(ensemble: PathEnsemble, kernel: Kernel, combos=None,
     """
     if ensemble.n_paths < 1:  # the CLT tolerance 1/sqrt(n_paths) is undefined
         raise ValueError(f"a Monte Carlo check needs n_paths >= 1, got {ensemble.n_paths}")
-    combos = combos or default_probes()
+    combos = _probes(combos)
     tol = tol if tol is not None else 3.0 / math.sqrt(ensemble.n_paths) + 0.02
     batch, seconds = _timed_batch(kernel, combos, _LEVEL)
     residuals = [abs(empirical_cf(ensemble, c) - math.exp(-sigma))

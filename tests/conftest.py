@@ -7,9 +7,9 @@ import pytest
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The pools that ``io._span_results`` makes (for the CSV writer and
-    reader, and for the quadrature oracle), on two CPUs whatever the machine
-    has."""
+    """The pools that ``io._span_results`` makes for the CSV writer and
+    reader, on two CPUs whatever the machine has; the quadrature oracle
+    makes none."""
     # they make no pool beside another thread (of a plugin, say)
     assert threading.active_count() == 1
     made = []

@@ -258,6 +258,20 @@ class TestHopf:
         with pytest.raises(ValueError, match="alpha"):
             hopf_classify(translation_flow(), HOPF_G0["translation"], alpha, np.array([0.5, -0.7]))
 
+    @pytest.mark.parametrize("flow, points", [
+        # three numbers are no rotation point: once read as (0.1, 0.2), 0.3 dropped
+        (rotation_flow(), np.array([0.1, 0.2, 0.3])),
+        (rotation_flow(), np.array([0.1, 0.2])),
+        (rotation_flow(), np.zeros((2, 3))),
+        (rotation_flow(), np.zeros((1, 1, 2))),
+        (translation_flow(), np.array([[0.1, 0.2]])),
+        (translation_flow(), np.array(0.5)),
+    ], ids=["rotation-1d-3", "rotation-1d-2", "rotation-n-3", "rotation-3d",
+            "translation-2d", "translation-0d"])
+    def test_points_of_the_wrong_shape_rejected(self, flow, points):
+        with pytest.raises(ValueError, match="points"):
+            hopf_classify(flow, HOPF_G0[flow.tag], 1.5, points)
+
 
 def closed_form_cos_window(s, x, L, alpha):
     """Integral of |cos(s + t x)|^alpha over -L <= t <= L, from

@@ -1063,7 +1063,7 @@ class TestRegionMap:
         kernel = TruncatedFractional(1.5, a, 0.4)
         for level, (row_sums, far_block, near_block) in weighted.items():
             p_lo, p_hi = 1e-5 * 10.0 ** (-2 * level), 1e5 * 10.0 ** (2 * level)
-            s_nodes, s_w = _corner_cells(p_lo, p_hi)
+            s_nodes, s_w = _corner_cells(p_lo, p_hi)[:2]
             W = np.abs(kernel.eval(1.0, (power_law_cells(p_lo, p_hi, 10, 0.0)[0][:, None],
                                          s_nodes[None, :]))) ** 1.5 * s_w
             far = s_nodes < -2.0

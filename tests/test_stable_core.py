@@ -418,14 +418,8 @@ def _check_batches():
                                    for sc in _SS_SCALES]))
 
 
-def _heavy(kernel, level, combos) -> bool:
-    first = kernel.cf_cells(combos[0].times, level)[1].size
-    terms = sum(theta != 0.0 for c in combos for theta, _ in c.terms)
-    return first * terms >= core._ORACLE_POOL_MIN_WORK
-
-
-# two harmonics: no closed-form shift integral, so the grid of each default
-# check batch is heavy, and one for every probe
+# two harmonics: no closed-form shift integral, so one grid serves every
+# probe of a default check batch, 15.7M-78.4M cell-terms of integrand work
 TWO_HARMONICS = ss.RotatingAverage(1.5, 0.8, ss.FourierSeries(((1, 1.0, 0.0), (2, 0.3, 0.1))))
 
 
@@ -438,89 +432,55 @@ class _FailingRotating(ss.RotatingAverage):
         super().combination(terms, points, out)
 
 
-def _in_process(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+# SHA-256 of the values of the three ``_check_batches`` of each spec, as
+# computed on the forked workers of ``io._span_results`` with every batch
+# sent to them (2 CPUs), and equal to the in-process values then too
+_POOLED_DIGESTS = {
+    "lfsm-1.5": "068134c04f388cb17381ec2e374322364542fa1e8a5628f2b708a0167601b417",
+    "linear_motion-1.5": "2dd1f93e5772aa69acfc984e1193d5b177bd33df0da3cac7c1548b42953c9ffd",
+    "log_fractional-1.5": "d39ee461928032aa1d1bbfb915df5368e633a0fea6c4db75d5368a2e431de09d",
+    "mixed_lfsm-1.5": "11b16294e923bb1aa1222abfce19573f25b3a23a28b4666f96037115bf18d66e",
+    "truncated_fractional-1.5": "64a19f522f242594ef4d35a79ae3d9e2e9b2129b55ef03e861b8a2a65949bb4e",
+    "chentsov-1.25": "d43ae2f7632b8af4cbff173f5c5f84b3860fb50da1b649e8439a5af717ea2f96",
+    "chentsov-0.5": "168d854d9f004b012c7be7a606be64f8dde4536f32d07e7871ac16dec635c98d",
+    "rotating_average-1.5": "f97bc57363f3f73f66be37170596c33e8fcf8b0490283af8903c17718fa9192b",
+    "rotating_average-two-harmonics": "2747d2f6a12646d57de0738c7370891d605df1708be1b237ea001578d9e274e4",
+}
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
 class TestPooledOracle:
-    """Heavy batches run on the forked workers of ``io._span_results``; the
-    values must be the in-process values, and no worker may outlive a batch."""
+    """Every batch runs in the calling process, on no pool of
+    ``io._span_results``, and keeps the values that pool gave."""
 
     @pytest.mark.parametrize("spec", (*ss.catalog_specs(),
                                       pytest.param(TWO_HARMONICS, id="rotating_average-two-harmonics")),
                              ids=lambda s: f"{s.label}-{s.alpha}")
-    def test_pooled_values_are_in_process_values(self, spec, pools, monkeypatch):
-        pooled = [ss.cf_exponents(spec, combos, level) for level, combos in _check_batches()]
-        heavy = [_heavy(spec, level, combos) for level, combos in _check_batches()]
-        assert len(pools) == sum(heavy)
-        # a worker that starts late may take no span of a short batch
-        assert all(b.workers in ((1, 2) if h else (1,)) for b, h in zip(pooled, heavy))
-        assert multiprocessing.active_children() == []
-        _in_process(monkeypatch)
-        for b, (level, combos) in zip(pooled, _check_batches()):
-            alone = ss.cf_exponents(spec, combos, level)
-            assert np.array(b.values).tobytes() == np.array(alone.values).tobytes()
-            assert (b.grids, b.kernel_evals) == (alone.grids, alone.kernel_evals)
-            assert alone.workers == 1
-        assert len(pools) == sum(heavy)
-
-    def test_heavy_batch_makes_one_pool(self, pools):
-        # the rotating grid is one for every probe: cut by probes, held by the workers
-        rot = TWO_HARMONICS
-        level, combos = _check_batches()[1]
-        assert _heavy(rot, level, combos)
-        batch = ss.cf_exponents(rot, combos, level)
-        assert (len(pools), batch.grids) == (1, 1) and batch.workers in (1, 2)
-        assert multiprocessing.active_children() == []
-        report = check_stationary_increments(rot)
-        assert len(pools) == 3 and report.details["workers"] in (1, 2)
-
-    def test_workers_build_every_grid_but_the_first(self, pools, monkeypatch):
-        # one grid per probe: the calling process holds one grid, whatever
-        # the CPU count, and both workers take some of the 40 spans.  The
-        # truncated batches are light, so the gate is set to 0
-        monkeypatch.setattr(core, "_ORACLE_POOL_MIN_WORK", 0)
-        trunc = next(s for s in ss.catalog_specs() if isinstance(s, ss.TruncatedFractional))
-        level, combos = _check_batches()[1]
-        built = []
-        real_cells = ss.TruncatedFractional.cf_cells
-
-        def cf_cells(kernel, times, lvl):
-            built.append(os.getpid())
-            return real_cells(kernel, times, lvl)
-
-        monkeypatch.setattr(ss.TruncatedFractional, "cf_cells", cf_cells)
-        batch = ss.cf_exponents(trunc, combos, level)
-        assert (len(pools), batch.grids, batch.workers) == (1, len(combos), 2)
-        assert built == [os.getpid()]
-        # also with fewer grids than CPUs
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        batch = ss.cf_exponents(trunc, combos[:3], level)
-        assert (len(pools), batch.grids) == (2, 3)
-        assert built == [os.getpid()] * 2
-        assert multiprocessing.active_children() == []
+    def test_pooled_values_are_in_process_values(self, spec, pools, request):
+        values = [v for level, combos in _check_batches()
+                  for v in ss.cf_exponents(spec, combos, level).values]
+        digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+        assert digest == _POOLED_DIGESTS[request.node.callspec.id]
+        assert pools == [] and multiprocessing.active_children() == []
 
     def test_light_and_empty_batches_make_no_pool(self, pools, monkeypatch):
         lfsm = ss.catalog_specs()[0]
         level, combos = _check_batches()[1]
-        assert not _heavy(lfsm, level, combos)
-        assert ss.cf_exponents(lfsm, combos, level).workers == 1
-        assert check_stationary_increments(lfsm).details["workers"] == 1
-        # with no gate, one probe is still one span, and the empty batch builds no grid
-        monkeypatch.setattr(core, "_ORACLE_POOL_MIN_WORK", 0)
-        rot = ss.catalog_specs()[-1]
-        assert ss.cf_exponent(rot, ss.combo((1.0, 1.0), (-0.5, 2.0))).status == "converged"
+        assert ss.cf_exponents(lfsm, combos, level).grids == len(combos)
+        assert "workers" not in check_stationary_increments(lfsm).details
+        assert ss.cf_exponents(TWO_HARMONICS, combos, level).grids == 1
+        # the empty batch builds no grid
         monkeypatch.setattr(ss.RotatingAverage, "cf_cells", None)
-        assert ss.cf_exponents(rot, [], 2) == ss.CfBatch((), 0, 0, 1)
+        assert ss.cf_exponents(TWO_HARMONICS, [], 2) == ss.CfBatch((), 0, 0)
         assert pools == []
 
     def test_light_batch_imports_no_multiprocessing(self):
+        # the two-harmonic batches are the heaviest of the default checks
         code = ("import sys, stablesim as ss\n"
                 "from stablesim.verify import check_stationary_increments\n"
                 "check_stationary_increments(ss.catalog_specs()[0])\n"
                 "ss.cf_exponent(ss.catalog_specs()[-1], ss.combo((1.0, 1.0)), level=1)\n"
+                "check_stationary_increments(ss.RotatingAverage(\n"
+                "    1.5, 0.8, ss.FourierSeries(((1, 1.0, 0.0), (2, 0.3, 0.1)))))\n"
                 "print('multiprocessing' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -528,30 +488,13 @@ class TestPooledOracle:
                              text=True, timeout=120, check=True)
         assert run.stdout.strip() == "False"
 
-    def test_worker_error_propagates(self, pools, monkeypatch):
+    def test_worker_error_propagates(self, pools):
+        # a kernel's error reaches the caller with its type and message
         failing = _FailingRotating(**vars(TWO_HARMONICS))
         level, combos = _check_batches()[1]
         with pytest.raises(ArithmeticError, match="^no field at t = 5$"):
             ss.cf_exponents(failing, combos, level)
-        assert len(pools) == 1
-        assert multiprocessing.active_children() == []
-        _in_process(monkeypatch)
-        with pytest.raises(ArithmeticError, match="^no field at t = 5$"):
-            ss.cf_exponents(failing, combos, level)
-        assert len(pools) == 1
-
-    def test_caller_with_another_thread_computes_in_process(self, pools):
-        # fork is unsafe while another thread runs
-        rot = TWO_HARMONICS
-        level, combos = _check_batches()[1]
-        batches = []
-        thread = threading.Thread(target=lambda: batches.append(ss.cf_exponents(rot, combos, level)))
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-        assert pools == [] and batches[0].workers == 1
-        assert batches[0].values == ss.cf_exponents(rot, combos, level).values
-        assert len(pools) == 1
+        assert pools == []
 
 
 class TestMeasureGrid:

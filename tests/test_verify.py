@@ -122,6 +122,40 @@ class TestSelfSimilar:
         assert not rep.passed
 
 
+def _lfsm_ensemble():
+    times = sorted({t for c in default_probes() for t in c.times})
+    return ss.simulate(ss.Lfsm(1.5, 0.7), times, 10, seed=1)
+
+
+class TestCheckArguments:
+    """A check over no probes or no shifts would compare nothing and pass;
+    only None stands for the defaults."""
+
+    @pytest.mark.parametrize("check", [
+        lambda combos: check_stationary_increments(ss.Lfsm(1.5, 0.7), combos=combos),
+        lambda combos: check_self_similar(ss.Lfsm(1.5, 0.7), combos=combos),
+        lambda combos: mc_distribution_check(_lfsm_ensemble(), ss.Lfsm(1.5, 0.7), combos=combos),
+    ], ids=["si", "ss", "mc"])
+    def test_empty_combos_rejected(self, check):
+        for empty in ([], (), iter([])):
+            with pytest.raises(ValueError, match="combos"):
+                check(empty)
+        # an iterable of probes is read once, as the tuple of its probes
+        probes = default_probes()[:2]
+        assert check(iter(probes)).residuals == check(probes).residuals
+
+    def test_empty_shifts_rejected(self):
+        for empty in ((), iter(())):
+            with pytest.raises(ValueError, match="shifts"):
+                check_stationary_increments(ss.Lfsm(1.5, 0.7), shifts=empty)
+
+    @pytest.mark.parametrize("target", [0.0, -0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_target_hurst_must_be_finite_and_positive(self, target):
+        # 0 divided by zero; nan and -0.5 failed the check without saying why
+        with pytest.raises(ValueError, match="target_hurst"):
+            check_self_similar(ss.Lfsm(1.5, 0.7), target_hurst=target)
+
+
 _EXTRA_MAP_SPECS = (
     ss.Lfsm(1.5, 0.3),
     ss.Lfsm(1.2, 0.9),
